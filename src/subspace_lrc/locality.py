@@ -17,7 +17,6 @@ bound above the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -28,7 +27,6 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
-    contains_subspace,
     contains_vector,
     solve,
     subspace_sum,
@@ -72,14 +70,6 @@ def _functional_for(code: ArrayCode, columns, target_vec) -> tuple[int, ...]:
     return sol
 
 
-def _helper_sum(code: ArrayCode, columns) -> Subspace:
-    return reduce(
-        subspace_sum,
-        (code.subspaces[m] for m in columns),
-        Subspace.zero(code.field, code.M),
-    )
-
-
 def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[int, ...]:
     """Rebuild the target symbols from the helper entries of a codeword array."""
     field = code.field
@@ -117,6 +107,119 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
     return True
 
 
+# --- recovery-set engine ----------------------------------------------------------
+# A target is (column, row, ...): row None asks for the whole node, otherwise
+# for one symbol. Its helper sets never contain its own column.
+
+
+def _target_basis(code: ArrayCode, column: int, row: int | None) -> tuple:
+    """Vectors a helper sum must contain; empty for a zero node or symbol."""
+    if row is None:
+        return code.subspaces[column].basis
+    vec = code.column_vector(row, column)
+    return (vec,) if any(vec) else ()
+
+
+def _subset_sums(code: ArrayCode, targets, size: int):
+    """Every size-element helper subset in lex order, with its subspace sum.
+
+    Only columns some target may use are walked. Partial sums of the current
+    subset's prefixes stay on a stack and are shared with the next subset: a
+    singleton's sum is its block, each deeper element costs one subspace_sum,
+    and a prefix that already spans GF(q)^M is carried without reduction.
+    """
+    columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
+    stack: list[Subspace] = []
+    prev = (-1,) * size
+    for subset in combinations(columns, size):
+        k = 0
+        while prev[k] == subset[k]:
+            k += 1
+        del stack[k:]
+        for m in subset[k:]:
+            if not stack:
+                stack.append(code.subspaces[m])
+            elif stack[-1].dim == code.M:
+                stack.append(stack[-1])
+            else:
+                stack.append(subspace_sum(stack[-1], code.subspaces[m]))
+        prev = subset
+        yield subset, stack[-1]
+
+
+def _holds(code: ArrayCode, span: Subspace, basis) -> bool:
+    return span.dim == code.M or all(contains_vector(span, v) for v in basis)
+
+
+def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
+    """First helper set in (size, lex) order whose sum holds each target.
+
+    One walk per size serves every pending target, and zero targets need no
+    helpers. NoRecovery names the first target with no set of size <= cap.
+    """
+    bases = [_target_basis(code, column, row) for column, row in targets]
+    found: list = [None if basis else () for basis in bases]
+    pending = [k for k, f in enumerate(found) if f is None]
+    for size in range(1, cap + 1):
+        if not pending:
+            break
+        for subset, span in _subset_sums(code, targets, size):
+            hit = False
+            for k in pending:
+                if targets[k][0] not in subset and _holds(code, span, bases[k]):
+                    found[k] = subset
+                    hit = True
+            if hit:
+                pending = [k for k in pending if found[k] is None]
+                if not pending:
+                    break
+    out = []
+    for (column, row), subset in zip(targets, found):
+        what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
+        if subset is None:
+            raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
+        functionals = (
+            _functional_for(code, subset, code.column_vector(i, column)) if subset else ()
+            for i in (range(code.b) if row is None else (row,))
+        )
+        kind = "node" if row is None else "symbol"
+        out.append(RecoverySet(kind, column, row, subset, tuple(functionals)))
+    return out
+
+
+def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list[tuple]]:
+    """Each target's minimal valid helper sets, in (size, lex) order.
+
+    targets are (column, row, r) triples; a helper set is valid when its size
+    is at most r and its sum holds the target. Sums only grow, so a set is
+    skipped for a target as soon as one of its subsets one element smaller
+    was valid for it (found or skipped itself).
+    """
+    for r in dict.fromkeys(r for _, _, r in targets):
+        total = sum(comb(code.n - 1, s) for s in range(1, r + 1))
+        guard(total, f"enumerating {total} candidate helper sets", limit)
+    bases = [_target_basis(code, column, row) for column, row, _ in targets]
+    pools: list[list[tuple]] = [[] for _ in targets]
+    valid: list[set] = [set() for _ in targets]  # valid sets one size smaller
+    for size in range(1, max((r for _, _, r in targets), default=0) + 1):
+        active = [k for k, t in enumerate(targets) if t[2] >= size]
+        grown: list[set] = [set() for _ in targets]
+        for subset, span in _subset_sums(code, [targets[k] for k in active], size):
+            faces = [subset[:i] + subset[i + 1 :] for i in range(size)]
+            for k in active:
+                column, _, r = targets[k]
+                if column in subset:
+                    continue
+                held = bool(valid[k]) and any(f in valid[k] for f in faces)
+                if not held and _holds(code, span, bases[k]):
+                    pools[k].append(subset)
+                    held = True
+                if held and size < r:
+                    grown[k].add(subset)
+        valid = grown
+    return pools
+
+
 def min_symbol_recovery(
     code: ArrayCode, row: int, column: int, *, max_size: int | None = None
 ) -> RecoverySet:
@@ -125,24 +228,8 @@ def min_symbol_recovery(
     Ties break lexicographically on the helper index tuple. A zero generator
     column needs no helpers and yields the empty set.
     """
-    target = code.column_vector(row, column)
-    if not any(target):
-        return RecoverySet("symbol", column, row, (), ((),))
-    others = [m for m in range(code.n) if m != column]
-    cap = len(others) if max_size is None else min(max_size, len(others))
-    for size in range(1, cap + 1):
-        for subset in combinations(others, size):
-            if contains_vector(_helper_sum(code, subset), target):
-                return RecoverySet(
-                    "symbol",
-                    column,
-                    row,
-                    subset,
-                    (_functional_for(code, subset, target),),
-                )
-    raise NoRecovery(
-        f"symbol ({row + 1},{column + 1}) has no recovery set of size <= {cap}"
-    )
+    cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
+    return _witnesses(code, [(column, row)], cap)[0]
 
 
 def min_node_recovery(
@@ -151,23 +238,8 @@ def min_node_recovery(
     """Smallest helper set whose subspace sum contains the node's subspace."""
     if not 0 <= column < code.n:
         raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
-    target_space = code.subspaces[column]
-    targets = [code.column_vector(i, column) for i in range(code.b)]
-    if target_space.dim == 0:
-        return RecoverySet("node", column, None, (), tuple(() for _ in targets))
-    others = [m for m in range(code.n) if m != column]
-    cap = len(others) if max_size is None else min(max_size, len(others))
-    for size in range(1, cap + 1):
-        for subset in combinations(others, size):
-            if contains_subspace(_helper_sum(code, subset), target_space):
-                return RecoverySet(
-                    "node",
-                    column,
-                    None,
-                    subset,
-                    tuple(_functional_for(code, subset, t) for t in targets),
-                )
-    raise NoRecovery(f"node {column + 1} has no recovery set of size <= {cap}")
+    cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
+    return _witnesses(code, [(column, None)], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -187,17 +259,14 @@ class LocalityProfile:
 
 
 def node_locality(code: ArrayCode) -> int:
-    return max(min_node_recovery(code, j).size for j in range(code.n))
+    wits = _witnesses(code, [(j, None) for j in range(code.n)], code.n - 1)
+    return max(w.size for w in wits)
 
 
 def symbol_locality(code: ArrayCode) -> int:
     """Worst-case over symbols with nonzero generator columns."""
-    best = 0
-    for j in range(code.n):
-        for i in range(code.b):
-            if any(code.column_vector(i, j)):
-                best = max(best, min_symbol_recovery(code, i, j).size)
-    return best
+    targets = [(j, i) for j in range(code.n) for i in range(code.b)]
+    return max(w.size for w in _witnesses(code, targets, code.n - 1))
 
 
 def locality_profile(
@@ -207,24 +276,20 @@ def locality_profile(
     exact_cap: int = 5000,
     limit: int | None = None,
 ) -> LocalityProfile:
-    node_wits = tuple(min_node_recovery(code, j) for j in range(code.n))
-    sym_wits = tuple(
-        tuple(min_symbol_recovery(code, i, j) for j in range(code.n))
-        for i in range(code.b)
-    )
+    n, b = code.n, code.b
+    targets = [(j, None) for j in range(n)] + [(j, i) for i in range(b) for j in range(n)]
+    wits = _witnesses(code, targets, n - 1)
+    node_wits = tuple(wits[:n])
+    sym_wits = tuple(tuple(wits[n * (i + 1) : n * (i + 2)]) for i in range(b))
     r_n = max(w.size for w in node_wits)
-    nonzero = [
-        sym_wits[i][j].size
-        for j in range(code.n)
-        for i in range(code.b)
-        if any(code.column_vector(i, j))
-    ]
-    r_s = max(nonzero) if nonzero else 0
+    # zero symbols have empty witnesses, so the max runs over nonzero ones
+    r_s = max(w.size for w in wits[n:])
     assert r_s <= r_n, "a node recovery set recovers each of its symbols"
     node_t = symbol_t = None
     if with_availability:
-        node_t = code_node_availability(code, r=r_n, exact_cap=exact_cap, limit=limit)
-        symbol_t = code_symbol_availability(code, r=r_s, exact_cap=exact_cap, limit=limit)
+        node_t, symbol_t = _worst_availability(
+            code, [("node", r_n), ("symbol", r_s)], exact_cap=exact_cap, limit=limit
+        )
     return LocalityProfile(
         node_locality=r_n,
         symbol_locality=r_s,
@@ -236,22 +301,6 @@ def locality_profile(
 
 
 # --- availability ---------------------------------------------------------------
-
-
-def _minimal_recovery_sets(code, column, is_valid, r, *, limit=None):
-    """Minimal valid helper sets of size <= r, in (size, lex) order."""
-    others = [m for m in range(code.n) if m != column]
-    total = sum(comb(len(others), s) for s in range(1, r + 1))
-    guard(total, f"enumerating {total} candidate helper sets", limit)
-    found: list[frozenset] = []
-    for size in range(1, r + 1):
-        for subset in combinations(others, size):
-            fs = frozenset(subset)
-            if any(prev <= fs for prev in found if len(prev) < size):
-                continue
-            if is_valid(subset):
-                found.append(fs)
-    return found
 
 
 def max_disjoint_packing(sets, *, exact_cap: int = 5000, warm_start=None):
@@ -347,6 +396,34 @@ class AvailabilityResult:
     sets: tuple[frozenset, ...]
 
 
+def _worst_packing(pools, exact_cap: int) -> AvailabilityResult:
+    """Packing of the first pool with the smallest value."""
+    worst: AvailabilityResult | None = None
+    for cand in pools:
+        value, sets, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
+        if worst is None or value < worst.value:
+            worst = AvailabilityResult(value, exact, sets)
+    return worst
+
+
+def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
+    """Worst availability over the nonzero nodes or symbols of each (kind, r)
+    group, with every pool from one walk."""
+    targets = []
+    for kind, r in groups:
+        rows = (None,) if kind == "node" else range(code.b)
+        group = [(j, i, r) for j in range(code.n) for i in rows if _target_basis(code, j, i)]
+        if not group:
+            raise BadParams(f"code has no nonzero {kind}")
+        targets.append(group)
+    pools = _minimal_recovery_sets(code, [t for g in targets for t in g], limit=limit)
+    out = []
+    for g in targets:
+        out.append(_worst_packing(pools[: len(g)], exact_cap))
+        pools = pools[len(g) :]
+    return out
+
+
 def symbol_availability(
     code: ArrayCode,
     row: int,
@@ -357,20 +434,13 @@ def symbol_availability(
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a symbol."""
-    target = code.column_vector(row, column)
-    if not any(target):
+    if not any(code.column_vector(row, column)):
         raise BadParams("availability of an identically zero symbol is unbounded")
     if r is None:
         r = symbol_locality(code)
-    cand = _minimal_recovery_sets(
-        code,
-        column,
-        lambda subset: contains_vector(_helper_sum(code, subset), target),
-        r,
-        limit=limit,
+    return _worst_packing(
+        _minimal_recovery_sets(code, [(column, row, r)], limit=limit), exact_cap
     )
-    value, sets, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
-    return AvailabilityResult(value, exact, sets)
 
 
 def node_availability(
@@ -382,20 +452,13 @@ def node_availability(
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a node."""
-    target = code.subspaces[column]
-    if target.dim == 0:
+    if code.subspaces[column].dim == 0:
         raise BadParams("availability of a zero-dimensional node is unbounded")
     if r is None:
         r = node_locality(code)
-    cand = _minimal_recovery_sets(
-        code,
-        column,
-        lambda subset: contains_subspace(_helper_sum(code, subset), target),
-        r,
-        limit=limit,
+    return _worst_packing(
+        _minimal_recovery_sets(code, [(column, None, r)], limit=limit), exact_cap
     )
-    value, sets, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
-    return AvailabilityResult(value, exact, sets)
 
 
 def code_symbol_availability(
@@ -404,17 +467,7 @@ def code_symbol_availability(
     """Worst symbol availability over all nonzero symbols."""
     if r is None:
         r = symbol_locality(code)
-    worst: AvailabilityResult | None = None
-    for j in range(code.n):
-        for i in range(code.b):
-            if not any(code.column_vector(i, j)):
-                continue
-            res = symbol_availability(code, i, j, r=r, exact_cap=exact_cap, limit=limit)
-            if worst is None or res.value < worst.value:
-                worst = res
-    if worst is None:
-        raise BadParams("code has no nonzero symbol")
-    return worst
+    return _worst_availability(code, [("symbol", r)], exact_cap=exact_cap, limit=limit)[0]
 
 
 def code_node_availability(
@@ -423,16 +476,7 @@ def code_node_availability(
     """Worst node availability over all nonzero nodes."""
     if r is None:
         r = node_locality(code)
-    worst: AvailabilityResult | None = None
-    for j in range(code.n):
-        if code.subspaces[j].dim == 0:
-            continue
-        res = node_availability(code, j, r=r, exact_cap=exact_cap, limit=limit)
-        if worst is None or res.value < worst.value:
-            worst = res
-    if worst is None:
-        raise BadParams("code has no nonzero node")
-    return worst
+    return _worst_availability(code, [("node", r)], exact_cap=exact_cap, limit=limit)[0]
 
 
 # --- disjoint pair system on the full width-2 subspace family -------------------

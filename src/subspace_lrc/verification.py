@@ -42,10 +42,10 @@ from .limits import enumeration_limit
 from .linalg import contains_subspace, subspace_sum
 from .locality import (
     _minimal_recovery_sets,
+    _worst_packing,
     grassmann_pairing,
     locality_profile,
     max_disjoint_packing,
-    min_symbol_recovery,
 )
 
 
@@ -139,12 +139,13 @@ def _distribution(code, limit):
     return weight_distribution(code, limit=limit)
 
 
-def _dual_distance_checks(code, r_s, *, cross_check_limit) -> list[Check]:
+def _dual_distance_checks(code, profile, *, cross_check_limit) -> list[Check]:
     """Measured dual distance vs r_s+1, plus the min-symbol-size relation."""
     checks = []
+    r_s = profile.symbol_locality
     d_dual = dual_distance_by_supports(code)
     min_sym = min(
-        min_symbol_recovery(code, i, j).size
+        profile.symbol_witnesses[i][j].size
         for j in range(code.n)
         for i in range(code.b)
         if any(code.column_vector(i, j))
@@ -266,7 +267,7 @@ def verify_all_subspaces(
         checks.append(_skip("node-availability", "disjoint node recovery sets", "-", "availability disabled"))
 
     checks.extend(
-        _dual_distance_checks(code, profile.symbol_locality, cross_check_limit=cross_check_limit)
+        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
     )
     return VerificationSuite(
         "all-subspaces", {"q": q, "M": M, "b": b}, tuple(checks)
@@ -282,22 +283,9 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
     # symbol availability: worst over symbols, helper sets of size <= r_s
     sym_budget = sum(comb(n - 1, s) for s in range(1, r_s + 1))
     if sym_budget <= max(exact_cap, 5000):
-        worst = None
-        for j in range(n):
-            for i in range(b):
-                cand = _minimal_recovery_sets(
-                    code,
-                    j,
-                    lambda subset, g=code.column_vector(i, j): _sum_contains_vector(
-                        code, subset, g
-                    ),
-                    r_s,
-                    limit=limit,
-                )
-                value, _, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
-                if worst is None or value < worst[0]:
-                    worst = (value, exact)
-        value, exact = worst
+        targets = [(j, i, r_s) for j in range(n) for i in range(b)]
+        worst = _worst_packing(_minimal_recovery_sets(code, targets, limit=limit), exact_cap)
+        value, exact = worst.value, worst.exact
         if b >= 2:
             expected = gaussian(M - 1, b - 1, q) - 1
             checks.append(
@@ -335,22 +323,12 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
     if b != 2:
         node_budget = sum(comb(n - 1, s) for s in range(1, r_n + 1))
         if node_budget <= exact_cap:
-            worst = None
-            for j in range(n):
-                cand = _minimal_recovery_sets(
-                    code,
-                    j,
-                    lambda subset, t=code.subspaces[j]: _sum_contains_space(code, subset, t),
-                    r_n,
-                    limit=limit,
-                )
-                value, _, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
-                if worst is None or value < worst[0]:
-                    worst = (value, exact)
+            pools = _minimal_recovery_sets(code, [(j, None, r_n) for j in range(n)], limit=limit)
+            worst = _worst_packing(pools, exact_cap)
             checks.append(
                 _info(
                     "node-availability",
-                    f"{worst[0]} ({'exact' if worst[1] else 'bound'})",
+                    f"{worst.value} ({'exact' if worst.exact else 'bound'})",
                     "no closed form claimed at this width; measured value reported",
                 )
             )
@@ -372,6 +350,8 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
     node_budget = sum(comb(n - 1, s) for s in range(1, r_n + 1))
     t_values = []
     t_exact = True
+    if node_budget <= exact_cap:
+        pools = _minimal_recovery_sets(code, [(j, None, r_n) for j in range(n)], limit=limit)
     for j in range(n):
         pairing = grassmann_pairing(field, M, code.subspaces[j], limit=limit)
         for a, c in pairing.pairs:
@@ -381,16 +361,9 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
         pair_sizes.append(len(pairing.pairs))
         covered_all = covered_all and pairing.covered == pairing.total_others
         if node_budget <= exact_cap:
-            cand = _minimal_recovery_sets(
-                code,
-                j,
-                lambda subset, t=code.subspaces[j]: _sum_contains_space(code, subset, t),
-                r_n,
-                limit=limit,
-            )
             warm = [frozenset(p) for p in pairing.pairs]
             value, _, exact = max_disjoint_packing(
-                cand, exact_cap=exact_cap, warm_start=warm
+                pools[j], exact_cap=exact_cap, warm_start=warm
             )
             t_values.append(value)
             t_exact = t_exact and exact
@@ -453,19 +426,6 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
             )
         )
     return checks
-
-
-def _sum_contains_vector(code, subset, g):
-    from .locality import _helper_sum
-    from .linalg import contains_vector
-
-    return contains_vector(_helper_sum(code, subset), g)
-
-
-def _sum_contains_space(code, subset, t):
-    from .locality import _helper_sum
-
-    return contains_subspace(_helper_sum(code, subset), t)
 
 
 # --- spread codes --------------------------------------------------------------
@@ -534,15 +494,14 @@ def verify_spread_code(
             )
 
     if M == 2 * b and q**M <= scan_limit:
-        checks.append(
-            _cond("mds", "distance meets n - M/b + 1", is_mds(code, limit=limit), True, is_mds(code, limit=limit))
-        )
+        mds = is_mds(code, limit=limit)
+        checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
     elif M != 2 * b:
         checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
 
     if profile is not None:
         checks.extend(
-            _dual_distance_checks(code, profile.symbol_locality, cross_check_limit=cross_check_limit)
+            _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
         )
     ddual = dual(code)
     perf = perfectness(ddual)
@@ -640,12 +599,13 @@ def verify_std_par(
     )
 
     if M == 2 * b and q**M <= scan_limit:
-        checks.append(_cond("mds", "distance meets n - M/b + 1", is_mds(code, limit=limit), True, is_mds(code, limit=limit)))
+        mds = is_mds(code, limit=limit)
+        checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
     elif M != 2 * b:
         checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
 
     checks.extend(
-        _dual_distance_checks(code, profile.symbol_locality, cross_check_limit=cross_check_limit)
+        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
     )
     ratio_expected = Fraction(1 + q**M - q ** (M - b), q**M)
     ddual = dual(code)
@@ -716,33 +676,22 @@ def verify_std_full(
 
     if t >= 2:
         expected_ts = q ** (m * (t - 1)) - 1
-        worst = None
-        for j in range(code.n):
-            for i in range(code.b):
-                cand = _minimal_recovery_sets(
-                    code,
-                    j,
-                    lambda subset, g=code.column_vector(i, j): _sum_contains_vector(code, subset, g),
-                    profile.symbol_locality,
-                    limit=limit,
-                )
-                value, _, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
-                if worst is None or value < worst[0]:
-                    worst = (value, exact)
+        targets = [(j, i, profile.symbol_locality) for j in range(code.n) for i in range(code.b)]
+        worst = _worst_packing(_minimal_recovery_sets(code, targets, limit=limit), exact_cap)
         checks.append(
             _cond(
                 "symbol-availability",
                 "disjoint singleton helpers per symbol",
-                worst[1] and worst[0] == expected_ts,
+                worst.exact and worst.value == expected_ts,
                 expected_ts,
-                f"{worst[0]} ({'exact' if worst[1] else 'bound'})",
+                f"{worst.value} ({'exact' if worst.exact else 'bound'})",
             )
         )
     else:
         checks.append(_skip("symbol-availability", "disjoint helpers per symbol", "-", "claimed only for t >= 2"))
 
     checks.extend(
-        _dual_distance_checks(code, profile.symbol_locality, cross_check_limit=cross_check_limit)
+        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
     )
     return VerificationSuite(
         "std-full", {"q": q, "t": t, "b": b, "M": M}, tuple(checks)
@@ -796,7 +745,7 @@ def verify_blocks(code: ArrayCode, *, limit: int | None = None, cross_check_limi
         )
     )
     checks.extend(
-        _dual_distance_checks(code, profile.symbol_locality, cross_check_limit=cross_check_limit)
+        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
     )
     perf = perfectness(code)
     checks.append(_info("ball-ratio", str(perf.ratio)))

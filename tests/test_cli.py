@@ -157,6 +157,17 @@ def test_analyze_locality_without_availability(tmp_path, capsys):
     assert loc["node_availability"]["status"] == "skipped"
 
 
+def test_analyze_availability_over_limit_is_skipped(tmp_path, capsys):
+    bundle = spread_bundle(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["analyze", bundle, "--availability", "--limit", "9"]) == 0
+    loc = json.loads(capsys.readouterr().out)["locality"]
+    assert loc == {
+        "status": "skipped",
+        "reason": "enumerating 10 candidate helper sets needs 10 objects, limit is 9",
+    }
+
+
 def test_analyze_csv(tmp_path, capsys):
     bundle = spread_bundle(tmp_path)
     capsys.readouterr()

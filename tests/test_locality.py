@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from subspace_lrc.arraycode import (
+    code_from_subspaces,
     construction_all_subspaces,
     construction_from_blocks,
     construction_spread,
@@ -10,11 +11,20 @@ from subspace_lrc.arraycode import (
     encode,
 )
 from subspace_lrc.designs import enumerate_grassmannian, gaussian
-from subspace_lrc.errors import BadParams, Inconsistent, NoRecovery, OutOfRange
+from subspace_lrc import locality
+from subspace_lrc.errors import BadParams, Inconsistent, NoRecovery, OutOfRange, TooLarge
 from subspace_lrc.gf import field_new
-from subspace_lrc.linalg import Mat, Subspace, contains_subspace, subspace_sum
+from subspace_lrc.linalg import (
+    Mat,
+    Subspace,
+    contains_subspace,
+    contains_vector,
+    solve,
+    subspace_sum,
+)
 from subspace_lrc.locality import (
     RecoverySet,
+    _minimal_recovery_sets,
     code_node_availability,
     code_symbol_availability,
     evaluate_recovery,
@@ -41,22 +51,22 @@ def all_codewords(code):
         yield encode(code, msg)
 
 
-@pytest.mark.parametrize(
-    "code,r_s,r_n",
-    [
-        (construction_all_subspaces(F2, 4, 2), 1, 2),
-        (construction_all_subspaces(F2, 4, 3), 1, 2),
-        (construction_all_subspaces(F3, 3, 2), 1, 2),
-        (construction_all_subspaces(F2, 3, 1), 2, 2),
-        (construction_spread(F2, 4, 2), 2, 2),
-        (construction_spread(F2, 6, 2), 2, 2),
-        (construction_spread(F2, 6, 3), 2, 2),
-        (construction_std(F2, 1, 3, 6, "par"), 2, 2),
-        (construction_std(F2, 1, 2, 5, "par"), 2, 3),
-        (construction_std(F3, 1, 2, 4, "par"), 2, 2),
-        (construction_std(F2, 2, 2, 4, "full"), 1, 2),
-    ],
-)
+LOCALITY_CASES = [
+    (construction_all_subspaces(F2, 4, 2), 1, 2),
+    (construction_all_subspaces(F2, 4, 3), 1, 2),
+    (construction_all_subspaces(F3, 3, 2), 1, 2),
+    (construction_all_subspaces(F2, 3, 1), 2, 2),
+    (construction_spread(F2, 4, 2), 2, 2),
+    (construction_spread(F2, 6, 2), 2, 2),
+    (construction_spread(F2, 6, 3), 2, 2),
+    (construction_std(F2, 1, 3, 6, "par"), 2, 2),
+    (construction_std(F2, 1, 2, 5, "par"), 2, 3),
+    (construction_std(F3, 1, 2, 4, "par"), 2, 2),
+    (construction_std(F2, 2, 2, 4, "full"), 1, 2),
+]
+
+
+@pytest.mark.parametrize("code,r_s,r_n", LOCALITY_CASES)
 def test_locality_values(code, r_s, r_n):
     assert symbol_locality(code) == r_s
     assert node_locality(code) == r_n
@@ -334,3 +344,148 @@ def test_profile_with_availability():
     assert profile.node_t.value == 3
     assert profile.symbol_t.value == 2
     assert profile.node_t.exact and profile.symbol_t.exact
+
+
+# --- brute-force reference for the recovery-set engine ---------------------------
+# Every helper sum is rebuilt from scratch with Subspace.from_span, node
+# targets are tested column vector by column vector, and minimality uses the
+# plain scan over every set found so far.
+
+# a padded mixed-width code: one node of dimension 1, so one symbol is zero
+MIXED = code_from_subspaces(
+    F2,
+    [
+        Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]),
+        Subspace.from_span(F2, 3, [(0, 0, 1)]),
+        Subspace.from_span(F2, 3, [(0, 1, 1), (1, 0, 1)]),
+    ],
+    2,
+    3,
+    "mixed",
+)
+ORACLE_CODES = [code for code, _, _ in LOCALITY_CASES] + [MIXED]
+
+
+def _target_vectors(code, column, row):
+    rows = range(code.b) if row is None else (row,)
+    return [code.column_vector(i, column) for i in rows]
+
+
+def _brute_holds(code, subset, vectors):
+    basis = [v for m in subset for v in code.subspaces[m].basis]
+    span = Subspace.from_span(code.field, code.M, basis)
+    return all(contains_vector(span, v) for v in vectors)
+
+
+def _brute_first(code, column, vectors):
+    if not any(any(v) for v in vectors):
+        return ()
+    others = [m for m in range(code.n) if m != column]
+    for size in range(1, len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            if _brute_holds(code, subset, vectors):
+                return subset
+    return None
+
+
+def _brute_coefficients(code, subset, vectors):
+    if not subset:
+        return tuple(() for _ in vectors)
+    cols = tuple(code.column_vector(i, m) for m in subset for i in range(code.b))
+    helper = Mat(code.field, cols, code.M).transpose()
+    return tuple(solve(helper, v) for v in vectors)
+
+
+def _brute_minimal(code, column, vectors, r):
+    others = [m for m in range(code.n) if m != column]
+    found = []
+    for size in range(1, r + 1):
+        for subset in itertools.combinations(others, size):
+            fs = frozenset(subset)
+            if any(prev <= fs for prev in found if len(prev) < size):
+                continue
+            if _brute_holds(code, subset, vectors):
+                found.append(fs)
+    return found
+
+
+def _brute_worst(code, pools_by_target, kind):
+    # worst packing over nonzero targets, column by column, first minimum wins
+    worst = None
+    for (column, row), pool in pools_by_target:
+        if not any(any(v) for v in _target_vectors(code, column, row)):
+            continue
+        if (row is None) != (kind == "node"):
+            continue
+        value, sets, exact = max_disjoint_packing(pool)
+        if worst is None or value < worst[0]:
+            worst = (value, exact, sets)
+    return worst
+
+
+@pytest.mark.parametrize("code", ORACLE_CODES, ids=lambda c: c.provenance)
+def test_engine_witnesses_match_bruteforce(code):
+    profile = locality_profile(code)
+    for column, row, got in [(j, None, w) for j, w in enumerate(profile.node_witnesses)] + [
+        (j, i, profile.symbol_witnesses[i][j]) for i in range(code.b) for j in range(code.n)
+    ]:
+        vectors = _target_vectors(code, column, row)
+        subset = _brute_first(code, column, vectors)
+        assert got.columns == subset
+        assert got.coefficients == _brute_coefficients(code, subset, vectors)
+        single = min_node_recovery(code, column) if row is None else min_symbol_recovery(code, row, column)
+        assert single == got
+
+
+@pytest.mark.parametrize(
+    "code", [c for c in ORACLE_CODES if c.field.q**c.M <= 64], ids=lambda c: c.provenance
+)
+def test_engine_pools_and_availability_match_bruteforce(code):
+    r_s, r_n = symbol_locality(code), node_locality(code)
+    keys = [(j, i) for j in range(code.n) for i in (None, *range(code.b))]
+    targets = [(j, i, r_n if i is None else r_s) for j, i in keys]
+    pools = _minimal_recovery_sets(code, targets)
+    brute = []
+    for (column, row, r), pool in zip(targets, pools):
+        want = _brute_minimal(code, column, _target_vectors(code, column, row), r)
+        assert [frozenset(s) for s in pool] == want
+        brute.append(((column, row), want))
+    node_t = code_node_availability(code)
+    symbol_t = code_symbol_availability(code)
+    assert (node_t.value, node_t.exact, node_t.sets) == _brute_worst(code, brute, "node")
+    assert (symbol_t.value, symbol_t.exact, symbol_t.sets) == _brute_worst(code, brute, "symbol")
+    profile = locality_profile(code, with_availability=True)
+    assert (profile.node_t, profile.symbol_t) == (node_t, symbol_t)
+
+
+def test_availability_guard_runs_before_any_walk(monkeypatch):
+    code = construction_spread(F2, 4, 2)  # n = 5: 4 + 6 candidate sets of size <= 2
+    message = r"^enumerating 10 candidate helper sets needs 10 objects, limit is 9$"
+    with pytest.raises(TooLarge, match=message):
+        locality_profile(code, with_availability=True, limit=9)
+
+    def no_walk(*args):
+        raise AssertionError("walked before the size guard")
+
+    monkeypatch.setattr(locality, "_subset_sums", no_walk)
+    for call in (
+        lambda: code_node_availability(code, r=2, limit=9),
+        lambda: code_symbol_availability(code, r=2, limit=9),
+        lambda: node_availability(code, 0, r=2, limit=9),
+        lambda: symbol_availability(code, 1, 0, r=2, limit=9),
+    ):
+        with pytest.raises(TooLarge, match=message):
+            call()
+
+
+def test_no_recovery_names_first_unrecoverable_target():
+    # nodes 1-3 recover one another; nodes 4 and 5 are independent of the rest
+    vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    code = construction_from_blocks(F2, [Subspace.from_span(F2, 4, [v]) for v in vecs])
+    for call in (lambda: locality_profile(code), lambda: node_locality(code)):
+        with pytest.raises(NoRecovery, match=r"^node 4 has no recovery set of size <= 4$"):
+            call()
+    with pytest.raises(NoRecovery, match=r"^symbol \(1,4\) has no recovery set of size <= 4$"):
+        symbol_locality(code)
+    with pytest.raises(NoRecovery, match=r"^node 5 has no recovery set of size <= 2$"):
+        min_node_recovery(code, 4, max_size=2)
