@@ -433,8 +433,10 @@ def test_engine_witnesses_match_bruteforce(code):
         subset = _brute_first(code, column, vectors)
         assert got.columns == subset
         assert got.coefficients == _brute_coefficients(code, subset, vectors)
-        single = min_node_recovery(code, column) if row is None else min_symbol_recovery(code, row, column)
-        assert single == got
+        if row is None:
+            assert min_node_recovery(code, column) == got
+        else:
+            assert min_symbol_recovery(code, row, column) == got
 
 
 @pytest.mark.parametrize(
