@@ -11,7 +11,12 @@ Distance and weight statistics come from an exact scan of all q^M messages
 driven by a base-q Gray sequence: each step updates one generator-row
 coefficient, the scan supports arbitrary index ranges with random-access
 starts, and range results merge by histogram addition, so partitioning
-never changes the outcome.
+never changes the outcome. The scan is packed: the running codeword is one
+Python int holding every base-p digit of every symbol in its own bit slot
+(odd p adds a guard bit per slot), each thick column carries one spare bit
+that a single addition sets exactly when the column is nonzero, and a Gray
+step costs a few whole-int operations and one bit_count, with no field
+operation (see _scan_range).
 """
 
 from __future__ import annotations
@@ -220,14 +225,6 @@ def _gray_digits(s: int, q: int, M: int) -> list[int]:
     return [(d[i] - d[i + 1]) % q for i in range(M)]
 
 
-def _flat_weight(flat: list[int], b: int, n: int) -> int:
-    w = 0
-    for j in range(0, b * n, b):
-        if any(flat[j : j + b]):
-            w += 1
-    return w
-
-
 def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | None = None):
     """Weight histogram of the messages with Gray indices in [lo, hi).
 
@@ -236,53 +233,110 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | No
     running codeword needs one scaled row addition per step. Returns
     (histogram, min nonzero weight or None); stop_at aborts the range scan
     once a weight <= stop_at is seen (used only with a proven lower bound).
+
+    The running codeword and every scaled generator row are single ints.
+    An element of GF(p^k) is the int whose base-p digits are its
+    coordinates over GF(p), and those coordinates add digitwise mod p, so
+    each symbol occupies k slots of s bits. For p = 2 a slot is one bit and
+    a row addition is one XOR. For odd p a slot has s = bitlen(2p - 2) + 1
+    bits whose top bit is a guard: a slot sum t < 2p - 1 never reaches the
+    next slot, adding C = 2^(s-1) - p to it sets the guard exactly when
+    t >= p, and the masked guards shifted down, times p, subtract p from
+    those slots. Thick column j starts at bit j * (b k s + 1): the spare
+    bit above its data receives the carry of data + (2^(bks) - 1), which
+    is set exactly when the column is nonzero, so the weight is one
+    bit_count. Entries are range-checked once, while the rows are packed;
+    the Gray steps call no field operation.
     """
-    q = field.q
+    q, p = field.q, field.p
     M = len(rows)
+    odd = p != 2
+    s = (2 * p - 2).bit_length() + 1 if odd else 1
+    k, top = 0, 1
+    while top < q:
+        top *= p
+        k += 1
+    spread = [0] * q
+    for x in range(1, q):
+        y, at = x, 0
+        while y:
+            spread[x] |= (y % p) << at
+            y //= p
+            at += s
+    sym = k * s
+    data = b * sym
+    width = data + 1
+    columns = ((1 << (n * width)) - 1) // ((1 << width) - 1)  # bit 0 of every column
+    ones = columns * ((1 << data) - 1)
+    guards = columns << data
+    shift = s - 1
+    slots = columns * (((1 << data) - 1) // ((1 << s) - 1))  # bit 0 of every slot
+    carry = slots * ((1 << shift) - p) if odd else 0
+    high = slots << shift
+
+    entries = []
+    for row in rows:
+        packed = []
+        for idx, x in enumerate(row):
+            if x:
+                if not 0 < x < q:
+                    raise OutOfRange(f"entry {x} outside field of order {q}")
+                j, i = divmod(idx, b)
+                packed.append((j * width + i * sym, x))
+        entries.append(packed)
+    # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row
+    step = [field.sub((g + 1) % q, g) for g in range(q)]
+    scaled: list[int | None] = [None] * (M * q)
+
+    def times(r: int, c: int) -> int:
+        out = scaled[r * q + c]
+        if out is None:
+            out = 0
+            for pos, x in entries[r]:
+                out |= spread[field.mul(c, x)] << pos
+            scaled[r * q + c] = out
+        return out
+
+    def add(u: int, v: int) -> int:
+        if not odd:
+            return u ^ v
+        t = u + v
+        return t - (((t + carry) & high) >> shift) * p
+
     digits = _gray_digits(lo, q, M)
-    flat = [0] * (b * n)
-    for g, row in zip(digits, rows):
+    flat = 0
+    for r, g in enumerate(digits):
         if g:
-            for idx, x in enumerate(row):
-                if x:
-                    flat[idx] = field.add(flat[idx], field.mul(g, x))
-    hist: dict[int, int] = {}
-    best: int | None = None
-    scaled: dict[tuple[int, int], list[int]] = {}
-
-    def account(s: int) -> bool:
-        nonlocal best
-        w = _flat_weight(flat, b, n)
-        hist[w] = hist.get(w, 0) + 1
-        if s != 0 and (best is None or w < best):
-            best = w
-            if stop_at is not None and best <= stop_at:
-                return True
-        return False
-
-    if account(lo):
-        return hist, best
-    for s in range(lo + 1, hi):
-        k = 0
-        x = s
-        while x % q == 0:
-            x //= q
-            k += 1
-        old = digits[k]
-        new = (old + 1) % q
-        digits[k] = new
-        delta = field.sub(new, old)
-        key = (k, delta)
-        srow = scaled.get(key)
-        if srow is None:
-            srow = [field.mul(delta, v) for v in rows[k]]
-            scaled[key] = srow
-        for idx, v in enumerate(srow):
-            if v:
-                flat[idx] = field.add(flat[idx], v)
-        if account(s):
-            break
-    return hist, best
+            flat = add(flat, times(r, g))
+    counts = [0] * (n + 1)
+    w = ((flat + ones) & guards).bit_count()
+    counts[w] += 1
+    best = w if lo else n + 1  # Gray index 0 is the zero message
+    stop = -1 if stop_at is None else stop_at
+    if lo == 0 or best > stop:
+        for index in range(lo + 1, hi):
+            r = 0
+            x = index
+            while x % q == 0:
+                x //= q
+                r += 1
+            g = digits[r]
+            digits[r] = g + 1 if g + 1 < q else 0
+            row = scaled[r * q + step[g]] or times(r, step[g])
+            # add() inlined: this loop runs q^M times
+            if odd:
+                t = flat + row
+                flat = t - (((t + carry) & high) >> shift) * p
+            else:
+                flat ^= row
+            w = ((flat + ones) & guards).bit_count()
+            counts[w] += 1
+            if w < best:
+                best = w
+                if w <= stop:
+                    break
+    hist = {w: c for w, c in enumerate(counts) if c}
+    return hist, (best if best <= n else None)
 
 
 def _scan_worker(args):
@@ -413,18 +467,31 @@ class PerfectnessResult:
     is_perfect: bool
 
 
+def _covering(q: int, b: int, n: int, dim: int) -> PerfectnessResult:
+    phi1 = 1 + n * (q**b - 1)
+    covered = q**dim * phi1
+    space = q ** (b * n)
+    ratio = Fraction(covered, space)
+    return PerfectnessResult(phi1, covered, space, ratio, ratio == 1)
+
+
 def perfectness(code: ArrayCode) -> PerfectnessResult:
     """Exact radius-1 ball-covering ratio |C| * phi1 / q^(bn).
 
     phi1 counts the arrays within column distance 1 of a fixed codeword:
     1 + n (q^b - 1).
     """
-    q = code.field.q
-    phi1 = 1 + code.n * (q**code.b - 1)
-    covered = q**code.M * phi1
-    space = q ** (code.b * code.n)
-    ratio = Fraction(covered, space)
-    return PerfectnessResult(phi1, covered, space, ratio, ratio == 1)
+    return _covering(code.field.q, code.b, code.n, code.M)
+
+
+def dual_perfectness(code: ArrayCode) -> PerfectnessResult:
+    """perfectness(dual(code)), read off the dual's dimension.
+
+    The generator has rank M (code_from_subspaces and parse_bundle reject
+    anything else), so its kernel, the dual's message space, has dimension
+    bn - M; the ratio depends on nothing else, so the dual is not built.
+    """
+    return _covering(code.field.q, code.b, code.n, code.b * code.n - code.M)
 
 
 # --- reports -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .arraycode import (
     write_bundle,
 )
 from .errors import BadParams, Inconsistent, OutOfRange, SubspaceCodeError
-from .gf import field_from_order, field_new
+from .gf import parse_field
 from .limits import ENV_VAR
 from .linalg import parse_matrix, row_space
 from .locality import locality_profile, repair
@@ -47,22 +47,6 @@ exit codes:
   0 success, 1 verification failure, 2 usage or parameter error,
   3 data inconsistent with the code.
 """
-
-_FIELD_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)$")
-
-
-def _field(text: str):
-    """Accept gf(q), gf(p^m), or a bare prime power."""
-    cleaned = text.strip().lower().replace(" ", "")
-    if cleaned.isdigit():
-        return field_from_order(int(cleaned))
-    m = _FIELD_RE.match(cleaned)
-    if not m:
-        raise BadParams(f"cannot parse field {text!r}; expected gf(q) or gf(p^m)")
-    if m.group(2) is None:
-        return field_from_order(int(m.group(1)))
-    return field_new(int(m.group(1)), int(m.group(2)))
-
 
 def _read_blocks(field, path: str):
     """Blocks file: matrix blocks separated by blank lines, one per subspace."""
@@ -90,7 +74,7 @@ def _require_params(args):
 
 
 def _build(args):
-    field = _field(args.field)
+    field = parse_field(args.field)
     _require_params(args)
     if args.construction == "all-subspaces":
         return construction_all_subspaces(field, args.M, args.b, limit=args.limit)
@@ -281,7 +265,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field = _field(args.field)
+    field = parse_field(args.field)
     _require_params(args)
     blocks = None
     if args.construction == "from-blocks":

@@ -443,17 +443,24 @@ def extension_new(base: FieldContext, degree: int) -> ExtensionContext:
     return ExtensionContext(base, degree)
 
 
-_DESCRIPTOR_RE = re.compile(r"^\s*gf\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)\s*$", re.IGNORECASE)
+_DESCRIPTOR_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)$")
 
 
 def parse_field(descriptor: str) -> FieldContext:
-    """Parse a field descriptor like gf(2), gf(3), gf(2^4)."""
-    match = _DESCRIPTOR_RE.match(descriptor)
+    """Parse a field descriptor: gf(q), gf(p^m) or a bare prime power q.
+
+    Case and whitespace are ignored, so gf(4), GF( 2 ^ 2 ) and 4 all give
+    the same cached context.
+    """
+    cleaned = "".join(descriptor.split()).lower()
+    if cleaned.isdecimal():
+        return field_from_order(int(cleaned))
+    match = _DESCRIPTOR_RE.match(cleaned)
     if not match:
-        raise OutOfRange(f"cannot parse field descriptor {descriptor!r}")
-    p = int(match.group(1))
-    m = int(match.group(2)) if match.group(2) else 1
-    return field_new(p, m)
+        raise OutOfRange(f"cannot parse field {descriptor!r}; expected gf(q) or gf(p^m)")
+    if match.group(2) is None:
+        return field_from_order(int(match.group(1)))
+    return field_new(int(match.group(1)), int(match.group(2)))
 
 
 def field_from_order(q: int) -> FieldContext:

@@ -22,6 +22,7 @@ from .arraycode import (
     construction_std,
     dual,
     dual_distance_by_supports,
+    dual_perfectness,
     is_mds,
     min_distance,
     perfectness,
@@ -503,8 +504,7 @@ def verify_spread_code(
         checks.extend(
             _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
         )
-    ddual = dual(code)
-    perf = perfectness(ddual)
+    perf = dual_perfectness(code)
     checks.append(
         _cond(
             "dual-perfect",
@@ -608,8 +608,7 @@ def verify_std_par(
         _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
     )
     ratio_expected = Fraction(1 + q**M - q ** (M - b), q**M)
-    ddual = dual(code)
-    perf = perfectness(ddual)
+    perf = dual_perfectness(code)
     checks.append(
         _cond(
             "dual-ball-ratio",

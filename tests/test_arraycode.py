@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from subspace_lrc.arraycode import (
+    ArrayCode,
+    _scan_range,
     analyze_code,
     code_from_subspaces,
     construction_all_subspaces,
@@ -51,6 +53,57 @@ def brute_weight_histogram(code):
     return hist
 
 
+def reference_scan_range(field, rows, b, n, lo, hi, stop_at=None):
+    """Reference path: the per-symbol Gray scan, one field op per symbol per step.
+
+    Same contract as arraycode._scan_range; the packed scan must return the
+    same (histogram, best) on every range and stop_at.
+    """
+    q = field.q
+    M = len(rows)
+    s, d = lo, []
+    for _ in range(M + 1):
+        d.append(s % q)
+        s //= q
+    digits = [(d[i] - d[i + 1]) % q for i in range(M)]
+    flat = [0] * (b * n)
+    for g, row in zip(digits, rows):
+        if g:
+            for idx, x in enumerate(row):
+                if x:
+                    flat[idx] = field.add(flat[idx], field.mul(g, x))
+    hist = {}
+    best = None
+
+    def account(s):
+        nonlocal best
+        w = sum(1 for j in range(0, b * n, b) if any(flat[j : j + b]))
+        hist[w] = hist.get(w, 0) + 1
+        if s != 0 and (best is None or w < best):
+            best = w
+            if stop_at is not None and best <= stop_at:
+                return True
+        return False
+
+    if account(lo):
+        return hist, best
+    for s in range(lo + 1, hi):
+        k, x = 0, s
+        while x % q == 0:
+            x //= q
+            k += 1
+        old = digits[k]
+        new = (old + 1) % q
+        digits[k] = new
+        delta = field.sub(new, old)
+        for idx, v in enumerate(rows[k]):
+            if v:
+                flat[idx] = field.add(flat[idx], field.mul(delta, v))
+        if account(s):
+            break
+    return hist, best
+
+
 def test_all_subspaces_shape():
     code = construction_all_subspaces(F2, 3, 2)
     assert (code.b, code.n, code.M) == (2, 7, 3)
@@ -74,6 +127,24 @@ def test_weight_distribution_matches_bruteforce():
         construction_spread(F2, 4, 2),
         construction_std(F2, 1, 2, 4, "par"),
         construction_all_subspaces(F4, 2, 1),
+        construction_all_subspaces(field_new(5), 3, 2),
+        construction_std(field_new(5), 1, 1, 2, "par"),
+        construction_std(field_new(2, 3), 1, 1, 2, "par"),
+        construction_std(field_new(3, 2), 1, 1, 2, "par"),
+        # odd-characteristic tower: GF(9) presented over GF(3)
+        construction_std(extension_new(F3, 2), 1, 1, 2, "par"),
+        # padded: the second block has dimension 1 < b = 2
+        code_from_subspaces(
+            F3,
+            [
+                Subspace.from_span(F3, 3, [(1, 0, 0), (0, 1, 2)]),
+                Subspace.from_span(F3, 3, [(0, 0, 1)]),
+                Subspace.from_span(F3, 3, [(1, 2, 1), (0, 1, 1)]),
+            ],
+            2,
+            3,
+            "padded",
+        ),
     ]
     for code in cases:
         assert weight_distribution(code) == brute_weight_histogram(code)
@@ -87,11 +158,11 @@ def test_weight_distribution_extension_context_field():
 
 
 def test_weight_distribution_chunked_and_parallel():
-    code = construction_all_subspaces(F3, 3, 2)
-    base = weight_distribution(code)
-    assert weight_distribution(code, chunks=4) == base
-    assert weight_distribution(code, chunks=7) == base
-    assert weight_distribution(code, jobs=2) == base
+    for code in [construction_all_subspaces(F3, 3, 2), construction_std(F3, 1, 2, 4, "par")]:
+        base = weight_distribution(code)
+        for chunks in range(1, 8):
+            assert weight_distribution(code, chunks=chunks) == base
+        assert weight_distribution(code, jobs=2) == base
 
 
 def test_min_distance_and_stop_at():
@@ -100,6 +171,78 @@ def test_min_distance_and_stop_at():
     # stop_at equal to a proven lower bound lets the scan exit early but
     # must return the same answer
     assert min_distance(code, stop_at=28) == 28
+    odd = construction_std(F3, 1, 2, 4, "par")
+    assert min_distance(odd) == 8
+    assert min_distance(odd, stop_at=8) == 8
+
+
+def test_scan_rejects_out_of_range_entry():
+    # a hand-built generator bypasses Mat.from_rows; the scan checks entries
+    gen = Mat(F3, ((1, 0), (0, 3)), 2)
+    spaces = (Subspace.from_span(F3, 2, [(1, 0)]), Subspace.from_span(F3, 2, [(0, 1)]))
+    code = ArrayCode(F3, 1, 2, 2, gen, spaces, "hand-built")
+    with pytest.raises(OutOfRange, match="entry 3 outside field of order 3"):
+        weight_distribution(code)
+
+
+def acceptance_codes():
+    """Every code the acceptance gate builds with q^M <= 2^12."""
+    import test_acceptance as acc
+
+    kinds = {"all-subspaces": "c1", "width-1": "c1", "spread": "spread",
+             "std-par": "cpar", "std-full": "std-full"}
+    keys = {(kinds[name], q, M, b) for name, q, M, b in acc.all_verified_codes()}
+    keys |= {("cpar", q, M, b) for q, b, M in acc.CPAR_LOCALITY}
+    keys |= {("c1", q, M, b) for q, M, b in acc.C1_LOCALITY}
+    keys |= {("spread", q, M, b) for q, M, b in acc.SPREAD_LOCALITY}
+    return [acc.code_of(*key) for key in sorted(keys) if key[1] ** key[2] <= 2**12]
+
+
+def test_packed_scan_matches_reference_on_acceptance_codes():
+    codes = acceptance_codes()
+    assert len(codes) >= 12
+    for code in codes:
+        rows, b, n = code.generator.rows, code.b, code.n
+        total = code.field.q**code.M
+        full = reference_scan_range(code.field, rows, b, n, 0, total)
+        assert _scan_range(code.field, rows, b, n, 0, total) == full
+        d = full[1]
+        for stop_at in (d, d - 1):
+            assert _scan_range(code.field, rows, b, n, 0, total, stop_at=stop_at) == (
+                reference_scan_range(code.field, rows, b, n, 0, total, stop_at=stop_at)
+            )
+        # random-access starts, with and without an early stop
+        cuts = [0, total // 3, total // 3 + 1, (2 * total) // 3, total]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo < hi:
+                for stop_at in (None, d):
+                    assert _scan_range(code.field, rows, b, n, lo, hi, stop_at=stop_at) == (
+                        reference_scan_range(code.field, rows, b, n, lo, hi, stop_at=stop_at)
+                    )
+
+
+def test_weight_scan_makes_no_field_call_per_gray_step(monkeypatch):
+    """Field calls in a scan pay for scaling rows only, never per codeword.
+
+    spread q=2 M=8 b=2 has 256 codewords and 85 thick columns; a per-symbol
+    scan makes thousands of add calls, the packed scan one mul per nonzero
+    generator entry and one sub per step-table entry.
+    """
+    code = construction_spread(F2, 8, 2)
+    calls = {"add": 0, "mul": 0, "sub": 0}
+    for name in calls:
+        fn = getattr(F2, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(F2, name, counted)
+    assert weight_distribution(code) == {0: 1, 64: 255}
+    nonzero = sum(1 for row in code.generator.rows for x in row if x)
+    assert calls["add"] == 0
+    assert calls["mul"] <= (F2.q - 1) * nonzero
+    assert calls["sub"] <= F2.q
 
 
 def test_known_distances():

@@ -196,6 +196,8 @@ def test_parse_field_and_descriptor():
     assert parse_field("gf(2)") is field_new(2)
     assert parse_field("GF(3^2)") is field_new(3, 2)
     assert parse_field(" gf( 2 ^ 4 ) ") is field_new(2, 4)
+    assert parse_field("gf(4)") is field_new(2, 2)
+    assert parse_field("9") is field_new(3, 2)
     with pytest.raises(OutOfRange):
         parse_field("gf()")
     with pytest.raises(OutOfRange):
