@@ -499,11 +499,16 @@ def verify_spread_code(
         checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
     elif M != 2 * b:
         checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
+    else:
+        checks.append(_skip("mds", "distance meets n - M/b + 1", True, f"q^M={q**M} over limit"))
 
     if profile is not None:
         checks.extend(
             _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
         )
+    else:
+        checks.append(_skip("dual-distance", "dual code distance equals worst symbol locality plus one", "-", "fewer than three columns"))
+        checks.append(_skip("dual-distance-min-symbol", "dual code distance equals smallest symbol recovery size plus one", "-", "fewer than three columns"))
     perf = dual_perfectness(code)
     checks.append(
         _cond(
@@ -603,6 +608,8 @@ def verify_std_par(
         checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
     elif M != 2 * b:
         checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
+    else:
+        checks.append(_skip("mds", "distance meets n - M/b + 1", True, f"q^M={q**M} over limit"))
 
     checks.extend(
         _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
