@@ -48,6 +48,7 @@ CASES = {
     "std-full-q2-t2-M4-b2-limit-10": ("std-full", "-t", "2", "-M", "4", "-b", "2", "--limit", "10"),
     "std-full-q2-t2-M4-b2-no-availability": ("std-full", "-t", "2", "-M", "4", "-b", "2", "--no-availability"),
     "from-blocks-q2-M4-b2": ("from-blocks", "--blocks", "{golden}/blocks.txt"),
+    "from-blocks-q2-M4-b2-limit-8": ("from-blocks", "--blocks", "{golden}/blocks.txt", "--limit", "8"),
 }
 # the first five instances are also pinned in JSON
 for _name in list(CASES)[:5]:
