@@ -396,11 +396,14 @@ class AvailabilityResult:
     sets: tuple[frozenset, ...]
 
 
-def _worst_packing(pools, exact_cap: int) -> AvailabilityResult:
-    """Packing of the first pool with the smallest value."""
+def _worst_packing(pools, exact_cap: int, warm=None) -> AvailabilityResult:
+    """Packing of the first pool with the smallest value; warm, when given,
+    holds one known disjoint family per pool to seed its search."""
     worst: AvailabilityResult | None = None
-    for cand in pools:
-        value, sets, exact = max_disjoint_packing(cand, exact_cap=exact_cap)
+    for k, cand in enumerate(pools):
+        value, sets, exact = max_disjoint_packing(
+            cand, exact_cap=exact_cap, warm_start=None if warm is None else warm[k]
+        )
         if worst is None or value < worst.value:
             worst = AvailabilityResult(value, exact, sets)
     return worst

@@ -1,21 +1,31 @@
 """Named property checks for each construction, with measured vs expected.
 
-Every check carries the measured value even when it passes, and oversize
-searches surface as skipped entries rather than silent omissions. Where a
-documented claim is internally inconsistent, the expectation used here is
-the value forced by the surrounding facts and the note says why; the
-measurement always decides the outcome.
+A suite pairs expectations with one measurement pass. The expectations are
+per construction: the closed forms it claims in its parameters (column
+count, distance and weight support, symbol and node locality, availability,
+dual distance and covering ratio), each with its note. The measurement is
+shared: a `_Measure` computes each expensive quantity of one code at most
+once (the weight distribution and d, the locality profile, the availability
+pools, the dual distance by supports and the guarded exhaustive dual scan).
+One builder per check kind pairs a claim with its measurement.
+
+Every check carries the measured value even when it passes. A quantity over
+an enumeration limit or the packing cap, or not claimed for the parameters,
+surfaces as a skipped check with the reason, never as a silent omission.
+Where a documented claim is internally inconsistent, the expectation used
+here is the value forced by the surrounding facts and the note says why;
+the measurement always decides the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .arraycode import (
     ArrayCode,
-    analyze_code,
     construction_all_subspaces,
     construction_from_blocks,
     construction_spread,
@@ -24,14 +34,12 @@ from .arraycode import (
     dual_distance_by_supports,
     dual_perfectness,
     is_mds,
-    min_distance,
     perfectness,
     weight_distribution,
 )
 from .designs import (
     build_spread,
     build_std,
-    enumerate_grassmannian,
     gaussian,
     gaussian_or_zero,
     steiner_parameters,
@@ -46,8 +54,11 @@ from .locality import (
     _worst_packing,
     grassmann_pairing,
     locality_profile,
-    max_disjoint_packing,
 )
+
+# Largest dual code, in codewords, that is scanned exhaustively to
+# cross-check the dual distance found by the support search.
+CROSS_CHECK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -106,9 +117,25 @@ class VerificationSuite:
         }
 
 
-def _eq(check_id, description, expected, measured, note="") -> Check:
-    status = "pass" if expected == measured else "fail"
-    return Check(check_id, description, str(expected), str(measured), status, note)
+# --- claims and check primitives -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Range:
+    """Claim that a value lies in [lo, hi]; hi None means no upper end."""
+
+    lo: int | Fraction
+    hi: int | None = None
+
+    def __str__(self) -> str:
+        return f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
+
+    def holds(self, value) -> bool:
+        return self.lo <= value and (self.hi is None or value <= self.hi)
+
+
+def _meets(expected, value) -> bool:
+    return expected.holds(value) if isinstance(expected, _Range) else expected == value
 
 
 def _cond(check_id, description, ok, expected, measured, note="") -> Check:
@@ -117,12 +144,19 @@ def _cond(check_id, description, ok, expected, measured, note="") -> Check:
     )
 
 
-def _skip(check_id, description, expected, reason) -> Check:
+def _skip(check_id, description, reason, expected="-") -> Check:
     return Check(check_id, description, str(expected), "-", "skipped", reason)
 
 
 def _info(check_id, measured, note="") -> Check:
     return Check(check_id, "measured value reported", "reported", str(measured), "pass", note)
+
+
+def _expect(check_id, description, expected, measured, note="") -> Check:
+    """measured against a claim: a value, a _Range, or None (reported only)."""
+    if expected is None:
+        return _info(check_id, measured, note)
+    return _cond(check_id, description, _meets(expected, measured), expected, measured, note)
 
 
 def _design_check(report, what) -> Check:
@@ -136,56 +170,184 @@ def _design_check(report, what) -> Check:
     return Check("design-valid", f"every defining property of the {what} holds", "all properties", measured, status, note)
 
 
-def _distribution(code, limit):
-    return weight_distribution(code, limit=limit)
+# --- measurement ------------------------------------------------------------------
 
 
-def _dual_distance_checks(code, profile, *, cross_check_limit) -> list[Check]:
-    """Measured dual distance vs r_s+1, plus the min-symbol-size relation."""
-    checks = []
-    r_s = profile.symbol_locality
-    d_dual = dual_distance_by_supports(code)
+class _Measure:
+    """The measured quantities of one code, each computed at most once.
+
+    Over the enumeration limit the scan results are None and scan_skip
+    holds the reason; pools() returns a reason string instead of pools.
+    The builders turn either into a skipped check.
+    """
+
+    def __init__(self, code: ArrayCode, limit=None, exact_cap: int = 5000):
+        self.code, self.limit, self.exact_cap = code, limit, exact_cap
+        size = code.field.q**code.M
+        self.scan_skip = "" if size <= enumeration_limit(limit) else f"q^M={size} over limit"
+
+    @cached_property
+    def weights(self) -> dict[int, int] | None:
+        return None if self.scan_skip else weight_distribution(self.code, limit=self.limit)
+
+    @cached_property
+    def d(self) -> int | None:
+        return None if self.weights is None else min(w for w in self.weights if w > 0)
+
+    @cached_property
+    def profile(self):
+        return locality_profile(self.code)
+
+    @cached_property
+    def dual_distance(self) -> int:
+        return dual_distance_by_supports(self.code)
+
+    @cached_property
+    def dual_scan(self) -> int | None:
+        """Dual distance by exhaustive scan; None when the dual is too large."""
+        code = self.code
+        if code.field.q ** (code.b * code.n - code.M) > CROSS_CHECK_LIMIT:
+            return None
+        wd = weight_distribution(dual(code), limit=CROSS_CHECK_LIMIT)
+        return min(w for w in wd if w > 0)
+
+    def pools(self, kind: str, r: int, cap: int | None):
+        """Minimal helper sets of size <= r for every node or every symbol,
+        or why they were not enumerated: more candidates than cap, or more
+        than the enumeration limit."""
+        code = self.code
+        budget = sum(comb(code.n - 1, s) for s in range(1, r + 1))
+        if cap is not None and budget > cap:
+            return f"candidate enumeration {budget} over cap"
+        rows = (None,) if kind == "node" else range(code.b)
+        try:
+            return _minimal_recovery_sets(
+                code, [(j, i, r) for j in range(code.n) for i in rows], limit=self.limit
+            )
+        except TooLarge as exc:
+            return str(exc)
+
+
+# --- shared builders ----------------------------------------------------------------
+
+
+def _scanned(m: _Measure, check_id, description, expected, build) -> Check:
+    """build() when the weight scan fits the limit, else its skip."""
+    return _skip(check_id, description, m.scan_skip, expected) if m.scan_skip else build()
+
+
+def _distance(m: _Measure, expected, description) -> Check:
+    return _scanned(
+        m, "distance", "exhaustive distance", "-" if expected is None else expected,
+        lambda: _expect("distance", description, expected, m.d),
+    )
+
+
+def _constant_weight(m: _Measure) -> Check:
+    others = m.code.field.q**m.code.M - 1
+    return _scanned(
+        m, "constant-weight", "single nonzero weight", "two support points",
+        lambda: _cond(
+            "constant-weight",
+            "every nonzero codeword has the same weight",
+            m.weights == {0: 1, m.d: others},
+            f"{{0: 1, {m.d}: {others}}}",
+            m.weights,
+        ),
+    )
+
+
+def _locality_checks(
+    m: _Measure, symbol, node, *, node_description="worst-case smallest node recovery set", note="", skip=""
+) -> list[Check]:
+    """Symbol and node locality against their claims (see _expect)."""
+    if skip:
+        return [
+            _skip("symbol-locality", "smallest symbol recovery", skip, symbol),
+            _skip("node-locality", "smallest node recovery", skip),
+        ]
+    p = m.profile
+    return [
+        _expect("symbol-locality", "worst-case smallest symbol recovery set", symbol, p.symbol_locality),
+        _expect("node-locality", node_description, node, p.node_locality, note),
+    ]
+
+
+def _mds_check(m: _Measure, claimed: bool) -> Check:
+    description = "distance meets n - M/b + 1"
+    if not claimed:
+        return _skip("mds", description, "claimed only at M = 2b")
+
+    def build():
+        mds = is_mds(m.code, distance=m.d)
+        return _cond("mds", description, mds, True, mds)
+
+    return _scanned(m, "mds", description, True, build)
+
+
+def _availability_disabled() -> list[Check]:
+    return [
+        _skip("symbol-availability", "disjoint symbol recovery sets", "availability disabled"),
+        _skip("node-availability", "disjoint node recovery sets", "availability disabled"),
+    ]
+
+
+def _availability_check(
+    m: _Measure, kind, r, expected, description, *, cap=None, note="", warm=None, skip_note=""
+) -> Check:
+    """Worst packing of disjoint helper sets over every node or symbol.
+
+    A claim passes only on an exact packing; with expected None the value
+    is reported.
+    """
+    check_id = f"{kind}-availability"
+    pools = m.pools(kind, r, cap)
+    if isinstance(pools, str):
+        return _skip(check_id, f"disjoint {kind} helper sets", pools + skip_note)
+    worst = _worst_packing(pools, m.exact_cap, warm)
+    measured = f"{worst.value} ({'exact' if worst.exact else 'bound'})"
+    if expected is None:
+        return _info(check_id, measured, note)
+    ok = worst.exact and _meets(expected, worst.value)
+    return _cond(check_id, description, ok, expected, measured, note)
+
+
+def _dual_distance_checks(m: _Measure, skip="") -> list[Check]:
+    """Dual distance against the worst and the smallest symbol recovery size
+    plus one, cross-checked by the exhaustive dual scan when it fits."""
+    by_worst = "dual code distance equals worst symbol locality plus one"
+    by_min = "dual code distance equals smallest symbol recovery size plus one"
+    if skip:
+        return [_skip("dual-distance", by_worst, skip), _skip("dual-distance-min-symbol", by_min, skip)]
+    code, p, d_dual = m.code, m.profile, m.dual_distance
     min_sym = min(
-        profile.symbol_witnesses[i][j].size
+        p.symbol_witnesses[i][j].size
         for j in range(code.n)
         for i in range(code.b)
         if any(code.column_vector(i, j))
     )
-    note = ""
-    if code.field.q ** (code.b * code.n - code.M) <= cross_check_limit:
-        dd = dual(code)
-        wd = _distribution(dd, cross_check_limit)
-        exhaustive = min(w for w in wd if w > 0)
-        note = f"exhaustive dual scan agrees: {exhaustive}"
-        if exhaustive != d_dual:
-            checks.append(
-                _cond(
-                    "dual-distance-cross-check",
-                    "support search agrees with exhaustive dual scan",
-                    False,
-                    d_dual,
-                    exhaustive,
-                )
-            )
-    checks.insert(
-        0,
-        _eq(
-            "dual-distance",
-            "dual code distance equals worst symbol locality plus one",
-            r_s + 1,
-            d_dual,
-            note,
-        ),
-    )
-    checks.append(
-        _eq(
-            "dual-distance-min-symbol",
-            "dual code distance equals smallest symbol recovery size plus one",
-            min_sym + 1,
-            d_dual,
-        )
-    )
+    exhaustive = m.dual_scan
+    note = "" if exhaustive is None else f"exhaustive dual scan agrees: {exhaustive}"
+    checks = [_expect("dual-distance", by_worst, p.symbol_locality + 1, d_dual, note)]
+    if exhaustive is not None and exhaustive != d_dual:
+        description = "support search agrees with exhaustive dual scan"
+        checks.append(_cond("dual-distance-cross-check", description, False, d_dual, exhaustive))
+    checks.append(_expect("dual-distance-min-symbol", by_min, min_sym + 1, d_dual))
     return checks
+
+
+def _covering_check(check_id, description, perf, expected=None, *, ball=None) -> Check:
+    """Covering ratio of the radius-1 balls against its closed form, or
+    perfectness with the given ball size."""
+    if ball is None:
+        return _expect(check_id, description, expected, perf.ratio)
+    return _cond(
+        check_id,
+        description,
+        perf.is_perfect and perf.phi1 == ball,
+        f"perfect, ball size {ball}",
+        f"perfect={perf.is_perfect}, ball size {perf.phi1}, ratio {perf.ratio}",
+    )
 
 
 # --- full width-b family -----------------------------------------------------
@@ -199,186 +361,78 @@ def verify_all_subspaces(
     limit: int | None = None,
     exact_cap: int = 5000,
     availability: bool = True,
-    cross_check_limit: int = 4096,
 ) -> VerificationSuite:
     q = field.q
     if not 1 <= b < M:
         raise BadParams(f"need 1 <= b < M, got b={b}, M={M}")
     code = construction_all_subspaces(field, M, b, limit=limit)
-    checks: list[Check] = []
+    m = _Measure(code, limit, exact_cap)
 
-    n_expected = gaussian(M, b, q)
-    checks.append(
-        _eq("column-count", "one column per width-b subspace", n_expected, code.n)
-    )
-    checks.append(
+    d_expected = gaussian(M, b, q) - gaussian(M - 1, b, q)
+    assert d_expected == q ** (M - b) * gaussian(M - 1, b - 1, q), "the two closed forms must agree"
+    checks = [
+        _expect("column-count", "one column per width-b subspace", gaussian(M, b, q), code.n),
         _cond(
             "column-rank",
             "every associated subspace has full width",
             all(s.dim == b for s in code.subspaces),
             "all width b",
             f"{sum(1 for s in code.subspaces if s.dim == b)}/{code.n} full",
-        )
-    )
-
-    d_expected = gaussian(M, b, q) - gaussian(M - 1, b, q)
-    alt = q ** (M - b) * gaussian(M - 1, b - 1, q)
-    assert d_expected == alt, "the two closed forms must agree"
-    scan_limit = enumeration_limit(limit)
-    if q**M <= scan_limit:
-        wd = _distribution(code, limit)
-        d = min(w for w in wd if w > 0)
-        checks.append(
-            _eq("distance", "exhaustive distance matches the closed form", d_expected, d)
-        )
-        checks.append(
-            _cond(
-                "constant-weight",
-                "every nonzero codeword has the same weight",
-                wd == {0: 1, d: q**M - 1},
-                f"{{0: 1, {d}: {q**M - 1}}}",
-                str(wd),
-            )
-        )
-    else:
-        checks.append(_skip("distance", "exhaustive distance", d_expected, f"q^M={q**M} over limit"))
-        checks.append(_skip("constant-weight", "single nonzero weight", "two support points", f"q^M={q**M} over limit"))
-
-    profile = locality_profile(code)
-    checks.append(
-        _eq(
-            "symbol-locality",
-            "worst-case smallest symbol recovery set",
-            1 if b > 1 else 2,
-            profile.symbol_locality,
-        )
-    )
-    checks.append(
-        _eq("node-locality", "worst-case smallest node recovery set", 2, profile.node_locality)
-    )
-
-    if availability:
-        checks.extend(
-            _availability_checks_all_subspaces(
-                code, profile, exact_cap=exact_cap, limit=limit
-            )
-        )
-    else:
-        checks.append(_skip("symbol-availability", "disjoint symbol recovery sets", "-", "availability disabled"))
-        checks.append(_skip("node-availability", "disjoint node recovery sets", "-", "availability disabled"))
-
-    checks.extend(
-        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
-    )
+        ),
+        _distance(m, d_expected, "exhaustive distance matches the closed form"),
+        _constant_weight(m),
+        *_locality_checks(m, 1 if b > 1 else 2, 2),
+        *(_all_subspaces_availability(m) if availability else _availability_disabled()),
+        *_dual_distance_checks(m),
+    ]
     return VerificationSuite(
         "all-subspaces", {"q": q, "M": M, "b": b}, tuple(checks)
     )
 
 
-def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
-    field, M, b, n, q = code.field, code.M, code.b, code.n, code.field.q
-    checks: list[Check] = []
-    r_s = profile.symbol_locality
-    r_n = profile.node_locality
+def _all_subspaces_availability(m: _Measure) -> list[Check]:
+    code, M, b, q = m.code, m.code.M, m.code.b, m.code.field.q
+    r_s, r_n = m.profile.symbol_locality, m.profile.node_locality
 
     # symbol availability: worst over symbols, helper sets of size <= r_s
-    sym_budget = sum(comb(n - 1, s) for s in range(1, r_s + 1))
-    if sym_budget <= max(exact_cap, 5000):
-        targets = [(j, i, r_s) for j in range(n) for i in range(b)]
-        worst = _worst_packing(_minimal_recovery_sets(code, targets, limit=limit), exact_cap)
-        value, exact = worst.value, worst.exact
-        if b >= 2:
-            expected = gaussian(M - 1, b - 1, q) - 1
-            checks.append(
-                _cond(
-                    "symbol-availability",
-                    "disjoint symbol helper sets within the symbol locality",
-                    exact and value == expected,
-                    expected,
-                    f"{value} ({'exact' if exact else 'bound'})",
-                )
-            )
-        else:
-            bound = Fraction(q ** (M - 1) - 1, 2)
-            checks.append(
-                _cond(
-                    "symbol-availability",
-                    "disjoint symbol helper sets within the symbol locality",
-                    exact and value >= bound,
-                    f">= {bound}",
-                    f"{value} ({'exact' if exact else 'bound'})",
-                    "claimed closed form is non-integral at q=2; read as a lower bound and report the exact packing",
-                )
-            )
+    description = "disjoint symbol helper sets within the symbol locality"
+    if b >= 2:
+        expected, note = gaussian(M - 1, b - 1, q) - 1, ""
     else:
-        checks.append(
-            _skip(
-                "symbol-availability",
-                "disjoint symbol helper sets",
-                "-",
-                f"candidate enumeration {sym_budget} over cap",
-            )
+        expected = _Range(Fraction(q ** (M - 1) - 1, 2))
+        note = "claimed closed form is non-integral at q=2; read as a lower bound and report the exact packing"
+    checks = [
+        _availability_check(
+            m, "symbol", r_s, expected, description, cap=max(m.exact_cap, 5000), note=note
         )
-
-    # node availability via the explicit pair family when b = 2
+    ]
     if b != 2:
-        node_budget = sum(comb(n - 1, s) for s in range(1, r_n + 1))
-        if node_budget <= exact_cap:
-            pools = _minimal_recovery_sets(code, [(j, None, r_n) for j in range(n)], limit=limit)
-            worst = _worst_packing(pools, exact_cap)
-            checks.append(
-                _info(
-                    "node-availability",
-                    f"{worst.value} ({'exact' if worst.exact else 'bound'})",
-                    "no closed form claimed at this width; measured value reported",
-                )
-            )
-        else:
-            checks.append(
-                _skip(
-                    "node-availability",
-                    "disjoint node helper sets",
-                    "-",
-                    f"candidate enumeration {node_budget} over cap",
-                )
-            )
+        note = "no closed form claimed at this width; measured value reported"
+        checks.append(_availability_check(m, "node", r_n, None, "", cap=m.exact_cap, note=note))
         return checks
 
-    grass = enumerate_grassmannian(field, M, 2, limit=limit)
-    pair_sizes = []
-    covered_all = True
-    pairs_valid = True
-    node_budget = sum(comb(n - 1, s) for s in range(1, r_n + 1))
-    t_values = []
-    t_exact = True
-    if node_budget <= exact_cap:
-        pools = _minimal_recovery_sets(code, [(j, None, r_n) for j in range(n)], limit=limit)
-    for j in range(n):
-        pairing = grassmann_pairing(field, M, code.subspaces[j], limit=limit)
-        for a, c in pairing.pairs:
-            s = subspace_sum(grass[a], grass[c])
-            if not contains_subspace(s, code.subspaces[j]):
-                pairs_valid = False
-        pair_sizes.append(len(pairing.pairs))
-        covered_all = covered_all and pairing.covered == pairing.total_others
-        if node_budget <= exact_cap:
-            warm = [frozenset(p) for p in pairing.pairs]
-            value, _, exact = max_disjoint_packing(
-                pools[j], exact_cap=exact_cap, warm_start=warm
-            )
-            t_values.append(value)
-            t_exact = t_exact and exact
+    # node availability via the explicit pair family when b = 2
+    blocks = code.subspaces
+    pairings = [grassmann_pairing(code.field, M, s, limit=m.limit) for s in blocks]
+    valid = all(
+        contains_subspace(subspace_sum(blocks[a], blocks[c]), s)
+        for s, pairing in zip(blocks, pairings)
+        for a, c in pairing.pairs
+    )
+    covered = all(p.covered == p.total_others for p in pairings)
+    smallest = min(len(p.pairs) for p in pairings)
     half = (gaussian(M, 2, q) - 1) // 2
     if q % 2 == 0:
         checks.append(
             _cond(
                 "pairing-family",
                 "explicit pair family is valid, disjoint, and covers every other subspace",
-                pairs_valid and covered_all and min(pair_sizes) == half,
+                valid and covered and smallest == half,
                 f"{half} pairs covering all",
-                f"min family {min(pair_sizes)}, covering={covered_all}, valid={pairs_valid}",
+                f"min family {smallest}, covering={covered}, valid={valid}",
             )
         )
+        expected, description = half, "exact packing achieves half the remaining subspace count"
     else:
         lb = Fraction(
             gaussian(M, 2, q) - 1 - q * (q**2 + q - 1) * gaussian_or_zero(M - 2, 2, q), 2
@@ -387,45 +441,19 @@ def _availability_checks_all_subspaces(code, profile, *, exact_cap, limit):
             _cond(
                 "pairing-family",
                 "explicit pair family is valid, disjoint, and meets the lower bound",
-                pairs_valid and min(pair_sizes) >= lb,
+                valid and smallest >= lb,
                 f">= {lb}",
-                f"min family {min(pair_sizes)}, valid={pairs_valid}",
+                f"min family {smallest}, valid={valid}",
             )
         )
-    if t_values:
-        t_n = min(t_values)
-        if q % 2 == 0:
-            checks.append(
-                _cond(
-                    "node-availability",
-                    "exact packing achieves half the remaining subspace count",
-                    t_exact and t_n == half,
-                    half,
-                    f"{t_n} ({'exact' if t_exact else 'bound'})",
-                )
-            )
-        else:
-            lb = Fraction(
-                gaussian(M, 2, q) - 1 - q * (q**2 + q - 1) * gaussian_or_zero(M - 2, 2, q), 2
-            )
-            checks.append(
-                _cond(
-                    "node-availability",
-                    "exact packing meets the pair-family lower bound",
-                    t_exact and t_n >= lb,
-                    f">= {lb}",
-                    f"{t_n} ({'exact' if t_exact else 'bound'})",
-                )
-            )
-    else:
-        checks.append(
-            _skip(
-                "node-availability",
-                "disjoint node helper sets",
-                "-",
-                f"candidate enumeration {node_budget} over cap; pair family still proves >= {min(pair_sizes)}",
-            )
+        expected, description = _Range(lb), "exact packing meets the pair-family lower bound"
+    warm = [[frozenset(pair) for pair in p.pairs] for p in pairings]
+    skip_note = f"; pair family still proves >= {smallest}"
+    checks.append(
+        _availability_check(
+            m, "node", r_n, expected, description, cap=m.exact_cap, warm=warm, skip_note=skip_note
         )
+    )
     return checks
 
 
@@ -439,86 +467,31 @@ def verify_spread_code(
     *,
     method: str = "gabidulin-echelon",
     limit: int | None = None,
-    cross_check_limit: int = 4096,
 ) -> VerificationSuite:
     q = field.q
     design = build_spread(field, M, b, method)
-    checks: list[Check] = [_design_check(verify_spread(design, limit=limit), "spread")]
+    design_check = _design_check(verify_spread(design, limit=limit), "spread")
     code = construction_spread(field, M, b, method)
     assert code.subspaces == tuple(design.blocks)
+    m = _Measure(code, limit)
 
-    n_expected = (q**M - 1) // (q**b - 1)
-    checks.append(_eq("column-count", "one column per spread block", n_expected, code.n))
-
-    d_expected = q ** (M - b)
-    scan_limit = enumeration_limit(limit)
-    if q**M <= scan_limit:
-        wd = _distribution(code, limit)
-        d = min(w for w in wd if w > 0)
-        checks.append(_eq("distance", "exhaustive distance is q^(M-b)", d_expected, d))
-        checks.append(
-            _cond(
-                "constant-weight",
-                "every nonzero codeword has the same weight",
-                wd == {0: 1, d: q**M - 1},
-                f"{{0: 1, {d}: {q**M - 1}}}",
-                str(wd),
-            )
-        )
+    few = "fewer than three columns" if code.n < 3 else ""
+    tiling = "radius-1 balls around dual codewords tile the space"
+    if M == 2 * b:
+        node, node_description = 2, "worst-case smallest node recovery set"
     else:
-        checks.append(_skip("distance", "exhaustive distance", d_expected, f"q^M={q**M} over limit"))
-        checks.append(_skip("constant-weight", "single nonzero weight", "two support points", f"q^M={q**M} over limit"))
-
-    if code.n < 3:
-        checks.append(_skip("symbol-locality", "smallest symbol recovery", 2, "fewer than three columns"))
-        checks.append(_skip("node-locality", "smallest node recovery", "-", "fewer than three columns"))
-        profile = None
-    else:
-        profile = locality_profile(code)
-        checks.append(
-            _eq("symbol-locality", "worst-case smallest symbol recovery set", 2, profile.symbol_locality)
-        )
-        r_n_cap = min(b + 1, M // b)
-        if M == 2 * b:
-            checks.append(
-                _eq("node-locality", "worst-case smallest node recovery set", 2, profile.node_locality)
-            )
-        else:
-            checks.append(
-                _cond(
-                    "node-locality",
-                    "node locality within the claimed bracket",
-                    2 <= profile.node_locality <= r_n_cap,
-                    f"in [2, {r_n_cap}]",
-                    profile.node_locality,
-                )
-            )
-
-    if M == 2 * b and q**M <= scan_limit:
-        mds = is_mds(code, limit=limit)
-        checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
-    elif M != 2 * b:
-        checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
-    else:
-        checks.append(_skip("mds", "distance meets n - M/b + 1", True, f"q^M={q**M} over limit"))
-
-    if profile is not None:
-        checks.extend(
-            _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
-        )
-    else:
-        checks.append(_skip("dual-distance", "dual code distance equals worst symbol locality plus one", "-", "fewer than three columns"))
-        checks.append(_skip("dual-distance-min-symbol", "dual code distance equals smallest symbol recovery size plus one", "-", "fewer than three columns"))
-    perf = dual_perfectness(code)
-    checks.append(
-        _cond(
-            "dual-perfect",
-            "radius-1 balls around dual codewords tile the space",
-            perf.is_perfect and perf.phi1 == q**M,
-            f"perfect, ball size {q**M}",
-            f"perfect={perf.is_perfect}, ball size {perf.phi1}, ratio {perf.ratio}",
-        )
-    )
+        node = _Range(2, min(b + 1, M // b))
+        node_description = "node locality within the claimed bracket"
+    checks = [
+        design_check,
+        _expect("column-count", "one column per spread block", (q**M - 1) // (q**b - 1), code.n),
+        _distance(m, q ** (M - b), "exhaustive distance is q^(M-b)"),
+        _constant_weight(m),
+        *_locality_checks(m, 2, node, node_description=node_description, skip=few),
+        _mds_check(m, M == 2 * b),
+        *_dual_distance_checks(m, skip=few),
+        _covering_check("dual-perfect", tiling, dual_perfectness(code), ball=q**M),
+    ]
     return VerificationSuite(
         "spread", {"q": q, "M": M, "b": b, "method": method}, tuple(checks)
     )
@@ -535,101 +508,65 @@ def verify_std_par(
     *,
     class_index: int = 0,
     limit: int | None = None,
-    exact_cap: int = 5000,
-    cross_check_limit: int = 4096,
 ) -> VerificationSuite:
     q = field.q
-    m = M - b
-    design = build_std(field, t, b, m)
-    checks: list[Check] = [_design_check(verify_std(design, limit=limit), "transversal design")]
+    m_dim = M - b
+    design = build_std(field, t, b, m_dim)
+    design_check = _design_check(verify_std(design, limit=limit), "transversal design")
     code = construction_std(field, t, b, M, "par", class_index)
-
-    checks.append(_eq("column-count", "one column per class block", q**m, code.n))
+    m = _Measure(code, limit)
 
     d_expected = q ** (M - b) - q ** (M - 2 * b)
-    full = q ** (M - b)
-    scan_limit = enumeration_limit(limit)
-    if q**M <= scan_limit:
-        wd = _distribution(code, limit)
-        d = min(w for w in wd if w > 0)
-        checks.append(_eq("distance", "exhaustive distance matches the closed form", d_expected, d))
-        k = wd.get(full, 0)
-        structure_ok = set(wd) <= {0, d_expected, full} and wd.get(0) == 1
-        two_b = 2**b - 1
-        q_b = q**b - 1
-        if k == q_b:
-            which = f"full-weight count matches q^b-1 = {q_b}" + (
-                "" if two_b != q_b else " (= 2^b-1)"
-            )
-            count_ok = True
-        elif k == two_b:
-            which = f"full-weight count matches 2^b-1 = {two_b}, not q^b-1 = {q_b}"
-            count_ok = True
-        else:
-            which = f"full-weight count {k} matches neither 2^b-1 = {two_b} nor q^b-1 = {q_b}"
-            count_ok = False
-        checks.append(
-            _cond(
-                "weight-distribution",
-                "support points {0, d, full weight} with an admissible full-weight count",
-                structure_ok and count_ok,
-                f"{{0: 1, {d_expected}: rest, {full}: 2^b-1 or q^b-1}}",
-                str(wd),
-                which,
-            )
-        )
-    else:
-        checks.append(_skip("distance", "exhaustive distance", d_expected, f"q^M={q**M} over limit"))
-        checks.append(_skip("weight-distribution", "three support points", "-", f"q^M={q**M} over limit"))
-
-    profile = locality_profile(code)
-    checks.append(
-        _eq("symbol-locality", "worst-case smallest symbol recovery set", 2, profile.symbol_locality)
-    )
-    if q == 2 and M == 2 * b:
-        note = (
-            "the documented q=2 value is 3, but any two class blocks differ by a full-rank"
-            " matrix, so their subspaces span everything at M=2b and two helpers always"
-            " suffice; the value 3 requires M>2b"
-        )
-        expected_rn = 2
-    elif q == 2:
-        note = ""
-        expected_rn = 3
-    else:
-        note = ""
-        expected_rn = 2
-    checks.append(
-        _eq("node-locality", "worst-case smallest node recovery set", expected_rn, profile.node_locality, note)
-    )
-
-    if M == 2 * b and q**M <= scan_limit:
-        mds = is_mds(code, limit=limit)
-        checks.append(_cond("mds", "distance meets n - M/b + 1", mds, True, mds))
-    elif M != 2 * b:
-        checks.append(_skip("mds", "distance meets n - M/b + 1", "-", "claimed only at M = 2b"))
-    else:
-        checks.append(_skip("mds", "distance meets n - M/b + 1", True, f"q^M={q**M} over limit"))
-
-    checks.extend(
-        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
-    )
-    ratio_expected = Fraction(1 + q**M - q ** (M - b), q**M)
-    perf = dual_perfectness(code)
-    checks.append(
-        _cond(
+    note = (
+        "the documented q=2 value is 3, but any two class blocks differ by a full-rank"
+        " matrix, so their subspaces span everything at M=2b and two helpers always"
+        " suffice; the value 3 requires M>2b"
+    ) if q == 2 and M == 2 * b else ""
+    checks = [
+        design_check,
+        _expect("column-count", "one column per class block", q**m_dim, code.n),
+        _distance(m, d_expected, "exhaustive distance matches the closed form"),
+        _std_par_weights(m, d_expected),
+        *_locality_checks(m, 2, 3 if q == 2 and M > 2 * b else 2, note=note),
+        _mds_check(m, M == 2 * b),
+        *_dual_distance_checks(m),
+        _covering_check(
             "dual-ball-ratio",
             "dual covering ratio equals 1 + q^-M - q^-b exactly",
-            perf.ratio == ratio_expected,
-            str(ratio_expected),
-            str(perf.ratio),
-        )
-    )
+            dual_perfectness(code),
+            Fraction(1 + q**M - q ** (M - b), q**M),
+        ),
+    ]
     return VerificationSuite(
-        "std-par",
-        {"q": q, "t": t, "b": b, "M": M, "class": class_index},
-        tuple(checks),
+        "std-par", {"q": q, "t": t, "b": b, "M": M, "class": class_index}, tuple(checks)
     )
+
+
+def _std_par_weights(m: _Measure, d_expected: int) -> Check:
+    """Support {0, d, full weight}, with 2^b-1 or q^b-1 full-weight codewords."""
+    q, b = m.code.field.q, m.code.b
+    full = q ** (m.code.M - b)
+
+    def build():
+        wd = m.weights
+        k = wd.get(full, 0)
+        two_b, q_b = 2**b - 1, q**b - 1
+        if k == q_b:
+            which = f"full-weight count matches q^b-1 = {q_b}" + (" (= 2^b-1)" if two_b == q_b else "")
+        elif k == two_b:
+            which = f"full-weight count matches 2^b-1 = {two_b}, not q^b-1 = {q_b}"
+        else:
+            which = f"full-weight count {k} matches neither 2^b-1 = {two_b} nor q^b-1 = {q_b}"
+        return _cond(
+            "weight-distribution",
+            "support points {0, d, full weight} with an admissible full-weight count",
+            set(wd) <= {0, d_expected, full} and wd.get(0) == 1 and k in (q_b, two_b),
+            f"{{0: 1, {d_expected}: rest, {full}: 2^b-1 or q^b-1}}",
+            wd,
+            which,
+        )
+
+    return _scanned(m, "weight-distribution", "three support points", "-", build)
 
 
 # --- full design codes ----------------------------------------------------------
@@ -643,62 +580,32 @@ def verify_std_full(
     *,
     limit: int | None = None,
     exact_cap: int = 5000,
-    cross_check_limit: int = 4096,
+    availability: bool = True,
 ) -> VerificationSuite:
     q = field.q
-    m = M - b
-    design = build_std(field, t, b, m)
-    checks: list[Check] = [_design_check(verify_std(design, limit=limit), "transversal design")]
+    m_dim = M - b
+    design = build_std(field, t, b, m_dim)
+    design_check = _design_check(verify_std(design, limit=limit), "transversal design")
     code = construction_std(field, t, b, M, "full")
+    m = _Measure(code, limit, exact_cap)
 
-    checks.append(_eq("column-count", "one column per design block", q ** (m * t), code.n))
-
-    d_expected = q ** (m * (t - 1)) * (q**m - q ** (m - b))
-    scan_limit = enumeration_limit(limit)
-    if q**M <= scan_limit:
-        d = min_distance(code, limit=limit)
-        checks.append(_eq("distance", "exhaustive distance matches the closed form", d_expected, d))
+    d_expected = q ** (m_dim * (t - 1)) * (q**m_dim - q ** (m_dim - b))
+    at_least_two = "at least two helpers are needed for a whole node"
+    if not availability:
+        avail = _availability_disabled()
+    elif t >= 2:
+        r_s, expected = m.profile.symbol_locality, q ** (m_dim * (t - 1)) - 1
+        avail = [_availability_check(m, "symbol", r_s, expected, "disjoint singleton helpers per symbol")]
     else:
-        checks.append(_skip("distance", "exhaustive distance", d_expected, f"q^M={q**M} over limit"))
-
-    profile = locality_profile(code)
-    checks.append(
-        _eq(
-            "symbol-locality",
-            "worst-case smallest symbol recovery set",
-            1 if t >= 2 else 2,
-            profile.symbol_locality,
-        )
-    )
-    checks.append(
-        _cond(
-            "node-locality",
-            "at least two helpers are needed for a whole node",
-            profile.node_locality >= 2,
-            ">= 2",
-            profile.node_locality,
-        )
-    )
-
-    if t >= 2:
-        expected_ts = q ** (m * (t - 1)) - 1
-        targets = [(j, i, profile.symbol_locality) for j in range(code.n) for i in range(code.b)]
-        worst = _worst_packing(_minimal_recovery_sets(code, targets, limit=limit), exact_cap)
-        checks.append(
-            _cond(
-                "symbol-availability",
-                "disjoint singleton helpers per symbol",
-                worst.exact and worst.value == expected_ts,
-                expected_ts,
-                f"{worst.value} ({'exact' if worst.exact else 'bound'})",
-            )
-        )
-    else:
-        checks.append(_skip("symbol-availability", "disjoint helpers per symbol", "-", "claimed only for t >= 2"))
-
-    checks.extend(
-        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
-    )
+        avail = [_skip("symbol-availability", "disjoint helpers per symbol", "claimed only for t >= 2")]
+    checks = [
+        design_check,
+        _expect("column-count", "one column per design block", q ** (m_dim * t), code.n),
+        _distance(m, d_expected, "exhaustive distance matches the closed form"),
+        *_locality_checks(m, 1 if t >= 2 else 2, _Range(2), node_description=at_least_two),
+        *avail,
+        *_dual_distance_checks(m),
+    ]
     return VerificationSuite(
         "std-full", {"q": q, "t": t, "b": b, "M": M}, tuple(checks)
     )
@@ -707,54 +614,36 @@ def verify_std_full(
 # --- generic block sets ----------------------------------------------------------
 
 
-def verify_blocks(code: ArrayCode, *, limit: int | None = None, cross_check_limit: int = 4096) -> VerificationSuite:
+def verify_blocks(code: ArrayCode, *, limit: int | None = None) -> VerificationSuite:
     """Report-style suite for a user-supplied block set."""
     q = code.field.q
-    checks: list[Check] = []
-    checks.append(
-        _info(
-            "column-rank",
-            f"{sum(1 for s in code.subspaces if s.dim == code.b)}/{code.n} full width",
-        )
-    )
+    m = _Measure(code, limit)
     try:
         covered = steiner_parameters(code.field, code.subspaces, limit=limit)
-        if covered:
-            measured = "t in " + str(sorted(covered))
-            note = "every subspace of the listed dimensions lies in exactly one block"
-        else:
-            measured = "none"
-            note = ""
-        checks.append(_info("steiner", measured, note))
+        note = "every subspace of the listed dimensions lies in exactly one block"
+        steiner = _info("steiner", f"t in {sorted(covered)}", note) if covered else _info("steiner", "none")
     except TooLarge as exc:
-        checks.append(_skip("steiner", "exact-cover detection", "-", str(exc)))
-
-    scan_limit = enumeration_limit(limit)
-    if q**code.M <= scan_limit:
-        wd = _distribution(code, limit)
-        d = min(w for w in wd if w > 0)
-        checks.append(_info("distance", d))
-        checks.append(_info("weight-distribution", str(wd)))
-    else:
-        checks.append(_skip("distance", "exhaustive distance", "-", f"q^M={q**code.M} over limit"))
-
-    profile = locality_profile(code)
-    checks.append(_info("symbol-locality", profile.symbol_locality))
-    checks.append(_info("node-locality", profile.node_locality))
-    checks.append(
+        steiner = _skip("steiner", "exact-cover detection", str(exc))
+    full = sum(1 for s in code.subspaces if s.dim == code.b)
+    checks = [
+        _info("column-rank", f"{full}/{code.n} full width"),
+        steiner,
+        _distance(m, None, ""),
+        _scanned(
+            m, "weight-distribution", "exhaustive weight distribution", "-",
+            lambda: _info("weight-distribution", m.weights),
+        ),
+        *_locality_checks(m, None, None),
         _cond(
             "locality-order",
             "symbol locality never exceeds node locality",
-            profile.symbol_locality <= profile.node_locality,
+            m.profile.symbol_locality <= m.profile.node_locality,
             "r_s <= r_n",
-            f"r_s={profile.symbol_locality}, r_n={profile.node_locality}",
-        )
-    )
-    checks.extend(
-        _dual_distance_checks(code, profile, cross_check_limit=cross_check_limit)
-    )
-    perf = perfectness(code)
-    checks.append(_info("ball-ratio", str(perf.ratio)))
+            f"r_s={m.profile.symbol_locality}, r_n={m.profile.node_locality}",
+        ),
+        *_dual_distance_checks(m),
+        _covering_check("ball-ratio", "", perfectness(code)),
+    ]
     return VerificationSuite(
         "from-blocks", {"q": q, "M": code.M, "b": code.b, "n": code.n}, tuple(checks)
     )
@@ -773,28 +662,19 @@ def run_verification(
     limit: int | None = None,
     exact_cap: int = 5000,
     availability: bool = True,
-    cross_check_limit: int = 4096,
 ) -> VerificationSuite:
     if construction == "all-subspaces":
         return verify_all_subspaces(
-            field, M, b, limit=limit, exact_cap=exact_cap,
-            availability=availability, cross_check_limit=cross_check_limit,
+            field, M, b, limit=limit, exact_cap=exact_cap, availability=availability
         )
     if construction == "spread":
-        return verify_spread_code(
-            field, M, b, method=method, limit=limit, cross_check_limit=cross_check_limit
-        )
+        return verify_spread_code(field, M, b, method=method, limit=limit)
     if construction == "std-par":
-        return verify_std_par(
-            field, t, b, M, class_index=class_index, limit=limit,
-            exact_cap=exact_cap, cross_check_limit=cross_check_limit,
-        )
+        return verify_std_par(field, t, b, M, class_index=class_index, limit=limit)
     if construction == "std-full":
         return verify_std_full(
-            field, t, b, M, limit=limit, exact_cap=exact_cap,
-            cross_check_limit=cross_check_limit,
+            field, t, b, M, limit=limit, exact_cap=exact_cap, availability=availability
         )
     if construction == "from-blocks":
-        code = construction_from_blocks(field, blocks)
-        return verify_blocks(code, limit=limit, cross_check_limit=cross_check_limit)
+        return verify_blocks(construction_from_blocks(field, blocks), limit=limit)
     raise BadParams(f"unknown construction {construction!r}")

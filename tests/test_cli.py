@@ -265,6 +265,41 @@ def test_verify_no_availability_skips(capsys):
     out = capsys.readouterr().out
     assert "node-availability: SKIPPED" in out
 
+    rc = cli.main(
+        ["verify", "std-full", "-t", "2", "-M", "4", "-b", "2", "--no-availability"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "symbol-availability: SKIPPED (expected -, measured -) -- availability disabled" in out
+    assert "node-availability: SKIPPED (expected -, measured -) -- availability disabled" in out
+
+
+def test_verify_availability_over_limit_is_skipped(capsys):
+    # the pools are over --limit: the availability check reports the guard's
+    # text and the rest of the suite still runs
+    assert cli.main(["verify", "all-subspaces", "-M", "3", "-b", "2", "--limit", "10"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "node-availability: SKIPPED (expected -, measured -) -- enumerating 21 candidate"
+        " helper sets needs 21 objects, limit is 10; pair family still proves >= 3"
+    ) in out
+    assert "symbol-availability: PASS" in out
+    assert "dual-distance: PASS" in out
+
+    assert cli.main(["verify", "std-full", "-t", "2", "-M", "4", "-b", "2", "--limit", "10"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "symbol-availability: SKIPPED (expected -, measured -) -- enumerating 15 candidate"
+        " helper sets needs 15 objects, limit is 10"
+    ) in out
+
+
+@pytest.mark.parametrize("construction", ["spread", "std-par"])
+def test_verify_mds_over_limit_is_skipped(construction, capsys):
+    assert cli.main(["verify", construction, "-M", "6", "-b", "3", "--limit", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "mds: SKIPPED (expected True, measured -) -- q^M=64 over limit" in out
+
 
 def test_verify_missing_params_exits_2(capsys):
     assert cli.main(["verify", "spread", "-M", "4"]) == 2

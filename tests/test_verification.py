@@ -4,6 +4,8 @@ Each suite is run on a small instance where every quantity can be
 recomputed exhaustively, and selected check lines are pinned down.
 """
 
+from collections import Counter
+
 import pytest
 
 from subspace_lrc import (
@@ -149,6 +151,15 @@ def test_spread_suite_desarguesian_method():
     assert suite.ok, "\n".join(suite.lines())
 
 
+def test_spread_suite_single_column_skips_dual_checks():
+    suite = verify_spread_code(F2, 2, 2)
+    assert suite.ok, "\n".join(suite.lines())
+    for check_id in ("symbol-locality", "node-locality", "dual-distance", "dual-distance-min-symbol"):
+        check = by_id(suite, check_id)
+        assert check.status == "skipped"
+        assert check.note == "fewer than three columns"
+
+
 # --- parallel class of a transversal design ----------------------------------
 
 
@@ -217,6 +228,52 @@ def test_verify_blocks_short_column():
     rank = by_id(suite, "column-rank")
     assert rank.measured == "7/8 full width"
     assert by_id(suite, "locality-order").status == "pass"
+
+
+# --- one measurement pass ------------------------------------------------------
+
+
+def test_each_measurement_runs_once_per_suite(monkeypatch):
+    """No suite scans or searches the same code twice, and mds reuses d."""
+    from subspace_lrc import arraycode, verification
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            code = args[0]
+            key = (name, code.generator.rows, repr(args[1:]), repr(sorted(kwargs.items())))
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "weight_distribution",
+        "locality_profile",
+        "dual_distance_by_supports",
+        "dual",
+        "_minimal_recovery_sets",
+    ):
+        monkeypatch.setattr(verification, name, counted(name, getattr(verification, name)))
+
+    def no_rescan(*args, **kwargs):
+        raise AssertionError("is_mds must reuse the distance of the weight scan")
+
+    monkeypatch.setattr(arraycode, "min_distance", no_rescan)
+    blocks = enumerate_grassmannian(F2, 3, 2)
+    runs = [
+        lambda: verify_all_subspaces(F2, 3, 2),
+        lambda: verify_spread_code(F2, 4, 2),
+        lambda: verify_std_par(F2, 1, 3, 6),
+        lambda: verify_std_full(F2, 2, 2, 4),
+        lambda: verify_blocks(construction_from_blocks(F2, blocks)),
+    ]
+    for run in runs:
+        calls.clear()
+        assert run().ok
+        assert calls, "the suite measured nothing"
+        assert max(calls.values()) == 1, [k[0] for k, v in calls.items() if v > 1]
 
 
 # --- dispatcher ----------------------------------------------------------------
