@@ -403,6 +403,43 @@ def test_dual_distance_supports_vs_exhaustive():
         assert dual_distance_by_supports(code) == exhaustive
 
 
+def reference_dual_distance(code):
+    """Reference path: rank of the flat columns of every support, by size."""
+    b, n, M = code.b, code.n, code.M
+    for w in range(1, n + 1):
+        if w * b > M:
+            return w
+        for support in itertools.combinations(range(n), w):
+            cols = [code.generator.column(j * b + i) for j in support for i in range(b)]
+            if rank(Mat(code.field, tuple(cols), M)) < w * b:
+                return w
+    raise TooLarge(f"no dual codeword of weight <= {n} found")
+
+
+def test_dual_distance_supports_match_reference():
+    codes = acceptance_codes()
+    assert len(codes) >= 12
+    for code in codes:
+        assert dual_distance_by_supports(code) == reference_dual_distance(code)
+    # a padded column carries a zero flat column: a dual codeword of weight 1
+    mixed = [
+        Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]),
+        Subspace.from_span(F2, 3, [(0, 0, 1)]),
+        Subspace.from_span(F2, 3, [(0, 1, 1)]),
+    ]
+    padded = code_from_subspaces(F2, mixed, 2, 3, "padded")
+    assert dual_distance_by_supports(padded) == reference_dual_distance(padded) == 1
+    # bn = M: the flat columns are independent and the dual is trivial
+    halves = [
+        Subspace.from_span(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+        Subspace.from_span(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]),
+    ]
+    trivial = code_from_subspaces(F2, halves, 2, 4, "trivial dual")
+    for search in (dual_distance_by_supports, reference_dual_distance):
+        with pytest.raises(TooLarge, match=r"^no dual codeword of weight <= 2 found$"):
+            search(trivial)
+
+
 def test_spread_dual_is_perfect():
     for field, M, b in [(F2, 4, 2), (F2, 6, 2), (F3, 4, 2)]:
         dd = dual(construction_spread(field, M, b))
