@@ -24,7 +24,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     AmbientMismatch,
@@ -44,6 +43,7 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _subset_sums,
     column_space,
     format_matrix,
     null_space,
@@ -423,31 +423,24 @@ def dual(code: ArrayCode) -> ArrayCode:
     )
 
 
-def dual_distance_by_supports(code: ArrayCode, *, max_weight: int | None = None) -> int:
+def dual_distance_by_supports(code: ArrayCode) -> int:
     """Minimum weight of the dual code, via thick-column support search.
 
     A dual codeword of weight w exists exactly when some w thick columns of
-    the primal generator carry linearly dependent flat columns, so the
-    search grows candidate supports by size and stops at the first
-    dependency. Any support of size > M/b is automatically dependent, which
-    bounds the search depth.
+    the primal generator carry linearly dependent flat columns. Thick
+    column j spans code.subspaces[j], so w columns are dependent exactly
+    when their subspace sum has dimension below w*b; the search walks the
+    supports by size and stops at the first such sum. Any support of size
+    > M/b is automatically dependent, which bounds the search depth.
     """
     b, n, M = code.b, code.n, code.M
-    gen = code.generator
-    cap = n if max_weight is None else min(max_weight, n)
-    for w in range(1, cap + 1):
+    for w in range(1, n + 1):
         if w * b > M:
             # more flat columns than the ambient dimension: always dependent
             return w
-        for support in combinations(range(n), w):
-            cols = []
-            for j in support:
-                for i in range(b):
-                    cols.append(gen.column(j * b + i))
-            m = Mat(code.field, tuple(cols), M)
-            if rank(m) < w * b:
-                return w
-    raise TooLarge(f"no dual codeword of weight <= {cap} found")
+        if any(span.dim < w * b for _, span in _subset_sums(code.subspaces, range(n), w)):
+            return w
+    raise TooLarge(f"no dual codeword of weight <= {n} found")
 
 
 def is_mds(code: ArrayCode, *, distance: int | None = None, limit: int | None = None) -> bool:
@@ -604,28 +597,49 @@ def write_bundle(code: ArrayCode, path: str) -> None:
         fh.write(format_bundle(code))
 
 
+_HEADER = ("field", "b", "n", "M", "provenance")
+
+
 def parse_bundle(text: str) -> ArrayCode:
-    """Parse and validate a code bundle; raises Inconsistent on bad data."""
+    """Parse and validate a code bundle; raises Inconsistent on bad data.
+
+    The header lines between the first line and "generator" are read by
+    key, in any order; an unknown, repeated, missing or malformed header
+    is named in the error.
+    """
     lines = [ln for ln in (raw.rstrip() for raw in text.splitlines()) if ln.strip()]
+    if not lines or lines[0] != "bundle array-code":
+        raise Inconsistent(f"not a code bundle: first line {lines[0] if lines else ''!r}")
+    if "generator" not in lines:
+        raise Inconsistent("bundle missing the generator section")
+    start = lines.index("generator")
+    header: dict[str, str] = {}
+    for ln in lines[1:start]:
+        key, *value = ln.split(None, 1)
+        if key not in _HEADER or key in header:
+            raise Inconsistent(f"unexpected bundle header line {ln!r}")
+        header[key] = value[0] if value else ""
+    for key in _HEADER:
+        if key not in header:
+            raise Inconsistent(f"bundle header {key!r} is missing")
     try:
-        if lines[0] != "bundle array-code":
-            raise Inconsistent(f"not a code bundle: first line {lines[0]!r}")
-        field = parse_field(lines[1].split(None, 1)[1])
-        b = int(lines[2].split()[1])
-        n = int(lines[3].split()[1])
-        M = int(lines[4].split()[1])
-        provenance = lines[5].split(None, 1)[1] if len(lines[5].split(None, 1)) > 1 else ""
-        if lines[6] != "generator":
-            raise Inconsistent("bundle missing the generator section")
-        gen_rows = int(lines[7].split()[1])
-        gen = parse_matrix("\n".join(lines[7 : 8 + gen_rows]), field)
-        pos = 8 + gen_rows
+        field = parse_field(header["field"])
+    except ValueError as exc:
+        raise Inconsistent(f"bundle header 'field': {exc}") from exc
+    b, n, M = (_header_int(header, key) for key in ("b", "n", "M"))
+    provenance = header["provenance"]
+    try:
+        gen_rows = int(lines[start + 1].split()[1])
+        gen = parse_matrix("\n".join(lines[start + 1 : start + 2 + gen_rows]), field)
+        pos = start + 2 + gen_rows
         if not lines[pos].startswith("subspaces"):
             raise Inconsistent("bundle missing the subspaces section")
         count = int(lines[pos].split()[1])
         pos += 1
         subs = []
         for _ in range(count):
+            if pos >= len(lines):
+                raise Inconsistent(f"bundle declares {count} subspaces, holds {len(subs)}")
             nrows = int(lines[pos].split()[1])
             mat = parse_matrix("\n".join(lines[pos : pos + 1 + nrows]), field)
             subs.append(row_space(mat))
@@ -644,6 +658,13 @@ def parse_bundle(text: str) -> ArrayCode:
         if column_space(code.thick_column(j)) != s:
             raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
     return code
+
+
+def _header_int(header: dict[str, str], key: str) -> int:
+    try:
+        return int(header[key])
+    except ValueError:
+        raise Inconsistent(f"bundle header {key!r} is not an integer: {header[key]!r}") from None
 
 
 def read_bundle(path: str) -> ArrayCode:

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import (
-    AmbientMismatch,
     BadParams,
     DimensionMismatch,
     NotDivisible,
     OutOfRange,
 )
-from .gf import ExtensionContext, extension_new, field_from_order
+from .gf import ExtensionContext, extension_new
 from .limits import guard
 from .linalg import (
     Mat,
@@ -26,8 +25,8 @@ from .linalg import (
     contains_subspace,
     enumerate_vectors,
     intersection_dim,
+    projective_points,
     rank,
-    vec_scale,
 )
 
 
@@ -281,7 +280,12 @@ class DesignReport:
         return [f"{c.status:7s} {c.name}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
 
 
-def verify_spread(design: SpreadDesign, *, limit: int | None = None, pairwise_cap: int = 60) -> DesignReport:
+# Largest spread, in blocks, whose pairwise trivial intersection is also
+# checked pair by pair; above it the exact partition alone implies it.
+PAIRWISE_CAP = 60
+
+
+def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignReport:
     """Re-check every defining spread property exhaustively."""
     field, M, b = design.field, design.M, design.b
     q = field.q
@@ -330,7 +334,7 @@ def verify_spread(design: SpreadDesign, *, limit: int | None = None, pairwise_ca
         )
         pairwise = clash is None
         detail = "implied by exact partition"
-        if pairwise and len(design.blocks) <= pairwise_cap:
+        if pairwise and len(design.blocks) <= PAIRWISE_CAP:
             for (i, x), (j, y) in combinations(enumerate(design.blocks), 2):
                 if intersection_dim(x, y) != 0:
                     pairwise = False
@@ -439,19 +443,9 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     )
 
 
-def _block_point_indices(design: TransversalDesign, block: Subspace, point_index) -> list[int]:
+def _block_point_indices(block: Subspace, point_index) -> list[int]:
     """Indices of the design points lying inside a block."""
-    field = design.field
-    found = set()
-    for v in enumerate_vectors(block):
-        if not any(v):
-            continue
-        lead = next(i for i, x in enumerate(v) if x)
-        normalized = vec_scale(field, field.inv(v[lead]), v)
-        idx = point_index.get(normalized)
-        if idx is not None:
-            found.add(idx)
-    return sorted(found)
+    return sorted(point_index[p] for p in projective_points(block) if p in point_index)
 
 
 def verify_std(design: TransversalDesign, *, limit: int | None = None) -> DesignReport:
@@ -507,7 +501,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
     meet_ok = True
     meet_detail = "every block meets every group exactly once"
     for blk in design.blocks:
-        inside = _block_point_indices(design, blk, point_index)
+        inside = _block_point_indices(blk, point_index)
         incidence.append(inside)
         group_of = {}
         for idx in inside:
@@ -537,11 +531,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         for w in enumerate_grassmannian(field, n, t, limit=limit):
             if intersection_dim(w, zero_head) != 0:
                 continue
-            points_of_w = set()
-            for v in enumerate_vectors(w):
-                if any(v):
-                    lead = next(i for i, x in enumerate(v) if x)
-                    points_of_w.add(vec_scale(field, field.inv(v[lead]), v))
+            points_of_w = projective_points(w)
             if len({v[:b] for v in points_of_w}) != len(points_of_w):
                 continue
             holders = [i for i, blk in enumerate(design.blocks) if contains_subspace(blk, w)]
@@ -557,7 +547,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         for ci, cls in enumerate(design.classes):
             counts: dict[int, int] = {}
             for bi in cls:
-                for idx in incidence[bi] if meet_ok else _block_point_indices(design, design.blocks[bi], point_index):
+                for idx in incidence[bi] if meet_ok else _block_point_indices(design.blocks[bi], point_index):
                     counts[idx] = counts.get(idx, 0) + 1
             if len(counts) != len(design.points) or any(v != 1 for v in counts.values()):
                 resolvable_ok = False
@@ -591,115 +581,3 @@ def steiner_parameters(field, blocks, *, limit: int | None = None) -> list[int]:
         if good:
             out.append(t)
     return out
-
-
-# --- design dump format -------------------------------------------------------
-
-
-def write_design(design, path: str) -> None:
-    """Serialize a SpreadDesign, TransversalDesign or plain block list."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_design(design))
-
-
-def format_design(design) -> str:
-    from .linalg import format_matrix
-
-    lines = []
-    if isinstance(design, SpreadDesign):
-        units = ",".join(str(i) for i in design.unit_indices)
-        lines.append(
-            f"design spread q={design.field.q} M={design.M} b={design.b} "
-            f"method={design.method} units={units}"
-        )
-        blocks = design.blocks
-        classes = ()
-    elif isinstance(design, TransversalDesign):
-        lines.append(f"design std q={design.field.q} t={design.t} b={design.b} m={design.m}")
-        blocks = design.blocks
-        classes = design.classes
-    else:
-        blocks = tuple(design)
-        if not blocks:
-            raise BadParams("cannot serialize an empty block list")
-        lines.append(
-            f"design blocks q={blocks[0].field.q} M={blocks[0].ambient} b={blocks[0].dim}"
-        )
-        classes = ()
-    lines.append(f"blocks {len(blocks)}")
-    for blk in blocks:
-        lines.append(format_matrix(blk.matrix()).rstrip("\n"))
-    if classes:
-        lines.append(f"classes {len(classes)}")
-        for cls in classes:
-            lines.append(" ".join(str(i) for i in cls))
-    return "\n".join(lines) + "\n"
-
-
-def read_design(path: str):
-    with open(path, encoding="ascii") as fh:
-        return parse_design(fh.read())
-
-
-def parse_design(text: str):
-    """Inverse of format_design; validates structure, not design properties."""
-    from .linalg import parse_matrix, row_space
-
-    lines = [ln for ln in (raw.rstrip() for raw in text.splitlines()) if ln.strip()]
-    if not lines or not lines[0].startswith("design "):
-        raise BadParams("design dump must start with a 'design' header")
-    head = lines[0].split()
-    kind = head[1]
-    params = {}
-    for part in head[2:]:
-        key, _, value = part.partition("=")
-        params[key] = value
-    field = field_from_order(int(params["q"]))
-
-    pos = 1
-    if pos >= len(lines) or not lines[pos].startswith("blocks "):
-        raise BadParams("design dump missing the 'blocks' count line")
-    nblocks = int(lines[pos].split()[1])
-    pos += 1
-    blocks = []
-    for _ in range(nblocks):
-        head_parts = lines[pos].split()
-        if len(head_parts) != 3:
-            raise BadParams(f"bad matrix header in design dump: {lines[pos]!r}")
-        nrows = int(head_parts[1])
-        chunk = "\n".join(lines[pos : pos + 1 + nrows])
-        mat = parse_matrix(chunk, field)
-        blocks.append(row_space(mat))
-        pos += 1 + nrows
-
-    classes: list[tuple[int, ...]] = []
-    if pos < len(lines) and lines[pos].startswith("classes "):
-        nclasses = int(lines[pos].split()[1])
-        pos += 1
-        for _ in range(nclasses):
-            classes.append(tuple(int(x) for x in lines[pos].split()))
-            pos += 1
-
-    if kind == "spread":
-        M, b = int(params["M"]), int(params["b"])
-        units = tuple(int(x) for x in params["units"].split(",")) if params.get("units") else ()
-        if any(blk.ambient != M for blk in blocks):
-            raise AmbientMismatch("block ambient does not match spread header")
-        return SpreadDesign(field, M, b, params.get("method", "unknown"), tuple(blocks), units)
-    if kind == "std":
-        t, b, m = int(params["t"]), int(params["b"]), int(params["m"])
-        rebuilt = build_std(field, t, b, m)
-        return TransversalDesign(
-            field,
-            t,
-            b,
-            m,
-            rebuilt.points,
-            rebuilt.group_keys,
-            rebuilt.groups,
-            tuple(blocks),
-            tuple(classes) if classes else rebuilt.classes,
-        )
-    if kind == "blocks":
-        return tuple(blocks)
-    raise BadParams(f"unknown design kind {kind!r}")

@@ -9,7 +9,7 @@ stored data and makes every enumeration in the package deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
@@ -88,12 +88,6 @@ def vec_add(field, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
     return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
 def vec_scale(field, c: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -290,6 +284,53 @@ def enumerate_vectors(s: Subspace, *, limit: int | None = None) -> list[tuple[in
                 v = vec_add(F, v, vec_scale(F, c, row))
         out.append(v)
     return out
+
+
+def projective_points(s: Subspace) -> list[tuple[int, ...]]:
+    """The points of s: its nonzero vectors whose first nonzero entry is 1, sorted.
+
+    Such a vector has coefficient 1 on some basis row i and 0 on the rows
+    before it, because its leading entry sits on pivot i; so the points are
+    listed directly instead of normalising all q^dim vectors.
+    """
+    F = s.field
+    out = []
+    for i, lead in enumerate(s.basis):
+        rest = s.basis[i + 1 :]
+        for coeffs in product(range(F.q), repeat=len(rest)):
+            v = lead
+            for c, row in zip(coeffs, rest):
+                if c:
+                    v = vec_add(F, v, vec_scale(F, c, row))
+            out.append(v)
+    return sorted(out)
+
+
+def _subset_sums(subspaces, columns, size: int):
+    """Every size-element subset of columns in lex order, with the sum of
+    the subspaces it indexes.
+
+    Partial sums of the current subset's prefixes stay on a stack and are
+    shared with the next subset: a singleton's sum is its subspace, each
+    deeper element costs one subspace_sum, and a prefix that already spans
+    the ambient space is carried without reduction.
+    """
+    stack: list[Subspace] = []
+    prev = (-1,) * size
+    for subset in combinations(columns, size):
+        k = 0
+        while prev[k] == subset[k]:
+            k += 1
+        del stack[k:]
+        for m in subset[k:]:
+            if not stack:
+                stack.append(subspaces[m])
+            elif stack[-1].dim == stack[-1].ambient:
+                stack.append(stack[-1])
+            else:
+                stack.append(subspace_sum(stack[-1], subspaces[m]))
+        prev = subset
+        yield subset, stack[-1]
 
 
 def coset_representatives(s: Subspace, *, limit: int | None = None) -> list[tuple[int, ...]]:

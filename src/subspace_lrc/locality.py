@@ -17,7 +17,6 @@ bound above the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .arraycode import ArrayCode, encode
@@ -27,9 +26,11 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _subset_sums,
     contains_vector,
+    projective_points,
+    reduce_vector,
     solve,
-    subspace_sum,
     vec_add,
     vec_scale,
 )
@@ -120,33 +121,6 @@ def _target_basis(code: ArrayCode, column: int, row: int | None) -> tuple:
     return (vec,) if any(vec) else ()
 
 
-def _subset_sums(code: ArrayCode, targets, size: int):
-    """Every size-element helper subset in lex order, with its subspace sum.
-
-    Only columns some target may use are walked. Partial sums of the current
-    subset's prefixes stay on a stack and are shared with the next subset: a
-    singleton's sum is its block, each deeper element costs one subspace_sum,
-    and a prefix that already spans GF(q)^M is carried without reduction.
-    """
-    columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
-    stack: list[Subspace] = []
-    prev = (-1,) * size
-    for subset in combinations(columns, size):
-        k = 0
-        while prev[k] == subset[k]:
-            k += 1
-        del stack[k:]
-        for m in subset[k:]:
-            if not stack:
-                stack.append(code.subspaces[m])
-            elif stack[-1].dim == code.M:
-                stack.append(stack[-1])
-            else:
-                stack.append(subspace_sum(stack[-1], code.subspaces[m]))
-        prev = subset
-        yield subset, stack[-1]
-
-
 def _holds(code: ArrayCode, span: Subspace, basis) -> bool:
     return span.dim == code.M or all(contains_vector(span, v) for v in basis)
 
@@ -160,10 +134,11 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     bases = [_target_basis(code, column, row) for column, row in targets]
     found: list = [None if basis else () for basis in bases]
     pending = [k for k, f in enumerate(found) if f is None]
+    columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
     for size in range(1, cap + 1):
         if not pending:
             break
-        for subset, span in _subset_sums(code, targets, size):
+        for subset, span in _subset_sums(code.subspaces, columns, size):
             hit = False
             for k in pending:
                 if targets[k][0] not in subset and _holds(code, span, bases[k]):
@@ -204,7 +179,8 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     for size in range(1, max((r for _, _, r in targets), default=0) + 1):
         active = [k for k, t in enumerate(targets) if t[2] >= size]
         grown: list[set] = [set() for _ in targets]
-        for subset, span in _subset_sums(code, [targets[k] for k in active], size):
+        columns = [m for m in range(code.n) if any(targets[k][0] != m for k in active)]
+        for subset, span in _subset_sums(code.subspaces, columns, size):
             faces = [subset[:i] + subset[i + 1 :] for i in range(size)]
             for k in active:
                 column, _, r = targets[k]
@@ -500,77 +476,51 @@ class PairingResult:
     total_others: int
 
 
-def _projection_along(target: Subspace, vec):
-    # split vec = t + u with t in the target and u supported off its pivots
-    field = target.field
-    t = [0] * target.ambient
-    for row, p in zip(target.basis, target.pivots):
-        c = vec[p]
-        if c:
-            t = vec_add(field, t, vec_scale(field, c, row))
-    return tuple(field.sub(a, b) for a, b in zip(vec, t))
-
-
-def grassmann_pairing(field, M: int, target: Subspace, *, limit=None) -> PairingResult:
-    """Pair up 2-dim subspaces so each pair's sum contains the 2-dim target.
+def grassmann_pairing(field, M: int, *, limit=None) -> list[PairingResult]:
+    """Pair up 2-dim subspaces so each pair's sum contains the 2-dim target,
+    for every target: one result per subspace, in enumerate_grassmannian order.
 
     Subspaces meeting the target in a line are grouped by that line and
     paired across different lines; subspaces disjoint from the target are
     paired within translation classes. For even q the pairing is perfect
     (every non-target subspace lands in exactly one pair); for odd q the
     disjoint classes pair only partially and the result is a lower bound.
+
+    The Grassmannian and its point-to-subspace incidence are built once, so
+    the subspaces through each point of a target are a lookup.
     """
-    if target.dim != 2 or target.ambient != M or target.field != field:
-        raise BadParams("pairing needs a 2-dim target subspace of the same space")
+    if M < 2:
+        raise BadParams(f"pairing needs 2-dim subspaces, got M={M}")
     grass = enumerate_grassmannian(field, M, 2, limit=limit)
-    index_of = {s: i for i, s in enumerate(grass)}
-    t_idx = index_of[target]
-    q = field.q
+    points = [projective_points(s) for s in grass]
+    through: dict[tuple, list[int]] = {}
+    for idx, pts in enumerate(points):
+        for p in pts:
+            through.setdefault(p, []).append(idx)
+    return [
+        _pairing(field, grass, t_idx, [through[p] for p in points[t_idx]])
+        for t_idx in range(len(grass))
+    ]
 
-    if M == 2:
-        return PairingResult(t_idx, (), 0, 0)
 
-    # projective points of the target, in canonical order
-    points = []
-    seen = set()
-    for vec in _target_vectors(field, target):
-        if not any(vec):
-            continue
-        rep = _normalize(field, vec)
-        if rep not in seen:
-            seen.add(rep)
-            points.append(rep)
-    points.sort()
-    point_pos = {p: k for k, p in enumerate(points)}
-
-    meet_classes: list[list[int]] = [[] for _ in points]
-    disjoint_classes: dict[Subspace, dict[tuple, int]] = {}
-    v1, v2 = target.basis
-
+def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
+    """The pair family of target grass[t_idx]; lines[i] lists the subspaces
+    through the target's i-th point, the target among them."""
+    target, q, M = grass[t_idx], field.q, grass[t_idx].ambient
+    meet_classes = [[i for i in cls if i != t_idx] for cls in lines]
+    met = {i for cls in lines for i in cls}
+    disjoint_classes: dict[tuple, dict[tuple, int]] = {}
     for idx, w in enumerate(grass):
-        if idx == t_idx:
+        if idx in met:
             continue
-        inter = _line_of_intersection(field, target, w)
-        if inter is not None:
-            meet_classes[point_pos[inter]].append(idx)
-        else:
-            # decompose w relative to the canonical complement of the target
-            u_rows = [_projection_along(target, row) for row in w.basis]
-            ubar = Subspace.from_span(field, M, u_rows)
-            assert ubar.dim == 2
-            # basis of w that projects onto ubar's canonical basis
-            coords = _change_of_basis(field, u_rows, ubar.basis)
-            key_parts = []
-            for j in range(2):
-                wrow = [0] * M
-                for c, row in zip(coords[j], w.basis):
-                    if c:
-                        wrow = vec_add(field, wrow, vec_scale(field, c, row))
-                x = tuple(field.sub(a, b) for a, b in zip(wrow, ubar.basis[j]))
-                key_parts.append(_target_coords(field, target, x))
-            disjoint_classes.setdefault(ubar, {})[
-                (key_parts[0], key_parts[1])
-            ] = idx
+        # w = graph of a map from its projection ubar (off the target's
+        # pivots) into the target: reduce [u | w] to read ubar's canonical
+        # basis and, at the target's pivots, the map's coordinates
+        split = Subspace.from_span(field, 2 * M, [reduce_vector(target, r) + r for r in w.basis])
+        assert split.pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
+        ubar = tuple(row[:M] for row in split.basis)
+        key = tuple(tuple(row[M + p] for p in target.pivots) for row in split.basis)
+        disjoint_classes.setdefault(ubar, {})[key] = idx
 
     pairs: list[tuple[int, int]] = []
 
@@ -580,107 +530,33 @@ def grassmann_pairing(field, M: int, target: Subspace, *, limit=None) -> Pairing
     parts: dict[tuple[int, int], list[int]] = {}
     for i, cls in enumerate(meet_classes):
         assert len(cls) == per * q
-        labels = [j for j in range(len(points)) if j != i]
+        labels = [j for j in range(len(lines)) if j != i]
         for which, j in enumerate(labels):
             parts[(i, j)] = cls[which * per : (which + 1) * per]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
             pairs.extend(zip(parts[(i, j)], parts[(j, i)]))
 
     # within-class pairs for subspaces disjoint from the target
-    one = 1
-    for ubar in sorted(disjoint_classes, key=lambda s: s.basis):
+    for ubar in sorted(disjoint_classes):
         members = disjoint_classes[ubar]
-        if q % 2 == 0:
-            done = set()
-            for key in sorted(members):
-                if key in done:
-                    continue
-                (x1, x2) = key
-                partner = (
-                    (field.add(x1[0], one), x1[1]),
-                    (x2[0], field.add(x2[1], one)),
-                )
-                done.add(key)
-                done.add(partner)
-                pairs.append((members[key], members[partner]))
-        else:
-            done = set()
-            for key in sorted(members):
-                if key in done:
-                    continue
-                (x1, x2) = key
-                det = field.sub(
-                    field.mul(x1[0], x2[1]), field.mul(x1[1], x2[0])
-                )
-                if det == 0:
-                    continue
-                partner = (
-                    (field.neg(x1[0]), field.neg(x1[1])),
-                    (field.neg(x2[0]), field.neg(x2[1])),
-                )
-                done.add(key)
-                done.add(partner)
-                pairs.append((members[key], members[partner]))
+        done = set()
+        for key in sorted(members):
+            if key in done:
+                continue
+            (x1, x2) = key
+            if q % 2 == 0:
+                partner = ((field.add(x1[0], 1), x1[1]), (x2[0], field.add(x2[1], 1)))
+            elif field.sub(field.mul(x1[0], x2[1]), field.mul(x1[1], x2[0])) == 0:
+                continue
+            else:
+                partner = (tuple(field.neg(x) for x in x1), tuple(field.neg(x) for x in x2))
+            done.update((key, partner))
+            pairs.append((members[key], members[partner]))
 
     used = [i for p in pairs for i in p]
     assert len(used) == len(set(used)) and t_idx not in used
     return PairingResult(t_idx, tuple(pairs), len(used), len(grass) - 1)
-
-
-def _target_vectors(field, target: Subspace):
-    q = field.q
-    for a in range(q):
-        for b in range(q):
-            row = [0] * target.ambient
-            if a:
-                row = vec_add(field, row, vec_scale(field, a, target.basis[0]))
-            if b:
-                row = vec_add(field, row, vec_scale(field, b, target.basis[1]))
-            yield tuple(row)
-
-
-def _normalize(field, vec):
-    lead = next(x for x in vec if x)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in vec)
-
-
-def _line_of_intersection(field, target: Subspace, w: Subspace):
-    """Normalized generator of a 1-dim intersection, or None if disjoint."""
-    from .linalg import intersection_dim
-
-    d = intersection_dim(target, w)
-    if d == 0:
-        return None
-    assert d == 1, "width-2 families only: a 2-dim intersection means equality"
-    for vec in _target_vectors(field, target):
-        if any(vec) and contains_vector(w, vec):
-            return _normalize(field, vec)
-    raise AssertionError("intersection dimension 1 but no common vector found")
-
-
-def _target_coords(field, target: Subspace, vec):
-    # coordinates of a target member in the canonical target basis
-    coords = tuple(vec[p] for p in target.pivots)
-    # sanity: rebuild and compare
-    back = [0] * target.ambient
-    for c, row in zip(coords, target.basis):
-        if c:
-            back = vec_add(field, back, vec_scale(field, c, row))
-    assert tuple(back) == tuple(vec)
-    return coords
-
-
-def _change_of_basis(field, rows, new_rows):
-    """Coefficient rows expressing new_rows in terms of rows (both rank 2)."""
-    m = Mat(field, tuple(tuple(r) for r in rows), len(rows[0])).transpose()
-    out = []
-    for nr in new_rows:
-        sol = solve(m, tuple(nr))
-        assert sol is not None
-        out.append(sol)
-    return out
 
 
 # --- repair ----------------------------------------------------------------------

@@ -144,7 +144,7 @@ def node_availability_map(q, M, b):
 def pairings_of(q, M):
     field = F(q)
     subs = enumerate_grassmannian(field, M, 2)
-    return subs, tuple(grassmann_pairing(field, M, s) for s in subs)
+    return subs, tuple(grassmann_pairing(field, M))
 
 
 # --- 1: exhaustive distance of the full width-b family --------------------------

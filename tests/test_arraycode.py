@@ -553,6 +553,24 @@ def test_bundle_corruption_detected():
         parse_bundle("\n".join(lines) + "\n")
 
 
+def test_bundle_header_is_keyed():
+    code = construction_spread(F2, 4, 2)
+    lines = format_bundle(code).splitlines()
+    header, rest = lines[1:6], lines[6:]
+    back = parse_bundle("\n".join([lines[0], *reversed(header), *rest]) + "\n")
+    assert back.generator.rows == code.generator.rows
+    assert back.provenance == code.provenance
+    for edited, message in [
+        ([h for h in header if not h.startswith("n ")], "^bundle header 'n' is missing$"),
+        ([*header, "b 2"], "^unexpected bundle header line 'b 2'$"),
+        ([*header, "width 2"], "^unexpected bundle header line 'width 2'$"),
+        (["field gf(6)", *header[1:]], "^bundle header 'field': "),
+        ([*header[:3], "M four", header[4]], "^bundle header 'M' is not an integer: 'four'$"),
+    ]:
+        with pytest.raises(Inconsistent, match=message):
+            parse_bundle("\n".join([lines[0], *edited, *rest]) + "\n")
+
+
 def test_bundle_truncation_detected():
     code = construction_spread(F2, 4, 2)
     text = format_bundle(code)

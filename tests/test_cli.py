@@ -228,6 +228,32 @@ def test_analyze_corrupt_bundle_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def analyze_edited_bundle(tmp_path, capsys, old, new):
+    """Exit code and stderr of analyze on the spread bundle with one line replaced."""
+    text = open(spread_bundle(tmp_path)).read()
+    assert old + "\n" in text
+    bad = tmp_path / "bad.bundle"
+    bad.write_text(text.replace(old + "\n", new + "\n", 1))
+    capsys.readouterr()
+    return cli.main(["analyze", str(bad)]), capsys.readouterr().err
+
+
+def test_bundle_bare_header_names_the_field(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "M 4", "M")
+    assert (rc, err) == (3, "error: bundle header 'M' is not an integer: ''\n")
+
+
+def test_bundle_empty_field_header_is_named(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "field gf(2)", "field")
+    assert rc == 3
+    assert err == "error: bundle header 'field': cannot parse field ''; expected gf(q) or gf(p^m)\n"
+
+
+def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "subspaces 5", "subspaces 7")
+    assert (rc, err) == (3, "error: bundle declares 7 subspaces, holds 5\n")
+
+
 # --- verify --------------------------------------------------------------------
 
 

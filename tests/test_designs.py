@@ -10,10 +10,8 @@ from subspace_lrc.designs import (
     build_std,
     count_intersecting,
     enumerate_grassmannian,
-    format_design,
     gaussian,
     gaussian_or_zero,
-    parse_design,
     rank_distance,
     steiner_parameters,
     verify_spread,
@@ -288,34 +286,3 @@ def test_steiner_parameters_spread_and_std():
     assert steiner_parameters(F2, one_class) == []
     all_two = enumerate_grassmannian(F2, 4, 2)
     assert steiner_parameters(F2, all_two) == [2]
-
-
-def test_design_dump_roundtrip_spread():
-    design = build_spread(F2, 6, 2)
-    text = format_design(design)
-    back = parse_design(text)
-    assert isinstance(back, SpreadDesign)
-    assert back.blocks == design.blocks
-    assert back.unit_indices == design.unit_indices
-    assert back.method == design.method
-
-
-def test_design_dump_roundtrip_std():
-    design = build_std(F3, 1, 2, 2)
-    back = parse_design(format_design(design))
-    assert back.blocks == design.blocks
-    assert back.classes == design.classes
-    assert verify_std(back).ok
-
-
-def test_design_dump_roundtrip_plain_blocks():
-    blocks = list(enumerate_grassmannian(F2, 3, 2))
-    back = parse_design(format_design(blocks))
-    assert tuple(back) == tuple(blocks)
-
-
-def test_design_dump_rejects_garbage():
-    with pytest.raises(BadParams):
-        parse_design("not a design\n")
-    with pytest.raises(BadParams):
-        parse_design("design spread q=2 M=4 b=2 method=x units=0\n")

@@ -258,7 +258,7 @@ def test_packing_empty():
 def test_grassmann_pairing(field, M, expected_pairs, perfect_cover):
     grass = enumerate_grassmannian(field, M, 2)
     target = grass[0]
-    res = grassmann_pairing(field, M, target)
+    res = grassmann_pairing(field, M)[0]
     if expected_pairs is not None:
         assert len(res.pairs) == expected_pairs
     used = [i for p in res.pairs for i in p]
@@ -276,7 +276,7 @@ def test_grassmann_pairing_odd_q_lower_bound():
     # odd q at M = 4: the within-class pairing skips q(q^2+q-1) members per
     # class; what remains still meets the documented floor
     q = 3
-    res = grassmann_pairing(F3, 4, enumerate_grassmannian(F3, 4, 2)[5])
+    res = grassmann_pairing(F3, 4)[5]
     floor = (gaussian(4, 2, q) - 1 - q * (q**2 + q - 1) * gaussian(2, 2, q)) // 2
     assert len(res.pairs) >= floor
 
@@ -284,17 +284,20 @@ def test_grassmann_pairing_odd_q_lower_bound():
 def test_grassmann_pairing_every_target_even_q():
     # even q: the pairing is a perfect matching for every possible target
     grass = enumerate_grassmannian(F2, 4, 2)
-    for target in grass:
-        res = grassmann_pairing(F2, 4, target)
+    pairings = grassmann_pairing(F2, 4)
+    assert [res.target_index for res in pairings] == list(range(len(grass)))
+    for target, res in zip(grass, pairings):
+        for a, c in res.pairs:
+            assert contains_subspace(subspace_sum(grass[a], grass[c]), target)
         assert len(res.pairs) == 17
         assert res.covered == 34
 
 
 def test_grassmann_pairing_bad_target():
-    with pytest.raises(BadParams):
-        grassmann_pairing(F2, 4, Subspace.from_span(F2, 4, [(1, 0, 0, 0)]))
-    with pytest.raises(BadParams):
-        grassmann_pairing(F2, 4, Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]))
+    # every 2-dim subspace is a target; below M = 2 there is none
+    for M in (0, 1):
+        with pytest.raises(BadParams, match=f"^pairing needs 2-dim subspaces, got M={M}$"):
+            grassmann_pairing(F2, M)
 
 
 def test_repair_all_codewords_all_columns():

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from subspace_lrc.designs import enumerate_grassmannian
 from subspace_lrc.gf import parse_field
 from subspace_lrc.locality import grassmann_pairing
 
@@ -30,7 +29,7 @@ def pairing_rows(q, M):
     field = parse_field(f"gf({q})")
     return [
         [p.target_index, p.covered, p.total_others, [i for pair in p.pairs for i in pair]]
-        for p in (grassmann_pairing(field, M, s) for s in enumerate_grassmannian(field, M, 2))
+        for p in grassmann_pairing(field, M)
     ]
 
 

@@ -276,6 +276,25 @@ def test_each_measurement_runs_once_per_suite(monkeypatch):
         assert max(calls.values()) == 1, [k[0] for k, v in calls.items() if v > 1]
 
 
+def test_all_subspaces_pairs_every_column_in_one_call(monkeypatch):
+    """The b = 2 pair family is built once per code, not once per column."""
+    from subspace_lrc import verification
+
+    pairing = verification.grassmann_pairing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pairing(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "grassmann_pairing", counted)
+    for field, M in ((F2, 3), (F2, 4), (F3, 3)):
+        calls.clear()
+        suite = verify_all_subspaces(field, M, 2)
+        assert by_id(suite, "pairing-family").status == "pass"
+        assert calls == [(field, M)]
+
+
 # --- dispatcher ----------------------------------------------------------------
 
 
