@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subspace_lrc.errors import AmbientMismatch, DimensionMismatch, OutOfRange, TooLarge
-from subspace_lrc.gf import field_new
+from subspace_lrc.gf import extension_new, field_new
 from subspace_lrc.linalg import (
     Mat,
     Subspace,
@@ -275,3 +275,177 @@ def test_parse_matrix_errors():
         parse_matrix("2 1 2\n1 0 1")
     with pytest.raises(AmbientMismatch):
         parse_matrix("3 1 2\n1 0", field_new(2))
+
+
+# --- reference path ----------------------------------------------------------------
+# The tuple kernel, one field call per entry, kept as the oracle for the
+# packed kernel in linalg (the way test_arraycode keeps reference_scan_range).
+
+
+def reference_rref_rows(field, rows, cols):
+    """Gauss-Jordan on tuples; returns (all rows, zero rows last; pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        pv = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
+        if pv is None:
+            continue
+        rows[pr], rows[pv] = rows[pv], rows[pr]
+        inv = field.inv(rows[pr][c])
+        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
+        prow = rows[pr]
+        for r in range(len(rows)):
+            f = rows[r][c]
+            if f and r != pr:
+                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], prow)]
+        pivots.append(c)
+        pr += 1
+    return [tuple(r) for r in rows], pivots
+
+
+def reference_reduce_vector(field, basis, pivots, v):
+    """Residual of v against a reduced-row-echelon basis."""
+    v = list(v)
+    for row, p in zip(basis, pivots):
+        c = v[p]
+        if c:
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def reference_span(field, vectors, cols):
+    """(canonical basis, pivots) of the span of vectors."""
+    rows, pivots = reference_rref_rows(field, vectors, cols)
+    return tuple(rows[: len(pivots)]), tuple(pivots)
+
+
+def reference_null_space(field, rows, cols):
+    """(canonical basis, pivots) of the right kernel of the matrix with these rows."""
+    reduced, pivots = reference_rref_rows(field, rows, cols)
+    vectors = []
+    for f in (c for c in range(cols) if c not in pivots):
+        x = [0] * cols
+        x[f] = 1
+        for i, p in enumerate(pivots):
+            x[p] = field.neg(reduced[i][f])
+        vectors.append(x)
+    return reference_span(field, vectors, cols)
+
+
+def reference_solve(field, rows, cols, rhs):
+    reduced, pivots = reference_rref_rows(field, [tuple(r) + (y,) for r, y in zip(rows, rhs)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[cols]
+    return tuple(x)
+
+
+def check_matrix_against_reference(field, rows, cols, rng):
+    """rref, rank, row/null space, solve and containment of one matrix."""
+    m = Mat.from_rows(field, rows, cols)
+    ref_rows, ref_pivots = reference_rref_rows(field, rows, cols)
+    r, rk, pivots = rref(m)
+    assert (r.rows, rk, pivots) == (tuple(ref_rows), len(ref_pivots), tuple(ref_pivots))
+    assert rank(m) == len(ref_pivots)
+    span = row_space(m)
+    assert (span.basis, span.pivots) == reference_span(field, rows, cols)
+    kernel = null_space(m)
+    if cols <= 80:
+        assert (kernel.basis, kernel.pivots) == reference_null_space(field, rows, cols)
+    else:
+        # the tuple re-reduction of a kernel this wide takes seconds; a basis in
+        # canonical form of the right dimension inside the kernel is the same
+        # answer, since the canonical basis of a subspace is unique
+        assert kernel.dim == cols - rk
+        assert all(not any(mat_vec(m, v)) for v in kernel.basis)
+        for i, (v, p) in enumerate(zip(kernel.basis, kernel.pivots)):
+            assert not any(v[:p]) and v[p] == 1
+            assert all(u[p] == (i == k) for k, u in enumerate(kernel.basis))
+        assert list(kernel.pivots) == sorted(set(kernel.pivots))
+    # one consistent right-hand side (m @ x) and random ones, often inconsistent
+    x = tuple(rng.randrange(field.q) for _ in range(cols))
+    for rhs in [mat_vec(m, x)] + [
+        tuple(rng.randrange(field.q) for _ in rows) for _ in range(3)
+    ]:
+        assert solve(m, rhs) == reference_solve(field, rows, cols, rhs)
+    for v in [tuple(rng.randrange(field.q) for _ in range(cols)) for _ in range(4)] + list(rows):
+        assert reduce_vector(span, v) == reference_reduce_vector(field, span.basis, span.pivots, v)
+        assert contains_vector(span, v) == (not any(reference_reduce_vector(field, span.basis, span.pivots, v)))
+
+
+def random_rows(field, nrows, cols, rng):
+    """Random rows with some zero, repeated and combined rows mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(5)
+        if kind == 0 or not rows:
+            rows.append(tuple(rng.randrange(field.q) for _ in range(cols)))
+        elif kind == 1:
+            rows.append((0,) * cols)
+        elif kind == 2:
+            rows.append(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randrange(field.q)
+            rows.append(tuple(field.add(x, field.mul(c, y)) for x, y in zip(a, b)))
+    rng.shuffle(rows)
+    return rows
+
+
+REFERENCE_FIELDS = [
+    field_new(2), field_new(3), field_new(2, 2), field_new(5), field_new(7),
+    field_new(2, 3), field_new(3, 2), extension_new(field_new(3), 2), extension_new(field_new(2, 2), 2),
+]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_kernel_matches_reference_on_random_matrices(field):
+    rng = random.Random(field.q * 1009 + len(repr(field)))
+    for _ in range(40):
+        nrows, cols = rng.randrange(0, 7), rng.randrange(1, 9)
+        check_matrix_against_reference(field, random_rows(field, nrows, cols, rng), cols, rng)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_subspace_sum_and_containment_match_reference(field):
+    rng = random.Random(field.q * 31 + 5)
+    cols = 6
+    spaces = [Subspace.zero(field, cols)]
+    for _ in range(12):
+        rows = random_rows(field, rng.randrange(1, 4), cols, rng)
+        spaces.append(Subspace.from_span(field, cols, rows))
+    for a in spaces:
+        for b in spaces:
+            total = subspace_sum(a, b)
+            assert (total.basis, total.pivots) == reference_span(field, a.basis + b.basis, cols)
+            inside = all(not any(reference_reduce_vector(field, a.basis, a.pivots, v)) for v in b.basis)
+            assert contains_subspace(a, b) == inside
+
+
+def test_kernel_matches_reference_on_acceptance_codes():
+    from test_arraycode import acceptance_codes
+
+    rng = random.Random(11)
+    codes = acceptance_codes()
+    assert len(codes) >= 12
+    for code in codes:
+        F, M, b, n = code.field, code.M, code.b, code.n
+        gen = code.generator
+        check_matrix_against_reference(F, gen.rows, gen.cols, rng)
+        # the transposed generator: decoding systems, and the dual's kernel
+        check_matrix_against_reference(F, gen.transpose().rows, M, rng)
+        for j, s in enumerate(code.subspaces):
+            thick = code.thick_column(j).transpose()
+            assert (column_space(code.thick_column(j)).basis, s.pivots) == reference_span(F, thick.rows, M)
+            # a running sum over the columns, as the recovery walk builds it
+            partner = code.subspaces[(7 * j + 1) % n]
+            total = subspace_sum(s, partner)
+            assert (total.basis, total.pivots) == reference_span(F, s.basis + partner.basis, M)
+            for t in (code.subspaces[(j + 1) % n], code.subspaces[(3 * j + 2) % n]):
+                inside = all(not any(reference_reduce_vector(F, total.basis, total.pivots, v)) for v in t.basis)
+                assert contains_subspace(total, t) == inside
+                for v in t.basis:
+                    assert reduce_vector(total, v) == reference_reduce_vector(F, total.basis, total.pivots, v)
