@@ -43,6 +43,8 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _Slots,
+    _layout,
     _subset_sums,
     column_space,
     format_matrix,
@@ -101,8 +103,7 @@ def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> Ar
             raise DimensionTooLarge(f"subspace dimension {s.dim} exceeds column width b={b}")
     rows = [[] for _ in range(M)]
     for s in subspaces:
-        for c in range(b):
-            col = s.basis[c] if c < s.dim else (0,) * M
+        for col in s.basis + ((0,) * M,) * (b - s.dim):
             for r in range(M):
                 rows[r].append(col[r])
     generator = Mat(field, tuple(tuple(r) for r in rows), b * len(subspaces))
@@ -234,56 +235,28 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | No
     (histogram, min nonzero weight or None); stop_at aborts the range scan
     once a weight <= stop_at is seen (used only with a proven lower bound).
 
-    The running codeword and every scaled generator row are single ints.
-    An element of GF(p^k) is the int whose base-p digits are its
-    coordinates over GF(p), and those coordinates add digitwise mod p, so
-    each symbol occupies k slots of s bits. For p = 2 a slot is one bit and
-    a row addition is one XOR. For odd p a slot has s = bitlen(2p - 2) + 1
-    bits whose top bit is a guard: a slot sum t < 2p - 1 never reaches the
-    next slot, adding C = 2^(s-1) - p to it sets the guard exactly when
-    t >= p, and the masked guards shifted down, times p, subtract p from
-    those slots. Thick column j starts at bit j * (b k s + 1): the spare
-    bit above its data receives the carry of data + (2^(bks) - 1), which
-    is set exactly when the column is nonzero, so the weight is one
-    bit_count. Entries are range-checked once, while the rows are packed;
-    the Gray steps call no field operation.
+    The running codeword and every scaled generator row are single ints
+    in the digit-slot layout of linalg._Layout: each symbol takes k slots
+    of s bits (one bit for p = 2, a guard bit on top for odd p), and a row
+    addition is one _Slots.add. Thick column j starts at bit
+    j * (b k s + 1): the spare bit above its data receives the carry of
+    data + (2^(bks) - 1), which is set exactly when the column is nonzero,
+    so the weight is one bit_count. Entries are range-checked once, while
+    the rows are packed; scaled rows are built on first use by packed
+    arithmetic, and the Gray steps call no field operation.
     """
-    q, p = field.q, field.p
+    q = field.q
     M = len(rows)
-    odd = p != 2
-    s = (2 * p - 2).bit_length() + 1 if odd else 1
-    k, top = 0, 1
-    while top < q:
-        top *= p
-        k += 1
-    spread = [0] * q
-    for x in range(1, q):
-        y, at = x, 0
-        while y:
-            spread[x] |= (y % p) << at
-            y //= p
-            at += s
-    sym = k * s
-    data = b * sym
+    L = _layout(field)
+    data = b * L.sym
     width = data + 1
     columns = ((1 << (n * width)) - 1) // ((1 << width) - 1)  # bit 0 of every column
     ones = columns * ((1 << data) - 1)
     guards = columns << data
-    shift = s - 1
-    slots = columns * (((1 << data) - 1) // ((1 << s) - 1))  # bit 0 of every slot
-    carry = slots * ((1 << shift) - p) if odd else 0
-    high = slots << shift
+    S = _Slots(L, columns * (((1 << data) - 1) // ((1 << L.sym) - 1)))  # bit 0 of every symbol
+    odd, carry, high, shift, p = S.odd, S.carry, S.high, S.shift, S.p
 
-    entries = []
-    for row in rows:
-        packed = []
-        for idx, x in enumerate(row):
-            if x:
-                if not 0 < x < q:
-                    raise OutOfRange(f"entry {x} outside field of order {q}")
-                j, i = divmod(idx, b)
-                packed.append((j * width + i * sym, x))
-        entries.append(packed)
+    packed = [L.pack(row, b, width) for row in rows]
     # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row
     step = [field.sub((g + 1) % q, g) for g in range(q)]
     scaled: list[int | None] = [None] * (M * q)
@@ -291,23 +264,14 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | No
     def times(r: int, c: int) -> int:
         out = scaled[r * q + c]
         if out is None:
-            out = 0
-            for pos, x in entries[r]:
-                out |= spread[field.mul(c, x)] << pos
-            scaled[r * q + c] = out
+            out = scaled[r * q + c] = S.scale(packed[r], c)
         return out
-
-    def add(u: int, v: int) -> int:
-        if not odd:
-            return u ^ v
-        t = u + v
-        return t - (((t + carry) & high) >> shift) * p
 
     digits = _gray_digits(lo, q, M)
     flat = 0
     for r, g in enumerate(digits):
         if g:
-            flat = add(flat, times(r, g))
+            flat = S.add(flat, times(r, g))
     counts = [0] * (n + 1)
     w = ((flat + ones) & guards).bit_count()
     counts[w] += 1
@@ -323,7 +287,7 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | No
             g = digits[r]
             digits[r] = g + 1 if g + 1 < q else 0
             row = scaled[r * q + step[g]] or times(r, step[g])
-            # add() inlined: this loop runs q^M times
+            # S.add inlined: this loop runs q^M times
             if odd:
                 t = flat + row
                 flat = t - (((t + carry) & high) >> shift) * p

@@ -22,6 +22,7 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _layout,
     contains_subspace,
     enumerate_vectors,
     intersection_dim,
@@ -86,10 +87,10 @@ def enumerate_grassmannian(field, ambient: int, k: int, *, limit: int | None = N
                 rows[i][p] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            out.append(Subspace(field, ambient, tuple(tuple(r) for r in rows), pivots))
+            out.append((tuple(tuple(r) for r in rows), pivots))
     assert len(out) == total
-    out.sort(key=lambda s: s.basis)
-    return tuple(out)
+    out.sort()
+    return tuple(Subspace.from_rref(field, ambient, rows, pivots) for rows, pivots in out)
 
 
 # --- rank-metric codes -------------------------------------------------------
@@ -193,7 +194,7 @@ def _unit_subspace(field, M: int, b: int, level: int) -> Subspace:
         v = [0] * M
         v[b * level + r] = 1
         rows.append(tuple(v))
-    return Subspace(field, M, tuple(rows), tuple(range(b * level, b * level + b)))
+    return Subspace.from_rref(field, M, rows, range(b * level, b * level + b))
 
 
 def build_spread(field, M: int, b: int, method: str = "gabidulin-echelon") -> SpreadDesign:
@@ -229,9 +230,7 @@ def build_spread(field, M: int, b: int, method: str = "gabidulin-echelon") -> Sp
                     v.extend(1 if i == r else 0 for i in range(b))
                     v.extend(cw.rows[r])
                     rows.append(tuple(v))
-                blocks.append(
-                    Subspace(field, M, tuple(rows), tuple(range(b * level, b * level + b)))
-                )
+                blocks.append(Subspace.from_rref(field, M, rows, range(b * level, b * level + b)))
         return SpreadDesign(field, M, b, method, tuple(blocks), tuple(units))
     if method == "desarguesian":
         ext = extension_new(field, b)
@@ -404,9 +403,8 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     n = b + m
 
     point_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
-    points = tuple(
-        Subspace(field, n, (v,), (next(i for i, x in enumerate(v) if x),)) for v in point_reps
-    )
+    pack = _layout(field).pack
+    points = tuple(Subspace(field, n, (pack(v),), (v.index(1),)) for v in point_reps)
     key_of = {}
     group_keys = []
     groups: list[list[int]] = []
@@ -425,7 +423,7 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
         for r in range(b):
             head = tuple(1 if i == r else 0 for i in range(b))
             rows.append(head + ext.expand(word[r]))
-        blocks.append(Subspace(field, n, tuple(rows), tuple(range(b))))
+        blocks.append(Subspace.from_rref(field, n, rows, range(b)))
     class_size = ext.q
     classes = tuple(
         tuple(range(c * class_size, (c + 1) * class_size)) for c in range(len(words) // class_size)

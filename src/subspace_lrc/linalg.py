@@ -2,17 +2,166 @@
 
 Vectors are tuples of element encodings; matrices carry their field context.
 A Subspace is always stored by its reduced-row-echelon basis with zero rows
-dropped, which makes equality of subspaces plain entrywise equality of the
-stored data and makes every enumeration in the package deterministic.
+dropped, which makes equality of subspaces plain equality of the stored data
+and makes every enumeration in the package deterministic.
+
+The elimination kernel runs on packed rows, and Subspace stores its basis
+packed. An element of GF(p^k) is the int whose base-p digits are its
+coordinates over GF(p), and those coordinates add digitwise mod p, so a
+vector is one Python int with k digit slots per entry, entry 0 lowest.
+For p = 2 a slot is one bit and adding vectors is one XOR; for odd p a slot
+has a guard bit and an addition is a handful of whole-int operations (see
+_Layout and _Slots, which the weight scan in arraycode shares). Entries are
+range-checked once, when a vector is packed; elimination makes no field
+call beyond one inverse per pivot whose leading entry is not 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
+
+
+class _Layout:
+    """Digit-slot packing of the elements of one field.
+
+    A slot is s bits: s = 1 for p = 2, else s = bitlen(2p - 2) + 1, whose top
+    bit is a guard. A slot sum t < 2p - 1 never reaches the next slot, adding
+    2^(s-1) - p to it sets the guard exactly when t >= p, and the masked
+    guards shifted down, times p, subtract p from those slots (_Slots.add).
+    Each element takes k = log_p(q) slots, sym = k s bits.
+    """
+
+    def __init__(self, field):
+        q, p = field.q, field.p
+        self.field, self.q, self.p = field, q, p
+        self.odd = p != 2
+        self.slot = (2 * p - 2).bit_length() + 1 if self.odd else 1
+        k, top = 0, 1
+        while top < q:
+            top *= p
+            k += 1
+        self.k = k
+        self.sym = k * self.slot
+        self.mask = (1 << self.sym) - 1
+        spread = list(range(q))
+        if self.odd and k > 1:
+            for x in range(q):
+                y, at, spread[x] = x, 0, 0
+                while y:
+                    spread[x] |= (y % p) << at
+                    y //= p
+                    at += self.slot
+        self.spread = spread
+        # the element a packed entry stands for; None when they coincide
+        self.element = {v: x for x, v in enumerate(spread)} if self.odd and k > 1 else None
+        self._terms: dict[int, tuple] = {}
+
+    def pack(self, v, b: int = 1, width: int | None = None) -> int:
+        """Entry i*b + j of v at bit i*width + j*sym (width defaults to b*sym)."""
+        q, sym, spread = self.q, self.sym, self.spread
+        out = 0
+        for idx, x in enumerate(v):
+            if x:
+                if not 0 < x < q:
+                    raise OutOfRange(f"entry {x} outside field of order {q}")
+                if width is None:
+                    out |= spread[x] << (idx * sym)
+                else:
+                    i, j = divmod(idx, b)
+                    out |= spread[x] << (i * width + j * sym)
+        return out
+
+    def unpack(self, x: int, n: int) -> tuple[int, ...]:
+        if self.sym == 1:
+            return tuple(map(int, bin(x)[:1:-1].ljust(n, "0")[:n]))
+        sym, mask, el = self.sym, self.mask, self.element
+        if el is None:
+            return tuple((x >> (c * sym)) & mask for c in range(n))
+        return tuple(el[(x >> (c * sym)) & mask] for c in range(n))
+
+    def entry(self, x: int, c: int) -> int:
+        f = (x >> (c * self.sym)) & self.mask
+        return f if self.element is None else self.element[f]
+
+    def terms(self, c: int) -> tuple:
+        """(shift, pattern) pairs with c * x = sum of ((x >> shift) & low) * pattern.
+
+        A negative c stands for -(-c). Digit i of an entry, read bit by bit,
+        contributes 2^b * c * p^i for each of its set bits b, and those
+        products are single entries, so one multiplication places them in
+        every entry at once. Built on first use, at most 2q per field.
+        """
+        out = self._terms.get(c)
+        if out is None:
+            F, p = self.field, self.p
+            e = c if c > 0 else F.neg(-c)
+            pairs = []
+            for i in range(self.k):
+                y = F.mul(e, p**i)
+                for b in range((p - 1).bit_length()):
+                    z = F.mul(y, (1 << b) % p)
+                    if z:
+                        pairs.append((i * self.slot + b, self.spread[z]))
+            out = self._terms[c] = tuple(pairs)
+        return out
+
+
+class _Slots:
+    """Addition and scaling of packed vectors whose entries start at the set bits of low."""
+
+    def __init__(self, layout: _Layout, low: int):
+        self.layout, self.low = layout, low
+        self.p, self.odd = layout.p, layout.odd
+        self.prime = layout.k == 1
+        self.shift = layout.slot - 1
+        # bit 0 of every slot, then the guard reduction's masks
+        slots = low * (((1 << layout.sym) - 1) // ((1 << layout.slot) - 1))
+        self.carry = slots * ((1 << self.shift) - self.p) if self.odd else 0
+        self.high = slots << self.shift
+
+    def add(self, u: int, v: int) -> int:
+        if not self.odd:
+            return u ^ v
+        t = u + v
+        return t - (((t + self.carry) & self.high) >> self.shift) * self.p
+
+    def scale(self, v: int, c: int) -> int:
+        """c * v for a field element c; a negative c stands for -(-c)."""
+        if c == 1:
+            return v
+        if self.prime:
+            # c * v is v added c times: double and add
+            c %= self.p
+            acc = 0
+            while True:
+                if c & 1:
+                    acc = self.add(acc, v)
+                c >>= 1
+                if not c:
+                    return acc
+                v = self.add(v, v)
+        acc, low = 0, self.low
+        for shift, pattern in self.layout.terms(c):
+            acc = self.add(acc, ((v >> shift) & low) * pattern)
+        return acc
+
+
+@lru_cache(maxsize=64)
+def _layout(field) -> _Layout:
+    return _Layout(field)
+
+
+@lru_cache(maxsize=256)
+def _vectors(field, n: int) -> _Slots:
+    """Slots of length-n vectors, entry c at bit c * sym."""
+    sym = _layout(field).sym
+    return _Slots(_layout(field), ((1 << (n * sym)) - 1) // ((1 << sym) - 1))
 
 
 @dataclass(frozen=True)
@@ -121,68 +270,116 @@ def vec_mat(v: tuple[int, ...], m: Mat) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rref_rows(field, rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot column list)."""
-    pivots: list[int] = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(cols):
-        pv = None
-        for r in range(pr, nrows):
-            if rows[r][c]:
-                pv = r
-                break
-        if pv is None:
-            continue
-        rows[pr], rows[pv] = rows[pv], rows[pr]
-        lead = rows[pr][c]
-        if lead != 1:
-            inv = field.inv(lead)
-            rows[pr] = [field.mul(inv, x) for x in rows[pr]]
-        prow = rows[pr]
-        for r in range(nrows):
-            f = rows[r][c]
-            if f and r != pr:
-                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
+def _rref_rows(field, n: int, vectors, basis=(), pivots=(), *, top: bool = False):
+    """Insert packed length-n vectors into a reduced echelon basis; returns (rows, pivots).
+
+    basis holds packed rows sorted by pivot column, each 1 at its pivot and 0
+    at every other row's pivot. A vector is reduced at the pivots; a nonzero
+    residual is scaled to 1 at its lowest entry (its highest with top) and
+    cleared from the other rows. The rows stay sorted by pivot, so the result
+    is the reduced row echelon basis of the span, whatever the input order.
+    """
+    basis, pivots = list(basis), list(pivots)
+    if field.q == 2:
+        for v in vectors:
+            for row, p in zip(basis, pivots):
+                if v >> p & 1:
+                    v ^= row
+            if v:
+                c = v.bit_length() - 1 if top else (v & -v).bit_length() - 1
+                for i, row in enumerate(basis):
+                    if row >> c & 1:
+                        basis[i] = row ^ v
+                at = bisect(pivots, c)
+                basis.insert(at, v)
+                pivots.insert(at, c)
+        return basis, pivots
+    V = _vectors(field, n)
+    L = V.layout
+    entry, sym = L.entry, L.sym
+    for v in vectors:
+        for row, p in zip(basis, pivots):
+            f = entry(v, p)
+            if f:
+                v = V.add(v, V.scale(row, -f))
+        if v:
+            c = (v.bit_length() - 1 if top else (v & -v).bit_length() - 1) // sym
+            lead = entry(v, c)
+            if lead != 1:
+                v = V.scale(v, field.inv(lead))
+            for i, row in enumerate(basis):
+                f = entry(row, c)
+                if f:
+                    basis[i] = V.add(row, V.scale(v, -f))
+            at = bisect(pivots, c)
+            basis.insert(at, v)
+            pivots.insert(at, c)
+    return basis, pivots
+
+
+def _residual(s: "Subspace", v: int) -> int:
+    """v minus its component at the pivots of s; zero iff v lies in s."""
+    if s.field.q == 2:
+        for row, p in zip(s.rows, s.pivots):
+            if v >> p & 1:
+                v ^= row
+        return v
+    V = _vectors(s.field, s.ambient)
+    entry = V.layout.entry
+    for row, p in zip(s.rows, s.pivots):
+        f = entry(v, p)
+        if f:
+            v = V.add(v, V.scale(row, -f))
+    return v
+
+
+def _packed_rows(m: Mat) -> list[int]:
+    pack = _layout(m.field).pack
+    return [pack(r) for r in m.rows]
 
 
 def rref(m: Mat) -> tuple[Mat, int, tuple[int, ...]]:
     """Reduced row echelon form, rank and pivot columns."""
-    rows, pivots = _rref_rows(m.field, [list(r) for r in m.rows], m.cols)
-    return Mat(m.field, tuple(tuple(r) for r in rows), m.cols), len(pivots), tuple(pivots)
+    basis, pivots = _rref_rows(m.field, m.cols, _packed_rows(m))
+    unpack = _layout(m.field).unpack
+    out = tuple(unpack(r, m.cols) for r in basis) + ((0,) * m.cols,) * (m.nrows - len(basis))
+    return Mat(m.field, out, m.cols), len(pivots), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return rref(m)[1]
+    return len(_rref_rows(m.field, m.cols, _packed_rows(m))[1])
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(q)^ambient in canonical form.
 
-    basis rows are the reduced row echelon basis (no zero rows), so two
-    Subspace values are equal exactly when they are the same subspace.
+    rows are the reduced row echelon basis (no zero rows), each packed into
+    one int (see _Layout), so two Subspace values are equal exactly when they
+    are the same subspace; basis unpacks them into tuples.
     """
 
     field: object
     ambient: int
-    basis: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
     pivots: tuple[int, ...]
 
     @staticmethod
     def from_span(field, ambient: int, vectors) -> "Subspace":
-        vectors = [list(v) for v in vectors]
+        pack = _layout(field).pack
+        packed = []
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatch(f"vector length {len(v)} in ambient {ambient}")
-        rows, pivots = _rref_rows(field, vectors, ambient)
-        basis = tuple(tuple(r) for r in rows[: len(pivots)])
-        return Subspace(field, ambient, basis, tuple(pivots))
+            packed.append(pack(v))
+        rows, pivots = _rref_rows(field, ambient, packed)
+        return Subspace(field, ambient, tuple(rows), tuple(pivots))
+
+    @staticmethod
+    def from_rref(field, ambient: int, basis, pivots) -> "Subspace":
+        """The subspace whose reduced row echelon basis (pivot columns given) is basis."""
+        pack = _layout(field).pack
+        return Subspace(field, ambient, tuple(pack(r) for r in basis), tuple(pivots))
 
     @staticmethod
     def zero(field, ambient: int) -> "Subspace":
@@ -190,14 +387,19 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        unpack = _layout(self.field).unpack
+        return tuple(unpack(r, self.ambient) for r in self.rows)
 
     def matrix(self) -> Mat:
         return Mat(self.field, self.basis, self.ambient)
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field or a.ambient != b.ambient:
+    if a.field is not b.field and a.field != b.field or a.ambient != b.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
 
 
@@ -210,45 +412,70 @@ def column_space(m: Mat) -> Subspace:
 
 
 def null_space(m: Mat) -> Subspace:
-    """Right kernel {x : m @ x = 0} as a canonical subspace of GF(q)^cols."""
-    F = m.field
-    reduced, _, pivots = rref(m)
+    """Right kernel {x : m @ x = 0} as a canonical subspace of GF(q)^cols.
+
+    m is reduced with each pivot at its row's highest entry. The kernel
+    vector of a free column f is then 1 at f and, at each pivot p above f,
+    minus row p's entry at f: its lowest entry is the 1 at f, and the free
+    columns are unit columns across these vectors, so in ascending f they
+    already are the reduced row echelon basis.
+    """
+    L = _layout(m.field)
+    reduced, pivots = _rref_rows(m.field, m.cols, _packed_rows(m), top=True)
     free = [c for c in range(m.cols) if c not in set(pivots)]
-    vectors = []
-    for f in free:
-        x = [0] * m.cols
-        x[f] = 1
-        for i, p in enumerate(pivots):
-            x[p] = F.neg(reduced.rows[i][f])
-        vectors.append(x)
-    return Subspace.from_span(F, m.cols, vectors)
+    sym, mask, one = L.sym, L.mask, _vectors(m.field, 1)
+    kernel = {f: 1 << (f * sym) for f in free}
+    for row, p in zip(reduced, pivots):
+        rest = row & ~(mask << (p * sym))
+        while rest:
+            c = ((rest & -rest).bit_length() - 1) // sym
+            f = (rest >> (c * sym)) & mask
+            rest ^= f << (c * sym)
+            kernel[c] |= one.scale(f, -1) << (p * sym)
+    return Subspace(m.field, m.cols, tuple(kernel[f] for f in free), tuple(free))
+
+
+def _pack_vector(s: Subspace, v) -> int:
+    if len(v) != s.ambient:
+        raise DimensionMismatch(f"vector length {len(v)} in ambient {s.ambient}")
+    return _layout(s.field).pack(v)
 
 
 def reduce_vector(s: Subspace, v: tuple[int, ...]) -> tuple[int, ...]:
     """Residual of v after eliminating the pivots of s; zero iff v is in s."""
-    if len(v) != s.ambient:
-        raise DimensionMismatch(f"vector length {len(v)} in ambient {s.ambient}")
-    F = s.field
-    v = list(v)
-    for row, p in zip(s.basis, s.pivots):
-        c = v[p]
-        if c:
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-    return tuple(v)
+    return _layout(s.field).unpack(_residual(s, _pack_vector(s, v)), s.ambient)
 
 
 def contains_vector(s: Subspace, v) -> bool:
-    return not any(reduce_vector(s, tuple(v)))
+    return not _residual(s, _pack_vector(s, tuple(v)))
+
+
+def _sum(a: Subspace, b: Subspace) -> Subspace:
+    if len(a.rows) < len(b.rows):
+        a, b = b, a
+    if not b.rows or len(a.rows) == a.ambient:
+        return a
+    rows, pivots = _rref_rows(a.field, a.ambient, b.rows, a.rows, a.pivots)
+    return Subspace(a.field, a.ambient, tuple(rows), tuple(pivots))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_space(a, b)
-    return Subspace.from_span(a.field, a.ambient, a.basis + b.basis)
+    return _sum(a, b)
 
 
 def contains_subspace(s: Subspace, t: Subspace) -> bool:
+    """Whether t lies in s. Every vector's leading entry sits on a pivot of its
+    subspace, so t's pivots must be among s's before any row is reduced."""
     _check_same_space(s, t)
-    return all(contains_vector(s, v) for v in t.basis)
+    if len(s.rows) == s.ambient:
+        return True
+    if not set(t.pivots).issubset(s.pivots):
+        return False
+    for v in t.rows:
+        if _residual(s, v):
+            return False
+    return True
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -260,30 +487,32 @@ def solve(m: Mat, rhs: tuple[int, ...]):
     """One solution x of m @ x = rhs, or None if inconsistent (free vars -> 0)."""
     if len(rhs) != m.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    F = m.field
-    aug = [list(r) + [y] for r, y in zip(m.rows, rhs)]
-    rows, pivots = _rref_rows(F, aug, m.cols + 1)
-    if m.cols in pivots:
+    L = _layout(m.field)
+    rows, pivots = _rref_rows(m.field, m.cols + 1, [L.pack(tuple(r) + (y,)) for r, y in zip(m.rows, rhs)])
+    if pivots and pivots[-1] == m.cols:
         return None
     x = [0] * m.cols
     for row, p in zip(rows, pivots):
-        x[p] = row[m.cols]
+        x[p] = L.entry(row, m.cols)
     return tuple(x)
+
+
+def _combinations(s: Subspace, rows):
+    """Packed sums of coeffs[i] * rows[i] over coeffs in lexicographic order."""
+    V = _vectors(s.field, s.ambient)
+    out = [0]
+    for row in reversed(rows):
+        multiples = [V.scale(row, c) for c in range(1, s.field.q)]
+        out = out + [V.add(m, x) for m in multiples for x in out]
+    return out
 
 
 def enumerate_vectors(s: Subspace, *, limit: int | None = None) -> list[tuple[int, ...]]:
     """All q^dim vectors of s in coefficient-lexicographic order."""
     q = s.field.q
     guard(q**s.dim, f"enumerating a subspace of dimension {s.dim}", limit)
-    F = s.field
-    out = []
-    for coeffs in product(range(q), repeat=s.dim):
-        v = (0,) * s.ambient
-        for c, row in zip(coeffs, s.basis):
-            if c:
-                v = vec_add(F, v, vec_scale(F, c, row))
-        out.append(v)
-    return out
+    unpack = _layout(s.field).unpack
+    return [unpack(x, s.ambient) for x in _combinations(s, s.rows)]
 
 
 def projective_points(s: Subspace) -> list[tuple[int, ...]]:
@@ -293,17 +522,12 @@ def projective_points(s: Subspace) -> list[tuple[int, ...]]:
     before it, because its leading entry sits on pivot i; so the points are
     listed directly instead of normalising all q^dim vectors.
     """
-    F = s.field
+    V = _vectors(s.field, s.ambient)
     out = []
-    for i, lead in enumerate(s.basis):
-        rest = s.basis[i + 1 :]
-        for coeffs in product(range(F.q), repeat=len(rest)):
-            v = lead
-            for c, row in zip(coeffs, rest):
-                if c:
-                    v = vec_add(F, v, vec_scale(F, c, row))
-            out.append(v)
-    return sorted(out)
+    for i, lead in enumerate(s.rows):
+        out += [V.add(lead, x) for x in _combinations(s, s.rows[i + 1 :])]
+    unpack = V.layout.unpack
+    return sorted(unpack(x, s.ambient) for x in out)
 
 
 def _subset_sums(subspaces, columns, size: int):
@@ -328,7 +552,7 @@ def _subset_sums(subspaces, columns, size: int):
             elif stack[-1].dim == stack[-1].ambient:
                 stack.append(stack[-1])
             else:
-                stack.append(subspace_sum(stack[-1], subspaces[m]))
+                stack.append(_sum(stack[-1], subspaces[m]))
         prev = subset
         yield subset, stack[-1]
 

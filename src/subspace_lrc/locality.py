@@ -27,7 +27,7 @@ from .linalg import (
     Mat,
     Subspace,
     _subset_sums,
-    contains_vector,
+    contains_subspace,
     projective_points,
     reduce_vector,
     solve,
@@ -113,16 +113,15 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
 # for one symbol. Its helper sets never contain its own column.
 
 
-def _target_basis(code: ArrayCode, column: int, row: int | None) -> tuple:
-    """Vectors a helper sum must contain; empty for a zero node or symbol."""
+def _target(code: ArrayCode, column: int, row: int | None) -> Subspace:
+    """The subspace a helper sum must contain; dimension 0 for a zero node or symbol."""
     if row is None:
-        return code.subspaces[column].basis
-    vec = code.column_vector(row, column)
-    return (vec,) if any(vec) else ()
+        return code.subspaces[column]
+    return Subspace.from_span(code.field, code.M, [code.column_vector(row, column)])
 
 
-def _holds(code: ArrayCode, span: Subspace, basis) -> bool:
-    return span.dim == code.M or all(contains_vector(span, v) for v in basis)
+def _holds(code: ArrayCode, span: Subspace, target: Subspace) -> bool:
+    return span.dim == code.M or contains_subspace(span, target)
 
 
 def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
@@ -131,8 +130,8 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     One walk per size serves every pending target, and zero targets need no
     helpers. NoRecovery names the first target with no set of size <= cap.
     """
-    bases = [_target_basis(code, column, row) for column, row in targets]
-    found: list = [None if basis else () for basis in bases]
+    subs = [_target(code, column, row) for column, row in targets]
+    found: list = [None if t.dim else () for t in subs]
     pending = [k for k, f in enumerate(found) if f is None]
     columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
     for size in range(1, cap + 1):
@@ -141,7 +140,7 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
         for subset, span in _subset_sums(code.subspaces, columns, size):
             hit = False
             for k in pending:
-                if targets[k][0] not in subset and _holds(code, span, bases[k]):
+                if targets[k][0] not in subset and _holds(code, span, subs[k]):
                     found[k] = subset
                     hit = True
             if hit:
@@ -173,7 +172,7 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     for r in dict.fromkeys(r for _, _, r in targets):
         total = sum(comb(code.n - 1, s) for s in range(1, r + 1))
         guard(total, f"enumerating {total} candidate helper sets", limit)
-    bases = [_target_basis(code, column, row) for column, row, _ in targets]
+    subs = [_target(code, column, row) for column, row, _ in targets]
     pools: list[list[tuple]] = [[] for _ in targets]
     valid: list[set] = [set() for _ in targets]  # valid sets one size smaller
     for size in range(1, max((r for _, _, r in targets), default=0) + 1):
@@ -187,7 +186,7 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
                 if column in subset:
                     continue
                 held = bool(valid[k]) and any(f in valid[k] for f in faces)
-                if not held and _holds(code, span, bases[k]):
+                if not held and _holds(code, span, subs[k]):
                     pools[k].append(subset)
                     held = True
                 if held and size < r:
@@ -391,7 +390,7 @@ def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
     targets = []
     for kind, r in groups:
         rows = (None,) if kind == "node" else range(code.b)
-        group = [(j, i, r) for j in range(code.n) for i in rows if _target_basis(code, j, i)]
+        group = [(j, i, r) for j in range(code.n) for i in rows if _target(code, j, i).dim]
         if not group:
             raise BadParams(f"code has no nonzero {kind}")
         targets.append(group)

@@ -449,3 +449,47 @@ def test_kernel_matches_reference_on_acceptance_codes():
                 assert contains_subspace(total, t) == inside
                 for v in t.basis:
                     assert reduce_vector(total, v) == reference_reduce_vector(F, total.basis, total.pivots, v)
+
+
+def test_out_of_range_entries_rejected_at_every_entry_point():
+    message = r"^entry 7 outside field of order 2$"
+    s = Subspace.from_span(F2, 3, [(1, 0, 1)])
+    m = Mat.from_rows(F2, [(1, 0, 1), (0, 1, 1)])
+    calls = [
+        lambda: Mat.from_rows(F2, [(1, 7, 0)]),
+        lambda: Subspace.from_span(F2, 3, [(1, 0, 0), (0, 7, 1)]),
+        lambda: reduce_vector(s, (0, 7, 1)),
+        lambda: contains_vector(s, (7, 0, 0)),
+        lambda: solve(m, (1, 7)),
+        lambda: solve(Mat(F2, ((1, 7, 0),), 3), (1,)),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange, match=message):
+            call()
+    with pytest.raises(OutOfRange, match=r"^entry -1 outside field of order 3$"):
+        Subspace.from_span(F3, 2, [(1, -1)])
+
+
+def test_subspace_sums_and_containment_make_no_field_call(monkeypatch):
+    """The packed kernel adds and scales whole rows, never single entries."""
+    from subspace_lrc.arraycode import construction_spread
+
+    code = construction_spread(F2, 8, 2)
+    blocks = code.subspaces
+    calls = {"add": 0, "sub": 0, "mul": 0}
+    for name in calls:
+        fn = getattr(F2, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(F2, name, counted)
+    hits = 0
+    for a in blocks[:20]:
+        for c in blocks:
+            total = subspace_sum(a, c)
+            hits += sum(contains_subspace(total, t) for t in blocks)
+            assert contains_subspace(total, a) and contains_subspace(total, c)
+    assert hits > 20 * len(blocks)  # the test reaches hits as well as misses
+    assert calls == {"add": 0, "sub": 0, "mul": 0}
