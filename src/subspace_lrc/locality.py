@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arraycode import ArrayCode, encode
+from .arraycode import ArrayCode
 from .designs import enumerate_grassmannian
 from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange
 from .limits import guard
@@ -32,6 +32,7 @@ from .linalg import (
     reduce_vector,
     solve,
     vec_add,
+    vec_dot,
     vec_scale,
 )
 
@@ -594,6 +595,6 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
         raise Inconsistent("surviving columns do not agree with any codeword")
     rset = min_node_recovery(code, column)
     restored = evaluate_recovery(code, rset, array)
-    expected = tuple(encode(code, message).rows[i][column] for i in range(code.b))
+    expected = tuple(vec_dot(code.field, message, code.column_vector(i, column)) for i in range(code.b))
     assert restored == expected, "recovery functionals disagree with decoding"
     return RepairResult(restored, rset, tuple(message))
