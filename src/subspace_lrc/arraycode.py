@@ -592,24 +592,30 @@ def parse_bundle(text: str) -> ArrayCode:
         raise Inconsistent(f"bundle header 'field': {exc}") from exc
     b, n, M = (_header_int(header, key) for key in ("b", "n", "M"))
     provenance = header["provenance"]
-    try:
-        gen_rows = int(lines[start + 1].split()[1])
-        gen = parse_matrix("\n".join(lines[start + 1 : start + 2 + gen_rows]), field)
-        pos = start + 2 + gen_rows
-        if not lines[pos].startswith("subspaces"):
-            raise Inconsistent("bundle missing the subspaces section")
-        count = int(lines[pos].split()[1])
-        pos += 1
-        subs = []
-        for _ in range(count):
-            if pos >= len(lines):
-                raise Inconsistent(f"bundle declares {count} subspaces, holds {len(subs)}")
-            nrows = int(lines[pos].split()[1])
-            mat = parse_matrix("\n".join(lines[pos : pos + 1 + nrows]), field)
-            subs.append(row_space(mat))
-            pos += 1 + nrows
-    except (IndexError, ValueError) as exc:
-        raise Inconsistent(f"malformed code bundle: {exc}") from exc
+
+    def matrix(pos: int, what: str) -> tuple[Mat, int]:
+        """The matrix whose header is lines[pos], and the line after it."""
+        head = lines[pos].split() if pos < len(lines) else []
+        try:
+            end = pos + 1 + (int(head[1]) if len(head) == 3 else 0)
+            return parse_matrix("\n".join(lines[pos:end]), field), end
+        except ValueError as exc:
+            raise Inconsistent(f"malformed code bundle: {what}: {exc}") from exc
+
+    gen, pos = matrix(start + 1, "generator")
+    section = lines[pos].split() if pos < len(lines) else []
+    if not section or section[0] != "subspaces":
+        raise Inconsistent("bundle missing the subspaces section")
+    if len(section) != 2 or not section[1].isdecimal():
+        raise Inconsistent(f"malformed code bundle: subspaces line {lines[pos]!r}")
+    count = int(section[1])
+    subs = []
+    pos += 1
+    for k in range(count):
+        if pos >= len(lines):
+            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(subs)}")
+        mat, pos = matrix(pos, f"subspace {k + 1} of {count}")
+        subs.append(row_space(mat))
 
     if gen.nrows != M or gen.cols != b * n or count != n:
         raise Inconsistent(

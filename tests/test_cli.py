@@ -254,6 +254,32 @@ def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
     assert (rc, err) == (3, "error: bundle declares 7 subspaces, holds 5\n")
 
 
+def analyze_truncated_bundle(tmp_path, capsys, keep):
+    """Exit code and stderr of analyze on the spread bundle's first keep lines."""
+    lines = open(spread_bundle(tmp_path)).read().splitlines()
+    bad = tmp_path / "cut.bundle"
+    bad.write_text("\n".join(lines[:keep]) + "\n")
+    capsys.readouterr()
+    return cli.main(["analyze", str(bad)]), capsys.readouterr().err
+
+
+def test_bundle_truncated_subspace_is_named(tmp_path, capsys):
+    # the first subspace header survives, its two rows do not
+    rc, err = analyze_truncated_bundle(tmp_path, capsys, 14)
+    assert (rc, err) == (3, "error: malformed code bundle: subspace 1 of 5: expected 2 rows, got 0\n")
+
+
+def test_bundle_truncated_generator_is_named(tmp_path, capsys):
+    # the generator header and two of its four rows
+    rc, err = analyze_truncated_bundle(tmp_path, capsys, 10)
+    assert (rc, err) == (3, "error: malformed code bundle: generator: expected 4 rows, got 2\n")
+
+
+def test_bundle_cut_after_generator_names_missing_section(tmp_path, capsys):
+    rc, err = analyze_truncated_bundle(tmp_path, capsys, 12)
+    assert (rc, err) == (3, "error: bundle missing the subspaces section\n")
+
+
 # --- verify --------------------------------------------------------------------
 
 
