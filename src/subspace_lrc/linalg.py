@@ -270,6 +270,23 @@ def vec_mat(v: tuple[int, ...], m: Mat) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _residual(field, n: int, rows, pivots, v: int) -> int:
+    """Packed length-n v minus its component at the pivots of reduced echelon
+    rows; zero iff v lies in their span."""
+    if field.q == 2:
+        for row, p in zip(rows, pivots):
+            if v >> p & 1:
+                v ^= row
+        return v
+    V = _vectors(field, n)
+    entry = V.layout.entry
+    for row, p in zip(rows, pivots):
+        f = entry(v, p)
+        if f:
+            v = V.add(v, V.scale(row, -f))
+    return v
+
+
 def _rref_rows(field, n: int, vectors, basis=(), pivots=(), *, top: bool = False):
     """Insert packed length-n vectors into a reduced echelon basis; returns (rows, pivots).
 
@@ -280,30 +297,19 @@ def _rref_rows(field, n: int, vectors, basis=(), pivots=(), *, top: bool = False
     is the reduced row echelon basis of the span, whatever the input order.
     """
     basis, pivots = list(basis), list(pivots)
-    if field.q == 2:
-        for v in vectors:
-            for row, p in zip(basis, pivots):
-                if v >> p & 1:
-                    v ^= row
-            if v:
-                c = v.bit_length() - 1 if top else (v & -v).bit_length() - 1
-                for i, row in enumerate(basis):
-                    if row >> c & 1:
-                        basis[i] = row ^ v
-                at = bisect(pivots, c)
-                basis.insert(at, v)
-                pivots.insert(at, c)
-        return basis, pivots
-    V = _vectors(field, n)
-    L = V.layout
-    entry, sym = L.entry, L.sym
+    V = None if field.q == 2 else _vectors(field, n)
     for v in vectors:
-        for row, p in zip(basis, pivots):
-            f = entry(v, p)
-            if f:
-                v = V.add(v, V.scale(row, -f))
-        if v:
-            c = (v.bit_length() - 1 if top else (v & -v).bit_length() - 1) // sym
+        v = _residual(field, n, basis, pivots, v)
+        if not v:
+            continue
+        if V is None:
+            c = v.bit_length() - 1 if top else (v & -v).bit_length() - 1
+            for i, row in enumerate(basis):
+                if row >> c & 1:
+                    basis[i] = row ^ v
+        else:
+            entry = V.layout.entry
+            c = (v.bit_length() - 1 if top else (v & -v).bit_length() - 1) // V.layout.sym
             lead = entry(v, c)
             if lead != 1:
                 v = V.scale(v, field.inv(lead))
@@ -311,26 +317,10 @@ def _rref_rows(field, n: int, vectors, basis=(), pivots=(), *, top: bool = False
                 f = entry(row, c)
                 if f:
                     basis[i] = V.add(row, V.scale(v, -f))
-            at = bisect(pivots, c)
-            basis.insert(at, v)
-            pivots.insert(at, c)
+        at = bisect(pivots, c)
+        basis.insert(at, v)
+        pivots.insert(at, c)
     return basis, pivots
-
-
-def _residual(s: "Subspace", v: int) -> int:
-    """v minus its component at the pivots of s; zero iff v lies in s."""
-    if s.field.q == 2:
-        for row, p in zip(s.rows, s.pivots):
-            if v >> p & 1:
-                v ^= row
-        return v
-    V = _vectors(s.field, s.ambient)
-    entry = V.layout.entry
-    for row, p in zip(s.rows, s.pivots):
-        f = entry(v, p)
-        if f:
-            v = V.add(v, V.scale(row, -f))
-    return v
 
 
 def _packed_rows(m: Mat) -> list[int]:
@@ -422,7 +412,8 @@ def null_space(m: Mat) -> Subspace:
     """
     L = _layout(m.field)
     reduced, pivots = _rref_rows(m.field, m.cols, _packed_rows(m), top=True)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    bound = set(pivots)
+    free = [c for c in range(m.cols) if c not in bound]
     sym, mask, one = L.sym, L.mask, _vectors(m.field, 1)
     kernel = {f: 1 << (f * sym) for f in free}
     for row, p in zip(reduced, pivots):
@@ -443,11 +434,12 @@ def _pack_vector(s: Subspace, v) -> int:
 
 def reduce_vector(s: Subspace, v: tuple[int, ...]) -> tuple[int, ...]:
     """Residual of v after eliminating the pivots of s; zero iff v is in s."""
-    return _layout(s.field).unpack(_residual(s, _pack_vector(s, v)), s.ambient)
+    x = _residual(s.field, s.ambient, s.rows, s.pivots, _pack_vector(s, v))
+    return _layout(s.field).unpack(x, s.ambient)
 
 
 def contains_vector(s: Subspace, v) -> bool:
-    return not _residual(s, _pack_vector(s, tuple(v)))
+    return not _residual(s.field, s.ambient, s.rows, s.pivots, _pack_vector(s, tuple(v)))
 
 
 def _sum(a: Subspace, b: Subspace) -> Subspace:
@@ -473,7 +465,7 @@ def contains_subspace(s: Subspace, t: Subspace) -> bool:
     if not set(t.pivots).issubset(s.pivots):
         return False
     for v in t.rows:
-        if _residual(s, v):
+        if _residual(s.field, s.ambient, s.rows, s.pivots, v):
             return False
     return True
 
@@ -488,7 +480,8 @@ def solve(m: Mat, rhs: tuple[int, ...]):
     if len(rhs) != m.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
     L = _layout(m.field)
-    rows, pivots = _rref_rows(m.field, m.cols + 1, [L.pack(tuple(r) + (y,)) for r, y in zip(m.rows, rhs)])
+    augmented = [L.pack(tuple(r) + (y,)) for r, y in zip(m.rows, rhs)]
+    rows, pivots = _rref_rows(m.field, m.cols + 1, augmented)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [0] * m.cols
@@ -536,8 +529,8 @@ def _subset_sums(subspaces, columns, size: int):
 
     Partial sums of the current subset's prefixes stay on a stack and are
     shared with the next subset: a singleton's sum is its subspace, each
-    deeper element costs one subspace_sum, and a prefix that already spans
-    the ambient space is carried without reduction.
+    deeper element costs one sum, and a prefix that already spans the
+    ambient space is carried without reduction (_sum returns it).
     """
     stack: list[Subspace] = []
     prev = (-1,) * size
@@ -547,12 +540,7 @@ def _subset_sums(subspaces, columns, size: int):
             k += 1
         del stack[k:]
         for m in subset[k:]:
-            if not stack:
-                stack.append(subspaces[m])
-            elif stack[-1].dim == stack[-1].ambient:
-                stack.append(stack[-1])
-            else:
-                stack.append(_sum(stack[-1], subspaces[m]))
+            stack.append(_sum(stack[-1], subspaces[m]) if stack else subspaces[m])
         prev = subset
         yield subset, stack[-1]
 

@@ -121,10 +121,6 @@ def _target(code: ArrayCode, column: int, row: int | None) -> Subspace:
     return Subspace.from_span(code.field, code.M, [code.column_vector(row, column)])
 
 
-def _holds(code: ArrayCode, span: Subspace, target: Subspace) -> bool:
-    return span.dim == code.M or contains_subspace(span, target)
-
-
 def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     """First helper set in (size, lex) order whose sum holds each target.
 
@@ -141,7 +137,7 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
         for subset, span in _subset_sums(code.subspaces, columns, size):
             hit = False
             for k in pending:
-                if targets[k][0] not in subset and _holds(code, span, subs[k]):
+                if targets[k][0] not in subset and contains_subspace(span, subs[k]):
                     found[k] = subset
                     hit = True
             if hit:
@@ -187,7 +183,7 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
                 if column in subset:
                     continue
                 held = bool(valid[k]) and any(f in valid[k] for f in faces)
-                if not held and _holds(code, span, subs[k]):
+                if not held and contains_subspace(span, subs[k]):
                     pools[k].append(subset)
                     held = True
                 if held and size < r:
