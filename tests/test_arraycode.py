@@ -225,8 +225,8 @@ def test_weight_scan_makes_no_field_call_per_gray_step(monkeypatch):
     """Field calls in a scan pay for scaling rows only, never per codeword.
 
     spread q=2 M=8 b=2 has 256 codewords and 85 thick columns; a per-symbol
-    scan makes thousands of add calls, the packed scan one mul per nonzero
-    generator entry and one sub per step-table entry.
+    scan makes thousands of add calls, the packed scan at most one mul per
+    nonzero generator entry and one sub per step-table entry.
     """
     code = construction_spread(F2, 8, 2)
     calls = {"add": 0, "mul": 0, "sub": 0}
