@@ -21,10 +21,13 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
+
+
+_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 class _Layout:
@@ -61,13 +64,6 @@ class _Layout:
         # the element a packed entry stands for; None when they coincide
         self.element = {v: x for x, v in enumerate(spread)} if self.odd and k > 1 else None
         self._terms: dict[int, tuple] = {}
-        # the entries held by each byte value, when entries tile a byte
-        per = 8 // self.sym if 8 % self.sym == 0 else 0
-        el = self.element or {}
-        self._bytes = [
-            tuple(el.get(f, f) for f in ((b >> (i * self.sym)) & self.mask for i in range(per)))
-            for b in range(256)
-        ] if per else None
 
     def pack(self, v, b: int = 1, width: int | None = None) -> int:
         """Entry i*b + j of v at bit i*width + j*sym (width defaults to b*sym)."""
@@ -85,9 +81,10 @@ class _Layout:
         return out
 
     def unpack(self, x: int, n: int) -> tuple[int, ...]:
-        if self._bytes is not None:
-            data = x.to_bytes((n * self.sym + 7) // 8, "little")
-            return tuple(chain.from_iterable(map(self._bytes.__getitem__, data)))[:n]
+        if self.sym in (1, 4):
+            # one binary or hexadecimal digit per entry, entry 0 last
+            text = format(x, "b" if self.sym == 1 else "x")[::-1].ljust(n, "0")[:n]
+            return tuple(text.encode().translate(_DIGITS))
         return tuple(self.entry(x, c) for c in range(n))
 
     def entry(self, x: int, c: int) -> int:
