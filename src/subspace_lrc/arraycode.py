@@ -46,7 +46,6 @@ from .linalg import (
     _Slots,
     _layout,
     _subset_sums,
-    column_space,
     format_matrix,
     null_space,
     parse_matrix,
@@ -366,15 +365,9 @@ def dual(code: ArrayCode) -> ArrayCode:
     if kernel.dim == 0:
         raise BadParams("dual code is trivial (generator has full column count)")
     gen = Mat(code.field, kernel.basis, code.b * code.n)
+    flat, b = gen.transpose().rows, code.b  # thick column j spans flat[j*b : (j+1)*b]
     subspaces = tuple(
-        column_space(
-            Mat(
-                code.field,
-                tuple(tuple(r[c] for c in range(j * code.b, (j + 1) * code.b)) for r in gen.rows),
-                code.b,
-            )
-        )
-        for j in range(code.n)
+        Subspace.from_span(code.field, kernel.dim, flat[j * b : (j + 1) * b]) for j in range(code.n)
     )
     return ArrayCode(
         code.field,
@@ -624,8 +617,9 @@ def parse_bundle(text: str) -> ArrayCode:
     code = ArrayCode(field, b, n, M, gen, tuple(subs), provenance)
     if rank(gen) != M:
         raise Inconsistent(f"generator rank {rank(gen)} differs from declared dimension {M}")
+    flat = gen.transpose().rows  # the generator's columns, b per thick column
     for j, s in enumerate(code.subspaces):
-        if column_space(code.thick_column(j)) != s:
+        if Subspace.from_span(field, M, flat[j * b : (j + 1) * b]) != s:
             raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
     return code
 
