@@ -488,34 +488,37 @@ def grassmann_pairing(field, M: int, *, limit=None) -> list[PairingResult]:
     if M < 2:
         raise BadParams(f"pairing needs 2-dim subspaces, got M={M}")
     grass = enumerate_grassmannian(field, M, 2, limit=limit)
+    bases = [s.basis for s in grass]
     points = [projective_points(s) for s in grass]
     through: dict[tuple, list[int]] = {}
     for idx, pts in enumerate(points):
         for p in pts:
             through.setdefault(p, []).append(idx)
     return [
-        _pairing(field, grass, t_idx, [through[p] for p in points[t_idx]])
+        _pairing(field, grass, bases, t_idx, [through[p] for p in points[t_idx]])
         for t_idx in range(len(grass))
     ]
 
 
-def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
-    """The pair family of target grass[t_idx]; lines[i] lists the subspaces
-    through the target's i-th point, the target among them."""
+def _pairing(field, grass, bases, t_idx: int, lines) -> PairingResult:
+    """The pair family of target grass[t_idx]; bases[i] is grass[i].basis, and
+    lines[i] lists the subspaces through the target's i-th point, the target
+    among them."""
     target, q, M = grass[t_idx], field.q, grass[t_idx].ambient
     meet_classes = [[i for i in cls if i != t_idx] for cls in lines]
     met = {i for cls in lines for i in cls}
     disjoint_classes: dict[tuple, dict[tuple, int]] = {}
-    for idx, w in enumerate(grass):
+    for idx, basis in enumerate(bases):
         if idx in met:
             continue
         # w = graph of a map from its projection ubar (off the target's
         # pivots) into the target: reduce [u | w] to read ubar's canonical
         # basis and, at the target's pivots, the map's coordinates
-        split = Subspace.from_span(field, 2 * M, [reduce_vector(target, r) + r for r in w.basis])
+        split = Subspace.from_span(field, 2 * M, [reduce_vector(target, r) + r for r in basis])
         assert split.pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
-        ubar = tuple(row[:M] for row in split.basis)
-        key = tuple(tuple(row[M + p] for p in target.pivots) for row in split.basis)
+        split_basis = split.basis
+        ubar = tuple(row[:M] for row in split_basis)
+        key = tuple(tuple(row[M + p] for p in target.pivots) for row in split_basis)
         disjoint_classes.setdefault(ubar, {})[key] = idx
 
     pairs: list[tuple[int, int]] = []
