@@ -444,18 +444,16 @@ def contains_vector(s: Subspace, v) -> bool:
     return not _residual(s.field, s.ambient, s.rows, s.pivots, _pack_vector(s, tuple(v)))
 
 
-def _sum(a: Subspace, b: Subspace) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """The canonical sum; the smaller basis is inserted into the larger, and
+    a summand that already spans the ambient space is returned as it is."""
+    _check_same_space(a, b)
     if len(a.rows) < len(b.rows):
         a, b = b, a
     if not b.rows or len(a.rows) == a.ambient:
         return a
     rows, pivots = _rref_rows(a.field, a.ambient, b.rows, a.rows, a.pivots)
     return Subspace(a.field, a.ambient, tuple(rows), tuple(pivots))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_space(a, b)
-    return _sum(a, b)
 
 
 def contains_subspace(s: Subspace, t: Subspace) -> bool:
@@ -531,8 +529,8 @@ def _subset_sums(subspaces, columns, size: int):
 
     Partial sums of the current subset's prefixes stay on a stack and are
     shared with the next subset: a singleton's sum is its subspace, each
-    deeper element costs one sum, and a prefix that already spans the
-    ambient space is carried without reduction (_sum returns it).
+    deeper element costs one subspace_sum, and a prefix that already spans
+    the ambient space is carried without reduction (the sum returns it).
     """
     stack: list[Subspace] = []
     prev = (-1,) * size
@@ -542,7 +540,7 @@ def _subset_sums(subspaces, columns, size: int):
             k += 1
         del stack[k:]
         for m in subset[k:]:
-            stack.append(_sum(stack[-1], subspaces[m]) if stack else subspaces[m])
+            stack.append(subspace_sum(stack[-1], subspaces[m]) if stack else subspaces[m])
         prev = subset
         yield subset, stack[-1]
 
