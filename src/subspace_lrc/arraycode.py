@@ -365,18 +365,22 @@ def dual(code: ArrayCode) -> ArrayCode:
     if kernel.dim == 0:
         raise BadParams("dual code is trivial (generator has full column count)")
     gen = Mat(code.field, kernel.basis, code.b * code.n)
-    flat, b = gen.transpose().rows, code.b  # thick column j spans flat[j*b : (j+1)*b]
-    subspaces = tuple(
-        Subspace.from_span(code.field, kernel.dim, flat[j * b : (j + 1) * b]) for j in range(code.n)
-    )
     return ArrayCode(
         code.field,
         code.b,
         code.n,
         kernel.dim,
         gen,
-        subspaces,
+        _thick_column_spans(gen, code.b),
         f"dual({code.provenance})",
+    )
+
+
+def _thick_column_spans(gen: Mat, b: int) -> tuple[Subspace, ...]:
+    """The span of each thick column (b consecutive generator columns)."""
+    flat = gen.transpose().rows
+    return tuple(
+        Subspace.from_span(gen.field, gen.nrows, flat[j : j + b]) for j in range(0, gen.cols, b)
     )
 
 
@@ -617,9 +621,8 @@ def parse_bundle(text: str) -> ArrayCode:
     code = ArrayCode(field, b, n, M, gen, tuple(subs), provenance)
     if rank(gen) != M:
         raise Inconsistent(f"generator rank {rank(gen)} differs from declared dimension {M}")
-    flat = gen.transpose().rows  # the generator's columns, b per thick column
-    for j, s in enumerate(code.subspaces):
-        if Subspace.from_span(field, M, flat[j * b : (j + 1) * b]) != s:
+    for j, (span, s) in enumerate(zip(_thick_column_spans(gen, b), code.subspaces)):
+        if span != s:
             raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
     return code
 

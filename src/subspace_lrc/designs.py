@@ -22,7 +22,6 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
-    _layout,
     contains_subspace,
     enumerate_vectors,
     intersection_dim,
@@ -403,8 +402,7 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     n = b + m
 
     point_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
-    pack = _layout(field).pack
-    points = tuple(Subspace(field, n, (pack(v),), (v.index(1),)) for v in point_reps)
+    points = tuple(Subspace.from_rref(field, n, (v,), (v.index(1),)) for v in point_reps)
     key_of = {}
     group_keys = []
     groups: list[list[int]] = []

@@ -27,9 +27,6 @@ from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
 
 
-_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
 class _Layout:
     """Digit-slot packing of the elements of one field.
 
@@ -81,10 +78,6 @@ class _Layout:
         return out
 
     def unpack(self, x: int, n: int) -> tuple[int, ...]:
-        if self.sym in (1, 4):
-            # one binary or hexadecimal digit per entry, entry 0 last
-            text = format(x, "b" if self.sym == 1 else "x")[::-1].ljust(n, "0")[:n]
-            return tuple(text.encode().translate(_DIGITS))
         return tuple(self.entry(x, c) for c in range(n))
 
     def entry(self, x: int, c: int) -> int:
@@ -355,6 +348,10 @@ class Subspace:
     ambient: int
     rows: tuple[int, ...]
     pivots: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rows and type(self.rows[0]) is not int:
+            raise TypeError("Subspace rows are packed ints; build from vectors with from_span or from_rref")
 
     @staticmethod
     def from_span(field, ambient: int, vectors) -> "Subspace":

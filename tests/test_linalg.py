@@ -142,6 +142,14 @@ def test_zero_subspace():
     assert subspace_sum(z, z) == z
 
 
+def test_subspace_constructor_takes_packed_rows():
+    s = Subspace.from_rref(F3, 3, [(1, 0, 2)], (0,))
+    assert s == Subspace.from_span(F3, 3, [(2, 0, 1)])
+    assert s.basis == ((1, 0, 2),)
+    with pytest.raises(TypeError, match="from_span or from_rref"):
+        Subspace(F3, 3, ((1, 0, 2),), (0,))
+
+
 def test_contains_and_membership_exhaustive():
     s = Subspace.from_span(F3, 3, [(1, 0, 2), (0, 1, 1)])
     members = set(enumerate_vectors(s))
