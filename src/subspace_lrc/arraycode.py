@@ -24,6 +24,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AmbientMismatch,
@@ -86,6 +87,11 @@ class ArrayCode:
         if not 0 <= j < self.n:
             raise OutOfRange(f"column {j} outside 0..{self.n - 1}")
         return self.generator.column(j * self.b + i)
+
+    @cached_property
+    def _repair_plans(self) -> dict:
+        """Erased column -> repair plan, filled by locality.repair on first use."""
+        return {}
 
 
 def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> ArrayCode:

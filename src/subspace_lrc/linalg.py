@@ -487,6 +487,35 @@ def solve(m: Mat, rhs: tuple[int, ...]):
     return tuple(x)
 
 
+class _Combiner:
+    """Coefficients x with sum_r x_r * vectors[r] = y, for many y and fixed vectors.
+
+    Each length-n vectors[r] is packed with the unit vector e_r appended, and
+    the rows are reduced once. Reducing [y | 0] by them leaves [y - x G | -x]
+    with x G the part of y in the span of the vectors: its first n entries
+    are zero exactly when y lies in that span, and the tail is then -x for
+    one solution x, the only one when the vectors are independent.
+    """
+
+    def __init__(self, field, n: int, vectors):
+        self.field, self.n, self.count = field, n, len(vectors)
+        L = _layout(field)
+        self.low = (1 << (n * L.sym)) - 1
+        packed = [L.pack(v) | 1 << ((n + r) * L.sym) for r, v in enumerate(vectors)]
+        self.rows, self.pivots = _rref_rows(field, n + self.count, packed)
+
+    def solve(self, y) -> tuple[int, ...] | None:
+        """One solution for the length-n y, or None when y is outside the span."""
+        L = _layout(self.field)
+        v = _residual(self.field, self.n + self.count, self.rows, self.pivots, L.pack(y))
+        if v & self.low:
+            return None
+        tail = v >> (self.n * L.sym)
+        if L.odd:
+            tail = _vectors(self.field, self.count).scale(tail, -1)
+        return L.unpack(tail, self.count)
+
+
 def _combinations(s: Subspace, rows):
     """Packed sums of coeffs[i] * rows[i] over coeffs in lexicographic order."""
     V = _vectors(s.field, s.ambient)

@@ -26,6 +26,7 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _Combiner,
     _subset_sums,
     contains_subspace,
     projective_points,
@@ -568,12 +569,42 @@ class RepairResult:
     message: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class _RepairPlan:
+    """What repairing one column of a code needs beyond the received array.
+
+    decoder writes the surviving symbols as a message times the generator
+    rows restricted to the survivors; witness is the node's smallest recovery
+    set, or None with the engine's NoRecovery text in failure; targets are the
+    node's generator columns.
+    """
+
+    decoder: _Combiner
+    witness: RecoverySet | None
+    failure: str
+    targets: tuple[tuple[int, ...], ...]
+
+
+def _repair_plan(code: ArrayCode, column: int) -> _RepairPlan:
+    lo, hi = column * code.b, (column + 1) * code.b
+    rows = [r[:lo] + r[hi:] for r in code.generator.rows]
+    decoder = _Combiner(code.field, (code.n - 1) * code.b, rows)
+    try:
+        witness, failure = min_node_recovery(code, column), ""
+    except NoRecovery as exc:
+        witness, failure = None, str(exc)
+    targets = tuple(code.column_vector(i, column) for i in range(code.b))
+    return _RepairPlan(decoder, witness, failure, targets)
+
+
 def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
     """Rebuild one column of a codeword array from the surviving columns.
 
     The surviving columns must be consistent with some codeword; otherwise
     Inconsistent is raised. The rebuilt column comes from the smallest node
-    recovery set, and is cross-checked against the decoded message.
+    recovery set, and is cross-checked against the decoded message. The
+    recovery set and the decoder depend only on (code, column), so each code
+    builds them on the first request for a column and keeps them.
     """
     if array.nrows != code.b or array.cols != code.n:
         raise BadParams(
@@ -581,19 +612,17 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
         )
     if not 0 <= column < code.n:
         raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
-    rows = []
-    rhs = []
-    for m in range(code.n):
-        if m == column:
-            continue
-        for i in range(code.b):
-            rows.append(code.column_vector(i, m))
-            rhs.append(array.rows[i][m])
-    message = solve(Mat(code.field, tuple(rows), code.M), tuple(rhs))
+    plans = code._repair_plans
+    plan = plans.get(column)
+    if plan is None:
+        plan = plans[column] = _repair_plan(code, column)
+    survivors = [x for m, col in enumerate(zip(*array.rows)) if m != column for x in col]
+    message = plan.decoder.solve(survivors)
     if message is None:
         raise Inconsistent("surviving columns do not agree with any codeword")
-    rset = min_node_recovery(code, column)
-    restored = evaluate_recovery(code, rset, array)
-    expected = tuple(vec_dot(code.field, message, code.column_vector(i, column)) for i in range(code.b))
+    if plan.witness is None:
+        raise NoRecovery(plan.failure)
+    restored = evaluate_recovery(code, plan.witness, array)
+    expected = tuple(vec_dot(code.field, message, t) for t in plan.targets)
     assert restored == expected, "recovery functionals disagree with decoding"
-    return RepairResult(restored, rset, tuple(message))
+    return RepairResult(restored, plan.witness, message)

@@ -8,6 +8,7 @@ from subspace_lrc.gf import extension_new, field_new
 from subspace_lrc.linalg import (
     Mat,
     Subspace,
+    _Combiner,
     column_space,
     contains_subspace,
     contains_vector,
@@ -415,6 +416,29 @@ def test_kernel_matches_reference_on_random_matrices(field):
     for _ in range(40):
         nrows, cols = rng.randrange(0, 7), rng.randrange(1, 9)
         check_matrix_against_reference(field, random_rows(field, nrows, cols, rng), cols, rng)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_combiner_matches_reference_solve(field):
+    """_Combiner writes y as a combination of fixed vectors; the reference
+    solves the transposed system from scratch for each y."""
+    rng = random.Random(field.q * 7 + len(repr(field)))
+    for _ in range(30):
+        count, n = rng.randrange(1, 6), rng.randrange(1, 9)
+        vectors = random_rows(field, count, n, rng)
+        m = Mat(field, tuple(vectors), n)
+        combiner = _Combiner(field, n, vectors)
+        independent = len(reference_rref_rows(field, vectors, n)[1]) == count
+        x = tuple(rng.randrange(field.q) for _ in range(count))
+        for y in [vec_mat(x, m)] + [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]:
+            got = combiner.solve(y)
+            want = reference_solve(field, m.transpose().rows, count, y)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert vec_mat(got, m) == y
+                assert got == want or not independent
+    with pytest.raises(OutOfRange, match=f"^entry {field.q} outside field of order {field.q}$"):
+        _Combiner(field, 2, [(1, 0)]).solve((0, field.q))
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,8 +12,15 @@ from subspace_lrc.arraycode import (
     encode,
 )
 from subspace_lrc.designs import enumerate_grassmannian, gaussian
-from subspace_lrc import locality
-from subspace_lrc.errors import BadParams, Inconsistent, NoRecovery, OutOfRange, TooLarge
+from subspace_lrc import linalg, locality
+from subspace_lrc.errors import (
+    BadParams,
+    Inconsistent,
+    NoRecovery,
+    OutOfRange,
+    SubspaceCodeError,
+    TooLarge,
+)
 from subspace_lrc.gf import field_new
 from subspace_lrc.linalg import (
     Mat,
@@ -21,9 +29,11 @@ from subspace_lrc.linalg import (
     contains_vector,
     solve,
     subspace_sum,
+    vec_dot,
 )
 from subspace_lrc.locality import (
     RecoverySet,
+    RepairResult,
     _minimal_recovery_sets,
     code_node_availability,
     code_symbol_availability,
@@ -494,3 +504,145 @@ def test_no_recovery_names_first_unrecoverable_target():
         symbol_locality(code)
     with pytest.raises(NoRecovery, match=r"^node 5 has no recovery set of size <= 2$"):
         min_node_recovery(code, 4, max_size=2)
+
+
+# --- repair plans against the per-request path ----------------------------------
+# reference_repair is repair as it was before a code kept a plan per column:
+# every request solves all surviving equations and walks for the node's
+# recovery set afresh.
+
+
+def reference_repair(code, array, column):
+    if array.nrows != code.b or array.cols != code.n:
+        raise BadParams(f"array is {array.nrows}x{array.cols}, code is {code.b}x{code.n}")
+    if not 0 <= column < code.n:
+        raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
+    rows, rhs = [], []
+    for m in range(code.n):
+        if m == column:
+            continue
+        for i in range(code.b):
+            rows.append(code.column_vector(i, m))
+            rhs.append(array.rows[i][m])
+    message = solve(Mat(code.field, tuple(rows), code.M), tuple(rhs))
+    if message is None:
+        raise Inconsistent("surviving columns do not agree with any codeword")
+    rset = min_node_recovery(code, column)
+    restored = evaluate_recovery(code, rset, array)
+    expected = tuple(
+        vec_dot(code.field, message, code.column_vector(i, column)) for i in range(code.b)
+    )
+    assert restored == expected
+    return RepairResult(restored, rset, tuple(message))
+
+
+def _outcome(fn, code, array, column):
+    try:
+        res = fn(code, array, column)
+    except SubspaceCodeError as exc:
+        return type(exc), str(exc)
+    return res.column, res.used, res.message
+
+
+def _received(code, message, column, rng, corrupt=False):
+    """The codeword of message with garbage in column and, if corrupt, one
+    surviving symbol changed."""
+    q = code.field.q
+    rows = [list(r) for r in encode(code, message).rows]
+    for r in rows:
+        r[column] = rng.randrange(q)
+    if corrupt:
+        m = rng.choice([x for x in range(code.n) if x != column])
+        i = rng.randrange(code.b)
+        rows[i][m] = rng.choice([v for v in range(q) if v != rows[i][m]])
+    return Mat.from_rows(code.field, [tuple(r) for r in rows])
+
+
+REPAIR_CODES = [
+    construction_spread(F2, 4, 2),
+    construction_spread(F3, 4, 2),
+    construction_std(F2, 1, 3, 6, "par"),
+    construction_all_subspaces(F4, 3, 2),
+    MIXED,
+]
+
+
+@pytest.mark.parametrize("code", REPAIR_CODES, ids=lambda c: c.provenance)
+def test_repair_matches_reference_on_one_code_object(code):
+    # one code object throughout, so every request after a column's first
+    # runs on the plan the first one built
+    rng = random.Random(code.n * 131 + code.field.q)
+    seen = set()
+    for _ in range(2):
+        for column in rng.sample(range(code.n), code.n):
+            for corrupt in (False, False, True):
+                message = [rng.randrange(code.field.q) for _ in range(code.M)]
+                array = _received(code, message, column, rng, corrupt)
+                got = _outcome(repair, code, array, column)
+                assert got == _outcome(reference_repair, code, array, column)
+                if not corrupt:
+                    assert got[2] == tuple(message)
+                seen.add(got[0] if isinstance(got[0], type) else "repaired")
+    assert seen == {"repaired", Inconsistent}
+    assert set(code._repair_plans) == set(range(code.n))
+    assert _outcome(repair, code, array, code.n) == _outcome(reference_repair, code, array, code.n)
+    small = Mat.zero(code.field, code.b, code.n - 1)
+    assert _outcome(repair, code, small, 0) == _outcome(reference_repair, code, small, 0)
+
+
+def test_repair_rank_deficient_erasure_raises_engine_no_recovery():
+    # b = 1 blocks <e1>, <e2>, <e3>, <e1+e3>: without column 2 the others span
+    # only <e1, e3>, so node 2 has no recovery set, yet the survivors can
+    # still contradict one another
+    vecs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]
+    code = construction_from_blocks(F2, [Subspace.from_span(F2, 3, [v]) for v in vecs])
+    clean = encode(code, (1, 1, 1))
+    bad = Mat.from_rows(F2, [(1, 1, 1, 1)])  # x1 + x3 != the fourth symbol
+    text = "^node 2 has no recovery set of size <= 3$"
+    with pytest.raises(NoRecovery, match=text):
+        min_node_recovery(code, 1)
+    for _ in range(2):
+        with pytest.raises(Inconsistent):
+            repair(code, bad, 1)
+        with pytest.raises(NoRecovery, match=text):
+            repair(code, clean, 1)
+        for array in (clean, bad):
+            assert _outcome(repair, code, array, 1) == _outcome(reference_repair, code, array, 1)
+
+
+def test_repair_out_of_range_survivor_on_first_and_repeated_request():
+    code = construction_spread(F2, 4, 2)
+    word = encode(code, (1, 0, 1, 1))
+    rows = [list(r) for r in word.rows]
+    rows[1][2] = 2
+    array = Mat(F2, tuple(tuple(r) for r in rows), code.n)
+    for _ in range(2):
+        with pytest.raises(OutOfRange, match="^entry 2 outside field of order 2$"):
+            repair(code, array, 0)
+    assert _outcome(repair, code, array, 0) == _outcome(reference_repair, code, array, 0)
+    # the erased column is never read, so an entry out of range there is ignored
+    assert repair(code, array, 2).column == word.column(2)
+
+
+def test_repeated_repair_makes_no_search_and_no_elimination(monkeypatch):
+    """A second request for the same (code, column) runs on the plan alone."""
+    code = construction_spread(F3, 4, 2)
+    calls = {"_witnesses": 0, "_rref_rows": 0}
+    for module, name in ((locality, "_witnesses"), (linalg, "_rref_rows")):
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(5)
+    repair(code, _received(code, (1, 2, 0, 1), 3, rng), 3)
+    assert calls["_witnesses"] == 1 and calls["_rref_rows"] > 0
+    for message, corrupt in (((2, 2, 1, 0), False), ((0, 1, 1, 2), True)):
+        calls.update(_witnesses=0, _rref_rows=0)
+        array = _received(code, message, 3, rng, corrupt)
+        assert _outcome(repair, code, array, 3)[0] == (Inconsistent if corrupt else encode(code, message).column(3))
+        assert calls == {"_witnesses": 0, "_rref_rows": 0}
+    repair(code, _received(code, (1, 2, 0, 1), 0, rng), 0)
+    assert calls["_witnesses"] == 1 and calls["_rref_rows"] > 0
