@@ -430,7 +430,8 @@ def test_combiner_matches_reference_solve(field):
         combiner = _Combiner(field, n, vectors)
         independent = len(reference_rref_rows(field, vectors, n)[1]) == count
         x = tuple(rng.randrange(field.q) for _ in range(count))
-        for y in [vec_mat(x, m)] + [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]:
+        ys = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
+        for y in [vec_mat(x, m)] + ys:
             got = combiner.solve(y)
             want = reference_solve(field, m.transpose().rows, count, y)
             assert (got is None) == (want is None)

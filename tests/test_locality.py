@@ -642,7 +642,8 @@ def test_repeated_repair_makes_no_search_and_no_elimination(monkeypatch):
     for message, corrupt in (((2, 2, 1, 0), False), ((0, 1, 1, 2), True)):
         calls.update(_witnesses=0, _rref_rows=0)
         array = _received(code, message, 3, rng, corrupt)
-        assert _outcome(repair, code, array, 3)[0] == (Inconsistent if corrupt else encode(code, message).column(3))
+        want = Inconsistent if corrupt else encode(code, message).column(3)
+        assert _outcome(repair, code, array, 3)[0] == want
         assert calls == {"_witnesses": 0, "_rref_rows": 0}
     repair(code, _received(code, (1, 2, 0, 1), 0, rng), 0)
     assert calls["_witnesses"] == 1 and calls["_rref_rows"] > 0
