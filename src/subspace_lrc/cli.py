@@ -8,6 +8,7 @@ deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -293,28 +294,58 @@ def _cmd_verify(args) -> int:
     return 0 if suite.ok else 1
 
 
+@contextlib.contextmanager
+def _naming(path: str, several: bool):
+    """With several arrays, an error's text starts with the array it concerns."""
+    try:
+        yield
+    except (SubspaceCodeError, ValueError) as exc:
+        if not several:
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _cmd_repair(args) -> int:
+    # Several --array files are stripes of one code with the same column
+    # erased, as when a node fails: one code object repairs them all, so its
+    # repair plan for the column is built once.
     code = read_bundle(args.bundle)
-    with open(args.array, "r", encoding="utf-8") as fh:
-        array = parse_matrix(fh.read(), code.field)
+    several = len(args.array) > 1
+    arrays = []
+    for path in args.array:
+        with _naming(path, several), open(path, "r", encoding="utf-8") as fh:
+            arrays.append(parse_matrix(fh.read(), code.field))
     if not 1 <= args.column <= code.n:
         raise OutOfRange(f"column {args.column} outside 1..{code.n}")
-    result = repair(code, array, args.column - 1)
+    results = []
+    for path, array in zip(args.array, arrays):
+        with _naming(path, several):
+            results.append(repair(code, array, args.column - 1))
     if args.format == "json":
-        doc = {
-            "column": args.column,
-            "restored": list(result.column),
-            "recovery_set": [c + 1 for c in result.used.columns],
-            "contacted_nodes": result.used.size,
-            "message": list(result.message),
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        docs = [
+            {
+                "column": args.column,
+                "restored": list(result.column),
+                "recovery_set": [c + 1 for c in result.used.columns],
+                "contacted_nodes": result.used.size,
+                "message": list(result.message),
+            }
+            for result in results
+        ]
+        if several:
+            for path, doc in zip(args.array, docs):
+                doc["array"] = path
+        text = json.dumps(docs if several else docs[0], indent=2, sort_keys=True) + "\n"
     else:
-        text = (
+        blocks = [
             f"restored column {args.column}: ({', '.join(str(x) for x in result.column)})\n"
             f"recovery set: columns {sorted(c + 1 for c in result.used.columns)}\n"
             f"contacted nodes: {result.used.size}\n"
-        )
+            for result in results
+        ]
+        if several:
+            blocks = [f"array {path}\n{block}" for path, block in zip(args.array, blocks)]
+        text = "\n".join(blocks)
     _emit(args, text)
     return 0
 
@@ -406,7 +437,12 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_rep.add_argument("bundle", help="bundle file from construct")
-    p_rep.add_argument("--array", required=True, help="received codeword array (matrix text)")
+    p_rep.add_argument(
+        "--array",
+        action="append",
+        required=True,
+        help="received codeword array (matrix text); repeat for more stripes of the code",
+    )
     p_rep.add_argument("--column", type=int, required=True, help="erased column, 1-based")
     p_rep.add_argument("-o", "--output", default=None, help="result path (default stdout)")
     p_rep.add_argument("--format", choices=["json", "text"], default="text")

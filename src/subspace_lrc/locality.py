@@ -569,32 +569,24 @@ class RepairResult:
     message: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _RepairPlan:
     """What repairing one column of a code needs beyond the received array.
 
     decoder writes the surviving symbols as a message times the generator
-    rows restricted to the survivors; witness is the node's smallest recovery
-    set, or None with the engine's NoRecovery text in failure; targets are the
-    node's generator columns.
+    rows restricted to the survivors. witness is the node's smallest recovery
+    set, found after the first request that decodes, so a request the
+    decoder rejects makes no search.
     """
 
     decoder: _Combiner
-    witness: RecoverySet | None
-    failure: str
-    targets: tuple[tuple[int, ...], ...]
+    witness: RecoverySet | None = None
 
 
 def _repair_plan(code: ArrayCode, column: int) -> _RepairPlan:
     lo, hi = column * code.b, (column + 1) * code.b
     rows = [r[:lo] + r[hi:] for r in code.generator.rows]
-    decoder = _Combiner(code.field, (code.n - 1) * code.b, rows)
-    try:
-        witness, failure = min_node_recovery(code, column), ""
-    except NoRecovery as exc:
-        witness, failure = None, str(exc)
-    targets = tuple(code.column_vector(i, column) for i in range(code.b))
-    return _RepairPlan(decoder, witness, failure, targets)
+    return _RepairPlan(_Combiner(code.field, (code.n - 1) * code.b, rows))
 
 
 def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
@@ -604,7 +596,7 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
     Inconsistent is raised. The rebuilt column comes from the smallest node
     recovery set, and is cross-checked against the decoded message. The
     recovery set and the decoder depend only on (code, column), so each code
-    builds them on the first request for a column and keeps them.
+    keeps them per column for the requests that follow.
     """
     if array.nrows != code.b or array.cols != code.n:
         raise BadParams(
@@ -621,8 +613,8 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
     if message is None:
         raise Inconsistent("surviving columns do not agree with any codeword")
     if plan.witness is None:
-        raise NoRecovery(plan.failure)
+        plan.witness = min_node_recovery(code, column)
     restored = evaluate_recovery(code, plan.witness, array)
-    expected = tuple(vec_dot(code.field, message, t) for t in plan.targets)
+    expected = tuple(vec_dot(code.field, message, code.column_vector(i, column)) for i in range(code.b))
     assert restored == expected, "recovery functionals disagree with decoding"
     return RepairResult(restored, plan.witness, message)

@@ -22,7 +22,7 @@ from subspace_lrc import (
     read_bundle,
     format_bundle,
 )
-from subspace_lrc import cli
+from subspace_lrc import cli, locality
 from subspace_lrc.linalg import format_matrix
 
 F2 = field_new(2)
@@ -37,7 +37,7 @@ def spread_bundle(tmp_path):
     return str(path)
 
 
-def codeword_file(tmp_path, message=(1, 0, 1, 1), clobber=None):
+def codeword_file(tmp_path, message=(1, 0, 1, 1), clobber=None, name="array.txt"):
     """Write the encoded message as matrix text, optionally corrupting cells."""
     code = construction_spread(F2, 4, 2, "gabidulin-echelon")
     cw = encode(code, message)
@@ -48,7 +48,7 @@ def codeword_file(tmp_path, message=(1, 0, 1, 1), clobber=None):
     text = f"{cw.field.q} {cw.nrows} {cw.cols}\n" + "\n".join(
         " ".join(str(x) for x in row) for row in rows
     ) + "\n"
-    path = tmp_path / "array.txt"
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
 
@@ -409,6 +409,60 @@ def test_repair_wrong_shape_exits_2(tmp_path, capsys):
     bad.write_text("2 2 3\n1 0 0\n0 1 0\n")
     capsys.readouterr()
     assert cli.main(["repair", bundle, "--array", str(bad), "--column", "1"]) == 2
+
+
+def test_repair_several_arrays_share_one_plan(tmp_path, capsys, monkeypatch):
+    """Stripes with the same column erased: each is repaired as on its own,
+    and the code searches for the node's recovery set once."""
+    bundle = spread_bundle(tmp_path)
+    messages = [(1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1)]
+    paths = [
+        codeword_file(tmp_path, m, clobber=[(0, 2, 1)], name=f"stripe{k}.txt")
+        for k, m in enumerate(messages)
+    ]
+    singles = {}
+    for fmt in ("text", "json"):
+        for p in paths:
+            capsys.readouterr()
+            assert cli.main(["repair", bundle, "--array", p, "--column", "3", "--format", fmt]) == 0
+            singles[fmt, p] = capsys.readouterr().out
+    calls = []
+    search = locality._witnesses
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(locality, "_witnesses", counted)
+    argv = ["repair", bundle, "--column", "3"]
+    for p in paths:
+        argv += ["--array", p]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(f"array {p}\n" + singles["text", p] for p in paths)
+    assert len(calls) == 1
+    assert cli.main(argv + ["--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert [d.pop("array") for d in docs] == paths
+    assert docs == [json.loads(singles["json", p]) for p in paths]
+    assert [d["message"] for d in docs] == [list(m) for m in messages]
+
+
+def test_repair_several_arrays_error_names_the_array(tmp_path, capsys):
+    bundle = spread_bundle(tmp_path)
+    good = codeword_file(tmp_path, name="good.txt")
+    broken = codeword_file(tmp_path, clobber=[(0, 3, 0)], name="broken.txt")
+    short = tmp_path / "short.txt"
+    short.write_text("2 2 5\n1 0 0 1 1\n")
+    capsys.readouterr()
+    argv = ["repair", bundle, "--column", "3", "--array", good]
+    assert cli.main(argv + ["--array", broken]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {broken}: surviving columns do not agree with any codeword\n"
+    assert cli.main(argv + ["--array", str(short)]) == 2
+    assert capsys.readouterr().err == f"error: {short}: expected 2 rows, got 1\n"
+    # a single array keeps the message without its path
+    assert cli.main(["repair", bundle, "--column", "3", "--array", broken]) == 3
+    assert capsys.readouterr().err == "error: surviving columns do not agree with any codeword\n"
 
 
 # --- parser level --------------------------------------------------------------

@@ -625,7 +625,8 @@ def test_repair_out_of_range_survivor_on_first_and_repeated_request():
 
 
 def test_repeated_repair_makes_no_search_and_no_elimination(monkeypatch):
-    """A second request for the same (code, column) runs on the plan alone."""
+    """A second request for the same (code, column) runs on the plan alone,
+    and a request the decoder rejects makes no recovery-set search."""
     code = construction_spread(F3, 4, 2)
     calls = {"_witnesses": 0, "_rref_rows": 0}
     for module, name in ((locality, "_witnesses"), (linalg, "_rref_rows")):
@@ -637,8 +638,16 @@ def test_repeated_repair_makes_no_search_and_no_elimination(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     rng = random.Random(5)
+    # a first request that the decoder rejects searches for no recovery set
+    with pytest.raises(Inconsistent):
+        repair(code, _received(code, (1, 2, 0, 1), 3, rng, corrupt=True), 3)
+    rows = [list(r) for r in encode(code, (1, 2, 0, 1)).rows]
+    rows[0][0] = 3
+    with pytest.raises(OutOfRange):
+        repair(code, Mat(F3, tuple(tuple(r) for r in rows), code.n), 1)
+    assert calls["_witnesses"] == 0 and calls["_rref_rows"] > 0
     repair(code, _received(code, (1, 2, 0, 1), 3, rng), 3)
-    assert calls["_witnesses"] == 1 and calls["_rref_rows"] > 0
+    assert calls["_witnesses"] == 1
     for message, corrupt in (((2, 2, 1, 0), False), ((0, 1, 1, 2), True)):
         calls.update(_witnesses=0, _rref_rows=0)
         array = _received(code, message, 3, rng, corrupt)
