@@ -432,7 +432,7 @@ def main(argv=None) -> int:
 
     p_rep = sub.add_parser(
         "repair",
-        help="rebuild one erased column of a codeword array",
+        help="rebuild one erased column of one or more codeword arrays",
         epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
