@@ -144,7 +144,7 @@ def construction_spread(field, M: int, b: int, method: str = "gabidulin-echelon"
     )
 
 
-def construction_from_blocks(field, blocks, *, provenance: str | None = None) -> ArrayCode:
+def construction_from_blocks(field, blocks) -> ArrayCode:
     """Array code from a user-supplied block set (validated, not trusted)."""
     blocks = tuple(blocks)
     if not blocks:
@@ -160,9 +160,7 @@ def construction_from_blocks(field, blocks, *, provenance: str | None = None) ->
             seen.add(blk)
     b = dims.pop()
     M = blocks[0].ambient
-    return code_from_subspaces(
-        field, blocks, b, M, provenance or f"blocks q={field.q} M={M} b={b} count={len(blocks)}"
-    )
+    return code_from_subspaces(field, blocks, b, M, f"blocks q={field.q} M={M} b={b} count={len(blocks)}")
 
 
 def construction_std(
@@ -231,14 +229,13 @@ def _gray_digits(s: int, q: int, M: int) -> list[int]:
     return [(d[i] - d[i + 1]) % q for i in range(M)]
 
 
-def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | None = None):
+def _scan_range(field, rows, b: int, n: int, lo: int, hi: int):
     """Weight histogram of the messages with Gray indices in [lo, hi).
 
     Gray index s maps to the message whose i-th coordinate is the i-th
     modular Gray digit of s; step s flips digit v_q(s) up by one, so the
     running codeword needs one scaled row addition per step. Returns
-    (histogram, min nonzero weight or None); stop_at aborts the range scan
-    once a weight <= stop_at is seen (used only with a proven lower bound).
+    (histogram, min nonzero weight or None).
 
     The running codeword and every scaled generator row are single ints
     in the digit-slot layout of linalg._Layout: each symbol takes k slots
@@ -278,34 +275,27 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int, stop_at: int | No
         if g:
             flat = S.add(flat, times(r, g))
     counts = [0] * (n + 1)
-    w = ((flat + ones) & guards).bit_count()
-    counts[w] += 1
-    best = w if lo else n + 1  # Gray index 0 is the zero message
-    stop = -1 if stop_at is None else stop_at
-    if lo == 0 or best > stop:
-        for index in range(lo + 1, hi):
-            r = 0
-            x = index
-            while x % q == 0:
-                x //= q
-                r += 1
-            g = digits[r]
-            digits[r] = g + 1 if g + 1 < q else 0
-            row = scaled[r * q + step[g]] or times(r, step[g])
-            # S.add inlined: this loop runs q^M times
-            if odd:
-                t = flat + row
-                flat = t - (((t + carry) & high) >> shift) * p
-            else:
-                flat ^= row
-            w = ((flat + ones) & guards).bit_count()
-            counts[w] += 1
-            if w < best:
-                best = w
-                if w <= stop:
-                    break
+    counts[((flat + ones) & guards).bit_count()] += 1
+    for index in range(lo + 1, hi):
+        r = 0
+        x = index
+        while x % q == 0:
+            x //= q
+            r += 1
+        g = digits[r]
+        digits[r] = g + 1 if g + 1 < q else 0
+        row = scaled[r * q + step[g]] or times(r, step[g])
+        # S.add inlined: this loop runs q^M times
+        if odd:
+            t = flat + row
+            flat = t - (((t + carry) & high) >> shift) * p
+        else:
+            flat ^= row
+        counts[((flat + ones) & guards).bit_count()] += 1
     hist = {w: c for w, c in enumerate(counts) if c}
-    return hist, (best if best <= n else None)
+    if lo == 0:
+        counts[0] -= 1  # Gray index 0 is the zero message
+    return hist, next((w for w, c in enumerate(counts) if c), None)
 
 
 def _scan_worker(args):
@@ -315,18 +305,16 @@ def _scan_worker(args):
     return hist
 
 
-def weight_distribution(
-    code: ArrayCode, *, limit: int | None = None, chunks: int = 1, jobs: int = 1
-) -> dict[int, int]:
+def weight_distribution(code: ArrayCode, *, limit: int | None = None, jobs: int = 1) -> dict[int, int]:
     """Exact weight histogram over all q^M codewords.
 
-    chunks splits the Gray index space into independently scanned ranges
-    (merged by addition; the result is partition-independent); jobs > 1
-    fans the ranges over a process pool.
+    jobs > 1 splits the Gray index space into that many independently
+    scanned ranges (merged by addition; the result is partition-independent)
+    and fans them over a process pool.
     """
     total = code.field.q**code.M
     guard(total, f"scanning {total} codewords", limit)
-    chunks = max(chunks, jobs, 1)
+    chunks = max(jobs, 1)
     bounds = [total * i // chunks for i in range(chunks + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     rows = code.generator.rows
@@ -347,17 +335,11 @@ def weight_distribution(
     return dict(sorted(merged.items()))
 
 
-def min_distance(code: ArrayCode, *, limit: int | None = None, stop_at: int | None = None) -> int:
-    """Exact minimum weight over nonzero codewords.
-
-    stop_at, when given, must be a proven lower bound on the distance; the
-    scan then stops early as soon as it is attained.
-    """
+def min_distance(code: ArrayCode, *, limit: int | None = None) -> int:
+    """Exact minimum weight over nonzero codewords."""
     total = code.field.q**code.M
     guard(total, f"scanning {total} codewords", limit)
-    _, best = _scan_range(
-        code.field, code.generator.rows, code.b, code.n, 0, total, stop_at=stop_at
-    )
+    _, best = _scan_range(code.field, code.generator.rows, code.b, code.n, 0, total)
     assert best is not None
     return best
 
@@ -600,7 +582,7 @@ def parse_bundle(text: str) -> ArrayCode:
         """The matrix whose header is lines[pos], and the line after it."""
         head = lines[pos].split() if pos < len(lines) else []
         try:
-            end = pos + 1 + (int(head[1]) if len(head) == 3 else 0)
+            end = pos + 1 + (int(head[1]) if len(head) == 3 and head[1].isdecimal() else 0)
             return parse_matrix("\n".join(lines[pos:end]), field), end
         except ValueError as exc:
             raise Inconsistent(f"malformed code bundle: {what}: {exc}") from exc

@@ -56,7 +56,23 @@ def _read_blocks(field, path: str):
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
     if not chunks:
         raise BadParams(f"no matrix blocks found in {path}")
-    return [row_space(parse_matrix(chunk, field)) for chunk in chunks]
+    blocks = []
+    for k, chunk in enumerate(chunks, 1):
+        with _prefixed(f"block {k} of {len(chunks)}: "):
+            blocks.append(row_space(parse_matrix(chunk, field)))
+    return blocks
+
+
+def _count(low: int):
+    """argparse type: an integer of at least low."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def _require_params(args):
@@ -295,14 +311,14 @@ def _cmd_verify(args) -> int:
 
 
 @contextlib.contextmanager
-def _naming(path: str, several: bool):
-    """With several arrays, an error's text starts with the array it concerns."""
+def _prefixed(prefix: str):
+    """An error raised inside has its text prefixed, when the prefix is not empty."""
     try:
         yield
     except (SubspaceCodeError, ValueError) as exc:
-        if not several:
+        if not prefix:
             raise
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{prefix}{exc}") from exc
 
 
 def _cmd_repair(args) -> int:
@@ -311,15 +327,17 @@ def _cmd_repair(args) -> int:
     # repair plan for the column is built once.
     code = read_bundle(args.bundle)
     several = len(args.array) > 1
+    # with several arrays, an error names the array it concerns
+    names = {path: f"{path}: " if several else "" for path in args.array}
     arrays = []
     for path in args.array:
-        with _naming(path, several), open(path, "r", encoding="utf-8") as fh:
+        with _prefixed(names[path]), open(path, "r", encoding="utf-8") as fh:
             arrays.append(parse_matrix(fh.read(), code.field))
     if not 1 <= args.column <= code.n:
         raise OutOfRange(f"column {args.column} outside 1..{code.n}")
     results = []
     for path, array in zip(args.array, arrays):
-        with _naming(path, several):
+        with _prefixed(names[path]):
             results.append(repair(code, array, args.column - 1))
     if args.format == "json":
         docs = [
@@ -406,10 +424,15 @@ def main(argv=None) -> int:
     p_ana.add_argument(
         "--availability", action="store_true", help="include disjoint recovery counts (implies --locality)"
     )
-    p_ana.add_argument("--jobs", type=int, default=1, help="parallel weight-scan workers")
+    p_ana.add_argument(
+        "--jobs", type=_count(1), default=1, help="parallel weight-scan workers (>= 1)"
+    )
     p_ana.add_argument("--limit", type=int, default=None, help="enumeration cap override")
     p_ana.add_argument(
-        "--packing-cap", type=int, default=5000, help="candidate cap for the exact packing search"
+        "--packing-cap",
+        type=_count(0),
+        default=5000,
+        help="candidate cap for the exact packing search (>= 0)",
     )
     p_ana.set_defaults(func=_cmd_analyze)
 
@@ -423,7 +446,10 @@ def main(argv=None) -> int:
     p_ver.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.add_argument(
-        "--packing-cap", type=int, default=5000, help="candidate cap for the exact packing search"
+        "--packing-cap",
+        type=_count(0),
+        default=5000,
+        help="candidate cap for the exact packing search (>= 0)",
     )
     p_ver.add_argument(
         "--no-availability", action="store_true", help="skip availability checks"

@@ -9,6 +9,7 @@ exhaustive verifiers that re-check every defining property from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations, product
 
 from .errors import (
@@ -95,36 +96,6 @@ def enumerate_grassmannian(field, ambient: int, k: int, *, limit: int | None = N
 # --- rank-metric codes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MrdCode:
-    """A set of b x s matrices over GF(q) whose pairwise difference ranks all equal delta."""
-
-    field: object
-    b: int
-    s: int
-    delta: int
-    codewords: tuple[Mat, ...]
-
-
-def build_mrd_fullrank(field, b: int, s: int) -> MrdCode:
-    """The q^s matrices of shape b x s with pairwise rank distance exactly b.
-
-    Codeword for a in GF(q^s): row i is the expansion of a * y^i over the
-    power basis. Nonzero codewords are full-rank liftings of the principal
-    ideal a * span(1, .., y^(b-1)), which has b independent coordinates
-    whenever b <= s.
-    """
-    if not 1 <= b <= s:
-        raise BadParams(f"need 1 <= b <= s, got b={b}, s={s}")
-    ext = extension_new(field, s)
-    basis = ext.basis[:b]
-    codewords = []
-    for a in range(ext.q):
-        rows = tuple(ext.expand(ext.mul(a, g)) for g in basis)
-        codewords.append(Mat(field, rows, s))
-    return MrdCode(field, b, s, b, tuple(codewords))
-
-
 def build_gabidulin(ext: ExtensionContext, n: int, t: int) -> list[tuple[int, ...]]:
     """Evaluations of the q-degree-< t linearized polynomials at n basis points.
 
@@ -135,8 +106,8 @@ def build_gabidulin(ext: ExtensionContext, n: int, t: int) -> list[tuple[int, ..
     """
     if not 1 <= t <= n <= ext.degree:
         raise BadParams(f"need 1 <= t <= n <= extension degree, got t={t}, n={n}, degree={ext.degree}")
-    points = ext.basis[:n]
-    frob_powers = [[ext.frobenius(g, j) for g in points] for j in range(t)]
+    # column i of the evaluation: the q^j-th powers of basis point i
+    columns = [[ext.frobenius(g, j) for j in range(t)] for g in ext.basis[:n]]
     qm = ext.q
     codewords = []
     for tail_code in range(qm ** (t - 1)):
@@ -147,20 +118,29 @@ def build_gabidulin(ext: ExtensionContext, n: int, t: int) -> list[tuple[int, ..
             rest //= qm
         for a0 in range(qm):
             coeffs = [a0] + tail
-            word = tuple(
-                _ext_dot(ext, coeffs, [frob_powers[j][i] for j in range(t)])
-                for i in range(n)
-            )
-            codewords.append(word)
+            codewords.append(tuple(_ext_dot(ext, coeffs, col) for col in columns))
     return codewords
 
 
 def _ext_dot(ext, coeffs, values) -> int:
-    acc = 0
-    for c, v in zip(coeffs, values):
-        if c and v:
-            acc = ext.add(acc, ext.mul(c, v))
-    return acc
+    terms = [ext.mul(c, v) for c, v in zip(coeffs, values) if c and v]
+    return reduce(ext.add, terms) if terms else 0
+
+
+def _lifted_gabidulin(field, lead: int, b: int, m: int, t: int) -> list[Subspace]:
+    """The blocks rowspace([0_lead | I_b | A]) of GF(q)^(lead+b+m), in codeword order.
+
+    A runs over the b x m expansions of the codewords of
+    build_gabidulin(GF(q^m), b, t); blocks of two codewords at rank
+    distance b meet trivially.
+    """
+    ext = extension_new(field, m)
+    heads = [(0,) * lead + tuple(1 if i == r else 0 for i in range(b)) for r in range(b)]
+    pivots = range(lead, lead + b)
+    return [
+        Subspace.from_rref(field, lead + b + m, [h + ext.expand(x) for h, x in zip(heads, word)], pivots)
+        for word in build_gabidulin(ext, b, t)
+    ]
 
 
 def rank_distance(a: Mat, b: Mat) -> int:
@@ -201,9 +181,9 @@ def build_spread(field, M: int, b: int, method: str = "gabidulin-echelon") -> Sp
 
     gabidulin-echelon: echelon levels i = 0..M/b-1; level i holds the blocks
     rowspace([0 | I_b | A]) with the identity at columns b*i..b*i+b-1 and A
-    running over the full-rank-distance matrices of width M - b*(i+1); the
-    last level is the final unit subspace alone. Level block counts
-    telescope to (q^M - 1)/(q^b - 1).
+    running over the t = 1 Gabidulin codewords of width M - b*(i+1), the
+    lifted blocks build_std uses; the last level is the final unit
+    subspace alone. Level block counts telescope to (q^M - 1)/(q^b - 1).
 
     desarguesian: the lines of GF(q^b)^(M/b) expanded over GF(q).
     """
@@ -215,36 +195,23 @@ def build_spread(field, M: int, b: int, method: str = "gabidulin-echelon") -> Sp
     if method == "gabidulin-echelon":
         blocks: list[Subspace] = []
         units: list[int] = []
-        for level in range(levels):
-            s = M - b * (level + 1)
+        for level in range(levels - 1):
             units.append(len(blocks))
-            if s == 0:
-                blocks.append(_unit_subspace(field, M, b, level))
-                continue
-            mrd = build_mrd_fullrank(field, b, s)
-            for cw in mrd.codewords:
-                rows = []
-                for r in range(b):
-                    v = [0] * (b * level)
-                    v.extend(1 if i == r else 0 for i in range(b))
-                    v.extend(cw.rows[r])
-                    rows.append(tuple(v))
-                blocks.append(Subspace.from_rref(field, M, rows, range(b * level, b * level + b)))
+            blocks.extend(_lifted_gabidulin(field, b * level, b, M - b * (level + 1), 1))
+        units.append(len(blocks))
+        blocks.append(_unit_subspace(field, M, b, levels - 1))
         return SpreadDesign(field, M, b, method, tuple(blocks), tuple(units))
     if method == "desarguesian":
         ext = extension_new(field, b)
-        d = levels
         blocks = []
-        for lead in range(d):
-            for tail in product(range(ext.q), repeat=d - lead - 1):
-                w = (0,) * lead + (1,) + tail
-                rows = []
-                for lam in ext.basis:
-                    row: list[int] = []
-                    for coord in w:
-                        row.extend(ext.expand(ext.mul(lam, coord)))
-                    rows.append(tuple(row))
-                blocks.append(Subspace.from_span(field, M, rows))
+        for w in _projective_reps(ext, levels):
+            rows = []
+            for lam in ext.basis:
+                row: list[int] = []
+                for coord in w:
+                    row.extend(ext.expand(ext.mul(lam, coord)))
+                rows.append(tuple(row))
+            blocks.append(Subspace.from_span(field, M, rows))
         lookup = {blk: i for i, blk in enumerate(blocks)}
         units = tuple(lookup[_unit_subspace(field, M, b, level)] for level in range(levels))
         return SpreadDesign(field, M, b, method, tuple(blocks), units)
@@ -363,21 +330,38 @@ class TransversalDesign:
     coordinates. blocks: b-dim subspaces, each meeting every group exactly
     once. classes: index ranges partitioning the blocks so that every class
     covers every point exactly once.
+
+    Points and groups depend only on (field, b, m) and are built on first use.
     """
 
     field: object
     t: int
     b: int
     m: int
-    points: tuple[Subspace, ...]
-    group_keys: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[int, ...], ...]
     blocks: tuple[Subspace, ...]
     classes: tuple[tuple[int, ...], ...]
 
     @property
     def ambient(self) -> int:
         return self.b + self.m
+
+    @cached_property
+    def points(self) -> tuple[Subspace, ...]:
+        n = self.ambient
+        reps = [v for v in _projective_reps(self.field, n) if any(v[: self.b])]
+        return tuple(Subspace.from_rref(self.field, n, (v,), (v.index(1),)) for v in reps)
+
+    @cached_property
+    def group_keys(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_projective_reps(self.field, self.b))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        key_of = {key: i for i, key in enumerate(self.group_keys)}
+        groups: list[list[int]] = [[] for _ in self.group_keys]
+        for idx, p in enumerate(self.points):
+            groups[key_of[p.basis[0][: self.b]]].append(idx)
+        return tuple(tuple(g) for g in groups)
 
 
 def _projective_reps(field, n: int) -> list[tuple[int, ...]]:
@@ -398,45 +382,12 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     """
     if not 1 <= t <= b <= m:
         raise BadParams(f"need 1 <= t <= b <= m, got t={t}, b={b}, m={m}")
-    q = field.q
-    n = b + m
-
-    point_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
-    points = tuple(Subspace.from_rref(field, n, (v,), (v.index(1),)) for v in point_reps)
-    key_of = {}
-    group_keys = []
-    groups: list[list[int]] = []
-    for key in _projective_reps(field, b):
-        key_of[key] = len(group_keys)
-        group_keys.append(key)
-        groups.append([])
-    for idx, v in enumerate(point_reps):
-        groups[key_of[v[:b]]].append(idx)
-
-    ext = extension_new(field, m)
-    words = build_gabidulin(ext, b, t)
-    blocks = []
-    for word in words:
-        rows = []
-        for r in range(b):
-            head = tuple(1 if i == r else 0 for i in range(b))
-            rows.append(head + ext.expand(word[r]))
-        blocks.append(Subspace.from_rref(field, n, rows, range(b)))
-    class_size = ext.q
+    blocks = _lifted_gabidulin(field, 0, b, m, t)
+    class_size = field.q**m
     classes = tuple(
-        tuple(range(c * class_size, (c + 1) * class_size)) for c in range(len(words) // class_size)
+        tuple(range(c * class_size, (c + 1) * class_size)) for c in range(len(blocks) // class_size)
     )
-    return TransversalDesign(
-        field,
-        t,
-        b,
-        m,
-        points,
-        tuple(group_keys),
-        tuple(tuple(g) for g in groups),
-        tuple(blocks),
-        classes,
-    )
+    return TransversalDesign(field, t, b, m, tuple(blocks), classes)
 
 
 def _block_point_indices(block: Subspace, point_index) -> list[int]:

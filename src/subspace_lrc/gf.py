@@ -145,19 +145,43 @@ def _distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
+def _power_tables(q: int, mul) -> tuple[list[int], list[int]]:
+    """exp/log tables of GF(q) for the smallest generator of its multiplicative group."""
+    order = q - 1
+    factors = _distinct_prime_factors(order)
+
+    def power(a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
+    gen = next(c for c in range(1, q) if all(power(c, order // f) != 1 for f in factors))
+    exp = [1] * order
+    for i in range(1, order):
+        exp[i] = mul(exp[i - 1], gen)
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log
+
+
 class _PolyField:
     """Shared table-backed arithmetic for a degree-s extension of cf."""
 
-    def __init__(self, cf, degree: int, order_limit: int):
+    def __init__(self, cf, degree: int):
         self.cf = cf
         self.degree = degree
         self.q = cf.q**degree
-        if self.q > order_limit:
+        if self.q > DEFAULT_TABLE_LIMIT:
             raise OrderTooLarge(
-                f"field order {cf.q}^{degree} = {self.q} exceeds table limit {order_limit}"
+                f"field order {cf.q}^{degree} = {self.q} exceeds table limit {DEFAULT_TABLE_LIMIT}"
             )
         self.modulus = _smallest_irreducible(degree, cf)
-        self._exp, self._log = self._power_tables()
+        self._exp, self._log = _power_tables(self.q, self.raw_mul)
 
     def _encode(self, poly: tuple[int, ...]) -> int:
         return _from_digits(poly + (0,) * (self.degree - len(poly)), self.cf.q)
@@ -168,33 +192,6 @@ class _PolyField:
     def raw_mul(self, a: int, b: int) -> int:
         prod = _poly_mul(self._decode(a), self._decode(b), self.cf)
         return self._encode(_poly_mod(prod, self.modulus, self.cf))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.raw_mul(result, base)
-            base = self.raw_mul(base, base)
-            e >>= 1
-        return result
-
-    def _power_tables(self) -> tuple[list[int], list[int]]:
-        q = self.q
-        order = q - 1
-        factors = _distinct_prime_factors(order)
-        gen = None
-        for cand in range(1, q):
-            if all(self._raw_pow(cand, order // f) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None, "multiplicative group has a generator"
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = self.raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        return exp, log
 
     def add_fn(self):
         cf, degree = self.cf, self.degree
@@ -310,45 +307,26 @@ class FieldContext(_FieldOps):
     term first (for m = 1 it is x itself, i.e. (0, 1)).
     """
 
-    def __init__(self, p: int, m: int, *, table_limit: int | None = None):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if m < 1:
             raise OutOfRange(f"extension degree must be >= 1, got {m}")
-        limit = DEFAULT_TABLE_LIMIT if table_limit is None else table_limit
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > limit:
-            raise OrderTooLarge(f"field order {p}^{m} = {self.q} exceeds table limit {limit}")
+        if self.q > DEFAULT_TABLE_LIMIT:
+            raise OrderTooLarge(f"field order {p}^{m} = {self.q} exceeds table limit {DEFAULT_TABLE_LIMIT}")
         if m == 1:
             self.modulus = (0, 1)
-            exp, log = self._prime_power_tables(p)
+            exp, log = _power_tables(p, lambda a, b: a * b % p)
             add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
             neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
             self._init_ops(add, neg, exp, log)
         else:
-            engine = _PolyField(FieldContext(p, 1), m, limit)
+            engine = _PolyField(FieldContext(p, 1), m)
             self.modulus = engine.modulus
             self._init_ops(engine.add_fn(), engine.neg_fn(), engine._exp, engine._log)
-
-    @staticmethod
-    def _prime_power_tables(p: int) -> tuple[list[int], list[int]]:
-        order = p - 1
-        factors = _distinct_prime_factors(order)
-        gen = None
-        for cand in range(1, p):
-            if all(pow(cand, order // f, p) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = (exp[i - 1] * gen) % p
-        log = [0] * p
-        for i, v in enumerate(exp):
-            log[v] = i
-        return exp, log
 
     def descriptor(self) -> str:
         return f"gf({self.p})" if self.m == 1 else f"gf({self.p}^{self.m})"
@@ -370,15 +348,14 @@ class ExtensionContext(_FieldOps):
     returns the base-q digit vector of an element, recombine inverts it.
     """
 
-    def __init__(self, base, degree: int, *, table_limit: int | None = None):
+    def __init__(self, base, degree: int):
         if degree < 1:
             raise OutOfRange(f"extension degree must be >= 1, got {degree}")
-        limit = DEFAULT_TABLE_LIMIT if table_limit is None else table_limit
         self.base = base
         self.degree = degree
         self.p = base.p
         self.q = base.q**degree
-        engine = _PolyField(base, degree, limit)
+        engine = _PolyField(base, degree)
         self.modulus = engine.modulus
         self._init_ops(engine.add_fn(), engine.neg_fn(), engine._exp, engine._log)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
@@ -571,26 +571,6 @@ def _subset_sums(subspaces, columns, size: int):
         yield subset, stack[-1]
 
 
-def coset_representatives(s: Subspace, *, limit: int | None = None) -> list[tuple[int, ...]]:
-    """The lexicographically smallest representative of every coset of s.
-
-    A vector is the smallest element of its coset exactly when all its pivot
-    coordinates (pivots of the canonical basis of s) are zero, so the
-    representatives are the q^(ambient-dim) vectors supported on the free
-    coordinates, enumerated in lexicographic vector order.
-    """
-    q = s.field.q
-    free = [c for c in range(s.ambient) if c not in set(s.pivots)]
-    guard(q ** len(free), "enumerating coset representatives", limit)
-    out = []
-    for assignment in product(range(q), repeat=len(free)):
-        v = [0] * s.ambient
-        for pos, val in zip(free, assignment):
-            v[pos] = val
-        out.append(tuple(v))
-    return out
-
-
 # --- matrix text format -----------------------------------------------------
 # Header line "q rows cols", then one line of element encodings per row.
 
@@ -603,16 +583,20 @@ def format_matrix(m: Mat) -> str:
 
 
 def parse_matrix(text: str, field=None) -> Mat:
-    """Parse the matrix text format; field inferred from the header unless given."""
+    """Parse the matrix text format; field inferred from the header unless given.
+
+    An error in a row names the row (1-based) and, for an entry that is not
+    an integer, the entry.
+    """
     from .gf import field_from_order
 
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise DimensionMismatch("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise DimensionMismatch(f"matrix header must be 'q rows cols', got {lines[0]!r}")
-    q, nrows, cols = (int(x) for x in head)
+    try:
+        q, nrows, cols = map(int, lines[0].split())
+    except ValueError:
+        raise DimensionMismatch(f"matrix header must be 'q rows cols', got {lines[0]!r}") from None
     if field is None:
         field = field_from_order(q)
     elif field.q != q:
@@ -620,9 +604,21 @@ def parse_matrix(text: str, field=None) -> Mat:
     if len(lines) != 1 + nrows:
         raise DimensionMismatch(f"expected {nrows} rows, got {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         parts = ln.split()
         if len(parts) != cols:
-            raise DimensionMismatch(f"expected {cols} entries per row, got {len(parts)}")
-        rows.append(tuple(int(x) for x in parts))
+            raise DimensionMismatch(f"row {i}: expected {cols} entries, got {len(parts)}")
+        try:
+            rows.append(tuple(map(int, parts)))
+        except ValueError:
+            bad = next(x for x in parts if not _is_int(x))
+            raise OutOfRange(f"row {i}: entry {bad!r} is not an integer") from None
     return Mat.from_rows(field, rows, cols)
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True

@@ -53,11 +53,11 @@ def brute_weight_histogram(code):
     return hist
 
 
-def reference_scan_range(field, rows, b, n, lo, hi, stop_at=None):
+def reference_scan_range(field, rows, b, n, lo, hi):
     """Reference path: the per-symbol Gray scan, one field op per symbol per step.
 
     Same contract as arraycode._scan_range; the packed scan must return the
-    same (histogram, best) on every range and stop_at.
+    same (histogram, best) on every range.
     """
     q = field.q
     M = len(rows)
@@ -81,12 +81,8 @@ def reference_scan_range(field, rows, b, n, lo, hi, stop_at=None):
         hist[w] = hist.get(w, 0) + 1
         if s != 0 and (best is None or w < best):
             best = w
-            if stop_at is not None and best <= stop_at:
-                return True
-        return False
 
-    if account(lo):
-        return hist, best
+    account(lo)
     for s in range(lo + 1, hi):
         k, x = 0, s
         while x % q == 0:
@@ -99,8 +95,7 @@ def reference_scan_range(field, rows, b, n, lo, hi, stop_at=None):
         for idx, v in enumerate(rows[k]):
             if v:
                 flat[idx] = field.add(flat[idx], field.mul(delta, v))
-        if account(s):
-            break
+        account(s)
     return hist, best
 
 
@@ -157,23 +152,14 @@ def test_weight_distribution_extension_context_field():
     assert weight_distribution(code) == brute_weight_histogram(code)
 
 
-def test_weight_distribution_chunked_and_parallel():
+def test_weight_distribution_parallel():
     for code in [construction_all_subspaces(F3, 3, 2), construction_std(F3, 1, 2, 4, "par")]:
-        base = weight_distribution(code)
-        for chunks in range(1, 8):
-            assert weight_distribution(code, chunks=chunks) == base
-        assert weight_distribution(code, jobs=2) == base
+        assert weight_distribution(code, jobs=2) == weight_distribution(code)
 
 
-def test_min_distance_and_stop_at():
-    code = construction_all_subspaces(F2, 4, 2)
-    assert min_distance(code) == 28
-    # stop_at equal to a proven lower bound lets the scan exit early but
-    # must return the same answer
-    assert min_distance(code, stop_at=28) == 28
-    odd = construction_std(F3, 1, 2, 4, "par")
-    assert min_distance(odd) == 8
-    assert min_distance(odd, stop_at=8) == 8
+def test_min_distance():
+    assert min_distance(construction_all_subspaces(F2, 4, 2)) == 28
+    assert min_distance(construction_std(F3, 1, 2, 4, "par")) == 8
 
 
 def test_scan_rejects_out_of_range_entry():
@@ -204,21 +190,16 @@ def test_packed_scan_matches_reference_on_acceptance_codes():
     for code in codes:
         rows, b, n = code.generator.rows, code.b, code.n
         total = code.field.q**code.M
-        full = reference_scan_range(code.field, rows, b, n, 0, total)
-        assert _scan_range(code.field, rows, b, n, 0, total) == full
-        d = full[1]
-        for stop_at in (d, d - 1):
-            assert _scan_range(code.field, rows, b, n, 0, total, stop_at=stop_at) == (
-                reference_scan_range(code.field, rows, b, n, 0, total, stop_at=stop_at)
-            )
-        # random-access starts, with and without an early stop
+        assert _scan_range(code.field, rows, b, n, 0, total) == (
+            reference_scan_range(code.field, rows, b, n, 0, total)
+        )
+        # random-access starts
         cuts = [0, total // 3, total // 3 + 1, (2 * total) // 3, total]
         for lo, hi in zip(cuts, cuts[1:]):
             if lo < hi:
-                for stop_at in (None, d):
-                    assert _scan_range(code.field, rows, b, n, lo, hi, stop_at=stop_at) == (
-                        reference_scan_range(code.field, rows, b, n, lo, hi, stop_at=stop_at)
-                    )
+                assert _scan_range(code.field, rows, b, n, lo, hi) == (
+                    reference_scan_range(code.field, rows, b, n, lo, hi)
+                )
 
 
 def test_weight_scan_makes_no_field_call_per_gray_step(monkeypatch):

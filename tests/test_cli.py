@@ -218,7 +218,7 @@ def test_analyze_missing_bundle_exits_2(tmp_path, capsys):
 
 def test_analyze_corrupt_bundle_exits_3(tmp_path, capsys):
     bundle = spread_bundle(tmp_path)
-    lines = open(bundle).read().splitlines()
+    lines = Path(bundle).read_text().splitlines()
     idx = lines.index("generator") + 2
     lines[idx] = lines[idx].replace("1", "0", 1)
     bad = tmp_path / "bad.bundle"
@@ -230,7 +230,7 @@ def test_analyze_corrupt_bundle_exits_3(tmp_path, capsys):
 
 def analyze_edited_bundle(tmp_path, capsys, old, new):
     """Exit code and stderr of analyze on the spread bundle with one line replaced."""
-    text = open(spread_bundle(tmp_path)).read()
+    text = Path(spread_bundle(tmp_path)).read_text()
     assert old + "\n" in text
     bad = tmp_path / "bad.bundle"
     bad.write_text(text.replace(old + "\n", new + "\n", 1))
@@ -249,6 +249,11 @@ def test_bundle_empty_field_header_is_named(tmp_path, capsys):
     assert err == "error: bundle header 'field': cannot parse field ''; expected gf(q) or gf(p^m)\n"
 
 
+def test_bundle_non_integer_entry_is_named(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "0 1 0 1 0 1 0 1 0 0", "0 1 0 x 0 1 0 1 0 0")
+    assert (rc, err) == (3, "error: malformed code bundle: generator: row 2: entry 'x' is not an integer\n")
+
+
 def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
     rc, err = analyze_edited_bundle(tmp_path, capsys, "subspaces 5", "subspaces 7")
     assert (rc, err) == (3, "error: bundle declares 7 subspaces, holds 5\n")
@@ -256,7 +261,7 @@ def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
 
 def analyze_truncated_bundle(tmp_path, capsys, keep):
     """Exit code and stderr of analyze on the spread bundle's first keep lines."""
-    lines = open(spread_bundle(tmp_path)).read().splitlines()
+    lines = Path(spread_bundle(tmp_path)).read_text().splitlines()
     bad = tmp_path / "cut.bundle"
     bad.write_text("\n".join(lines[:keep]) + "\n")
     capsys.readouterr()
@@ -468,6 +473,24 @@ def test_repair_several_arrays_error_names_the_array(tmp_path, capsys):
 # --- parser level --------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["analyze", "{bundle}", "--jobs", "0"], "--jobs"),
+        (["analyze", "{bundle}", "--jobs", "-3"], "--jobs"),
+        (["analyze", "{bundle}", "--packing-cap", "-1"], "--packing-cap"),
+        (["verify", "all-subspaces", "-M", "3", "-b", "2", "--packing-cap", "-1"], "--packing-cap"),
+    ],
+)
+def test_out_of_range_counts_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    bundle = spread_bundle(tmp_path)
+    capsys.readouterr()
+    assert cli.main([a.format(bundle=bundle) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must be at least " in captured.err
+
+
 def test_usage_error_exits_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["construct", "not-a-construction", "-M", "4", "-b", "2"]) == 2
@@ -558,3 +581,19 @@ def test_from_blocks_file(tmp_path, capsys):
     assert cli.main(["construct", "from-blocks", "--field", "gf(2)"]) == 2
     err = capsys.readouterr().err
     assert "requires --blocks" in err
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        ("2 3 4\n0 0 1 0\n0 0 0 1\n", "block 2 of 3: expected 3 rows, got 2"),
+        ("2 2 4\n0 0 1 0\n0 0 x 1\n", "block 2 of 3: row 2: entry 'x' is not an integer"),
+    ],
+)
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_from_blocks_file_error_names_block_and_row(tmp_path, capsys, command, second, message):
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("2 2 4\n1 0 0 0\n0 1 0 0\n\n" + second + "\n2 2 4\n1 0 1 0\n0 1 0 1\n")
+    capsys.readouterr()
+    assert cli.main([command, "from-blocks", "--field", "gf(2)", "--blocks", str(blocks)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,7 +5,6 @@ import pytest
 from subspace_lrc.designs import (
     SpreadDesign,
     build_gabidulin,
-    build_mrd_fullrank,
     build_spread,
     build_std,
     count_intersecting,
@@ -122,12 +121,14 @@ def test_enumerate_grassmannian_limit():
     [(F2, 1, 1), (F2, 1, 2), (F2, 2, 2), (F2, 2, 3), (F3, 2, 2), (F4, 2, 2)],
 )
 def test_mrd_fullrank_pairwise_distance(field, b, s):
-    code = build_mrd_fullrank(field, b, s)
-    assert len(code.codewords) == field.q**s
-    for x, y in itertools.combinations(code.codewords, 2):
+    ext = extension_new(field, s)
+    words = build_gabidulin(ext, b, 1)
+    assert len(words) == field.q**s
+    mats = [Mat(field, tuple(ext.expand(x) for x in w), s) for w in words]
+    for x, y in itertools.combinations(mats, 2):
         assert rank_distance(x, y) == b
     with pytest.raises(BadParams):
-        build_mrd_fullrank(field, 3, 2)
+        build_gabidulin(extension_new(field, 2), 3, 1)
 
 
 def test_gabidulin_rank_distance():
