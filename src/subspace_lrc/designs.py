@@ -9,7 +9,7 @@ exhaustive verifiers that re-check every defining property from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, product
 
 from .errors import (
@@ -330,38 +330,21 @@ class TransversalDesign:
     coordinates. blocks: b-dim subspaces, each meeting every group exactly
     once. classes: index ranges partitioning the blocks so that every class
     covers every point exactly once.
-
-    Points and groups depend only on (field, b, m) and are built on first use.
     """
 
     field: object
     t: int
     b: int
     m: int
+    points: tuple[Subspace, ...]
+    group_keys: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[int, ...], ...]
     blocks: tuple[Subspace, ...]
     classes: tuple[tuple[int, ...], ...]
 
     @property
     def ambient(self) -> int:
         return self.b + self.m
-
-    @cached_property
-    def points(self) -> tuple[Subspace, ...]:
-        n = self.ambient
-        reps = [v for v in _projective_reps(self.field, n) if any(v[: self.b])]
-        return tuple(Subspace.from_rref(self.field, n, (v,), (v.index(1),)) for v in reps)
-
-    @cached_property
-    def group_keys(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_projective_reps(self.field, self.b))
-
-    @cached_property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        key_of = {key: i for i, key in enumerate(self.group_keys)}
-        groups: list[list[int]] = [[] for _ in self.group_keys]
-        for idx, p in enumerate(self.points):
-            groups[key_of[p.basis[0][: self.b]]].append(idx)
-        return tuple(tuple(g) for g in groups)
 
 
 def _projective_reps(field, n: int) -> list[tuple[int, ...]]:
@@ -382,12 +365,36 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     """
     if not 1 <= t <= b <= m:
         raise BadParams(f"need 1 <= t <= b <= m, got t={t}, b={b}, m={m}")
+    n = b + m
+
+    point_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
+    points = tuple(Subspace.from_rref(field, n, (v,), (v.index(1),)) for v in point_reps)
+    key_of = {}
+    group_keys = []
+    groups: list[list[int]] = []
+    for key in _projective_reps(field, b):
+        key_of[key] = len(group_keys)
+        group_keys.append(key)
+        groups.append([])
+    for idx, v in enumerate(point_reps):
+        groups[key_of[v[:b]]].append(idx)
+
     blocks = _lifted_gabidulin(field, 0, b, m, t)
     class_size = field.q**m
     classes = tuple(
         tuple(range(c * class_size, (c + 1) * class_size)) for c in range(len(blocks) // class_size)
     )
-    return TransversalDesign(field, t, b, m, tuple(blocks), classes)
+    return TransversalDesign(
+        field,
+        t,
+        b,
+        m,
+        points,
+        tuple(group_keys),
+        tuple(tuple(g) for g in groups),
+        tuple(blocks),
+        classes,
+    )
 
 
 def _block_point_indices(block: Subspace, point_index) -> list[int]:
