@@ -160,7 +160,9 @@ def construction_from_blocks(field, blocks) -> ArrayCode:
             seen.add(blk)
     b = dims.pop()
     M = blocks[0].ambient
-    return code_from_subspaces(field, blocks, b, M, f"blocks q={field.q} M={M} b={b} count={len(blocks)}")
+    return code_from_subspaces(
+        field, blocks, b, M, f"blocks q={field.q} M={M} b={b} count={len(blocks)}"
+    )
 
 
 def construction_std(
@@ -305,7 +307,9 @@ def _scan_worker(args):
     return hist
 
 
-def weight_distribution(code: ArrayCode, *, limit: int | None = None, jobs: int = 1) -> dict[int, int]:
+def weight_distribution(
+    code: ArrayCode, *, limit: int | None = None, jobs: int = 1
+) -> dict[int, int]:
     """Exact weight histogram over all q^M codewords.
 
     jobs > 1 splits the Gray index space into that many independently

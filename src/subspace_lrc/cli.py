@@ -424,15 +424,10 @@ def main(argv=None) -> int:
     p_ana.add_argument(
         "--availability", action="store_true", help="include disjoint recovery counts (implies --locality)"
     )
-    p_ana.add_argument(
-        "--jobs", type=_count(1), default=1, help="parallel weight-scan workers (>= 1)"
-    )
+    p_ana.add_argument("--jobs", type=_count(1), default=1, help="parallel weight-scan workers")
     p_ana.add_argument("--limit", type=int, default=None, help="enumeration cap override")
     p_ana.add_argument(
-        "--packing-cap",
-        type=_count(0),
-        default=5000,
-        help="candidate cap for the exact packing search (>= 0)",
+        "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
     )
     p_ana.set_defaults(func=_cmd_analyze)
 
@@ -446,10 +441,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.add_argument(
-        "--packing-cap",
-        type=_count(0),
-        default=5000,
-        help="candidate cap for the exact packing search (>= 0)",
+        "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
     )
     p_ver.add_argument(
         "--no-availability", action="store_true", help="skip availability checks"

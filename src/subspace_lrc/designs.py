@@ -138,7 +138,9 @@ def _lifted_gabidulin(field, lead: int, b: int, m: int, t: int) -> list[Subspace
     heads = [(0,) * lead + tuple(1 if i == r else 0 for i in range(b)) for r in range(b)]
     pivots = range(lead, lead + b)
     return [
-        Subspace.from_rref(field, lead + b + m, [h + ext.expand(x) for h, x in zip(heads, word)], pivots)
+        Subspace.from_rref(
+            field, lead + b + m, [h + ext.expand(x) for h, x in zip(heads, word)], pivots
+        )
         for word in build_gabidulin(ext, b, t)
     ]
 
