@@ -1,8 +1,8 @@
 """Golden pairs for the b = 2 pair family, target by target.
 
 `grassmann_pairing` builds, for every 2-dim subspace of GF(q)^M, a family
-of disjoint helper pairs. tests/golden/pairing.json pins, for the six
-smallest Grassmannians below, every target's `(target_index, covered,
+of disjoint helper pairs. tests/golden/pairing.json pins, for the ten
+small Grassmannians below, every target's `(target_index, covered,
 total_others, pairs)` with the pairs flattened in order. After a
 deliberate change to the pairing, rewrite the file with
 
@@ -21,8 +21,12 @@ from subspace_lrc.locality import grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
 
-# (q, M) ordered by Grassmannian size: 7, 13, 21, 31, 35 and 130 subspaces
-INSTANCES = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
+# (q, M) ordered by Grassmannian size: 7, 13, 21, 31, 35, 57, 73, 91, 130 and
+# 155 subspaces; gf(7), gf(8) and gf(9) pin the packed slot layouts with guard
+# bits, char-2 extension fields and odd extension fields, and M = 5 is the
+# smallest ambient with more than one class of subspaces disjoint from a
+# target, so it pins the order of those classes
+INSTANCES = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (7, 3), (8, 3), (9, 3), (3, 4), (2, 5)]
 
 
 def pairing_rows(q, M):
