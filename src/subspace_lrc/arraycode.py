@@ -24,7 +24,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import (
     AmbientMismatch,
@@ -53,6 +53,7 @@ from .linalg import (
     rank,
     row_space,
     solve,
+    subspace_sum,
     vec_mat,
 )
 
@@ -112,10 +113,9 @@ def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> Ar
             for r in range(M):
                 rows[r].append(col[r])
     generator = Mat(field, tuple(tuple(r) for r in rows), b * len(subspaces))
-    if rank(generator) != M:
-        raise BadParams(
-            f"associated subspaces span a {rank(generator)}-dim space, code needs the full {M}"
-        )
+    spanned = reduce(subspace_sum, subspaces).dim
+    if spanned != M:
+        raise BadParams(f"associated subspaces span a {spanned}-dim space, code needs the full {M}")
     return ArrayCode(field, b, len(subspaces), M, generator, subspaces, provenance)
 
 

@@ -387,7 +387,7 @@ def _add_construction_args(p, *, verify: bool):
         help="spread construction method",
     )
     p.add_argument("--blocks", default=None, help="file of basis matrices for from-blocks")
-    p.add_argument("--limit", type=int, default=None, help="enumeration cap override")
+    p.add_argument("--limit", type=_count(1), default=None, help="enumeration cap override")
 
 
 def main(argv=None) -> int:
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         "--availability", action="store_true", help="include disjoint recovery counts (implies --locality)"
     )
     p_ana.add_argument("--jobs", type=_count(1), default=1, help="parallel weight-scan workers")
-    p_ana.add_argument("--limit", type=int, default=None, help="enumeration cap override")
+    p_ana.add_argument("--limit", type=_count(1), default=None, help="enumeration cap override")
     p_ana.add_argument(
         "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
     )

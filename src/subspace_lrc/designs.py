@@ -14,20 +14,18 @@ from itertools import combinations, product
 
 from .errors import (
     BadParams,
-    DimensionMismatch,
     NotDivisible,
     OutOfRange,
+    TooLarge,
 )
 from .gf import ExtensionContext, extension_new
 from .limits import guard
 from .linalg import (
-    Mat,
     Subspace,
     contains_subspace,
     enumerate_vectors,
     intersection_dim,
     projective_points,
-    rank,
 )
 
 
@@ -143,14 +141,6 @@ def _lifted_gabidulin(field, lead: int, b: int, m: int, t: int) -> list[Subspace
         )
         for word in build_gabidulin(ext, b, t)
     ]
-
-
-def rank_distance(a: Mat, b: Mat) -> int:
-    if a.nrows != b.nrows or a.cols != b.cols:
-        raise DimensionMismatch("rank distance needs equal shapes")
-    F = a.field
-    diff = Mat(F, tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)), a.cols)
-    return rank(diff)
 
 
 # --- spreads -----------------------------------------------------------------
@@ -274,7 +264,7 @@ def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignRe
     # a vector seen in two blocks is a counterexample to both.
     try:
         guard(q**M, "spread partition check", limit)
-    except Exception as exc:  # noqa: BLE001 - report, never raise, per the verify contract
+    except TooLarge as exc:
         checks.append(CheckOutcome("partition", None, str(exc)))
         checks.append(CheckOutcome("pairwise-trivial-intersection", None, "skipped with partition"))
     else:
@@ -479,7 +469,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
     # one group) must lie in exactly one block.
     try:
         guard(gaussian(n, t, q), "t-subspace coverage scan", limit)
-    except Exception as exc:  # noqa: BLE001
+    except TooLarge as exc:
         checks.append(CheckOutcome("t-coverage", None, str(exc)))
     else:
         coverage_ok = True
@@ -526,7 +516,7 @@ def steiner_parameters(field, blocks, *, limit: int | None = None) -> list[int]:
     for t in range(1, b + 1):
         try:
             guard(gaussian(ambient, t, field.q), "Steiner coverage scan", limit)
-        except Exception:  # noqa: BLE001 - over-limit t simply is not checked
+        except TooLarge:  # an over-limit t simply is not checked
             continue
         good = True
         for w in enumerate_grassmannian(field, ambient, t, limit=limit):

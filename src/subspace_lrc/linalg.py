@@ -1,6 +1,7 @@
 """Exact matrices, reduced row echelon form and canonical subspaces over GF(q).
 
-Vectors are tuples of element encodings; matrices carry their field context.
+Vectors cross the module boundary (Mat rows, Subspace.basis, the matrix text
+format) as tuples of element encodings; matrices carry their field context.
 A Subspace is always stored by its reduced-row-echelon basis with zero rows
 dropped, which makes equality of subspaces plain equality of the stored data
 and makes every enumeration in the package deterministic.
@@ -186,14 +187,6 @@ class Mat:
                     raise OutOfRange(f"entry {x} outside field of order {q}")
         return Mat(field, rows, cols)
 
-    @staticmethod
-    def identity(field, n: int) -> "Mat":
-        return Mat(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def zero(field, r: int, c: int) -> "Mat":
-        return Mat(field, tuple((0,) * c for _ in range(r)), c)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -211,32 +204,6 @@ class Mat:
             flipped = tuple(() for _ in range(self.cols))
         return Mat(self.field, flipped, self.nrows)
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            raise AmbientMismatch("matrix product across different fields")
-        if self.cols != other.nrows:
-            raise DimensionMismatch(f"cannot multiply {self.nrows}x{self.cols} by {other.nrows}x{other.cols}")
-        F = self.field
-        out = []
-        for r in self.rows:
-            row = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    orow = other.rows[k]
-                    row = [F.add(x, F.mul(a, y)) for x, y in zip(row, orow)]
-            out.append(tuple(row))
-        return Mat(F, tuple(out), other.cols)
-
-
-def vec_add(field, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field, c: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(field.mul(c, x) for x in v)
-
 
 def vec_dot(field, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if len(u) != len(v):
@@ -246,12 +213,6 @@ def vec_dot(field, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         if a and b:
             acc = field.add(acc, field.mul(a, b))
     return acc
-
-
-def mat_vec(m: Mat, v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(v) != m.cols:
-        raise DimensionMismatch("vector length does not match column count")
-    return tuple(vec_dot(m.field, r, v) for r in m.rows)
 
 
 def vec_mat(v: tuple[int, ...], m: Mat) -> tuple[int, ...]:
@@ -396,10 +357,6 @@ def row_space(m: Mat) -> Subspace:
     return Subspace.from_span(m.field, m.cols, m.rows)
 
 
-def column_space(m: Mat) -> Subspace:
-    return row_space(m.transpose())
-
-
 def null_space(m: Mat) -> Subspace:
     """Right kernel {x : m @ x = 0} as a canonical subspace of GF(q)^cols.
 
@@ -425,20 +382,11 @@ def null_space(m: Mat) -> Subspace:
     return Subspace(m.field, m.cols, tuple(kernel[f] for f in free), tuple(free))
 
 
-def _pack_vector(s: Subspace, v) -> int:
+def contains_vector(s: Subspace, v) -> bool:
+    v = tuple(v)
     if len(v) != s.ambient:
         raise DimensionMismatch(f"vector length {len(v)} in ambient {s.ambient}")
-    return _layout(s.field).pack(v)
-
-
-def reduce_vector(s: Subspace, v: tuple[int, ...]) -> tuple[int, ...]:
-    """Residual of v after eliminating the pivots of s; zero iff v is in s."""
-    x = _residual(s.field, s.ambient, s.rows, s.pivots, _pack_vector(s, v))
-    return _layout(s.field).unpack(x, s.ambient)
-
-
-def contains_vector(s: Subspace, v) -> bool:
-    return not _residual(s.field, s.ambient, s.rows, s.pivots, _pack_vector(s, tuple(v)))
+    return not _residual(s.field, s.ambient, s.rows, s.pivots, _layout(s.field).pack(v))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

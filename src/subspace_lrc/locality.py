@@ -27,14 +27,15 @@ from .linalg import (
     Mat,
     Subspace,
     _Combiner,
+    _layout,
+    _residual,
+    _rref_rows,
     _subset_sums,
     contains_subspace,
     projective_points,
-    reduce_vector,
     solve,
-    vec_add,
     vec_dot,
-    vec_scale,
+    vec_mat,
 )
 
 
@@ -91,23 +92,15 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
     """Check the functionals algebraically: they must hold for every codeword."""
     if rset.column in rset.columns:
         return False
-    helper_cols = [
-        code.column_vector(i, m) for m in rset.columns for i in range(code.b)
-    ]
+    cols = tuple(code.column_vector(i, m) for m in rset.columns for i in range(code.b))
+    helpers = Mat(code.field, cols, code.M)
     if rset.kind == "node":
         targets = [code.column_vector(i, rset.column) for i in range(code.b)]
     else:
         targets = [code.column_vector(rset.row, rset.column)]
-    if len(rset.coefficients) != len(targets):
+    if len(rset.coefficients) != len(targets) or any(len(c) != helpers.nrows for c in rset.coefficients):
         return False
-    for coeff, target in zip(rset.coefficients, targets):
-        acc = (0,) * code.M
-        for c, col in zip(coeff, helper_cols):
-            if c:
-                acc = vec_add(code.field, acc, vec_scale(code.field, c, col))
-        if acc != target:
-            return False
-    return True
+    return all(vec_mat(coeff, helpers) == target for coeff, target in zip(rset.coefficients, targets))
 
 
 # --- recovery-set engine ----------------------------------------------------------
@@ -489,38 +482,39 @@ def grassmann_pairing(field, M: int, *, limit=None) -> list[PairingResult]:
     if M < 2:
         raise BadParams(f"pairing needs 2-dim subspaces, got M={M}")
     grass = enumerate_grassmannian(field, M, 2, limit=limit)
-    bases = [s.basis for s in grass]
     points = [projective_points(s) for s in grass]
     through: dict[tuple, list[int]] = {}
     for idx, pts in enumerate(points):
         for p in pts:
             through.setdefault(p, []).append(idx)
     return [
-        _pairing(field, grass, bases, t_idx, [through[p] for p in points[t_idx]])
+        _pairing(field, grass, t_idx, [through[p] for p in points[t_idx]])
         for t_idx in range(len(grass))
     ]
 
 
-def _pairing(field, grass, bases, t_idx: int, lines) -> PairingResult:
-    """The pair family of target grass[t_idx]; bases[i] is grass[i].basis, and
-    lines[i] lists the subspaces through the target's i-th point, the target
-    among them."""
+def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
+    """The pair family of target grass[t_idx]; lines[i] lists the subspaces
+    through the target's i-th point, the target among them."""
     target, q, M = grass[t_idx], field.q, grass[t_idx].ambient
+    L = _layout(field)
+    top = M * L.sym
+    low = (1 << top) - 1
     meet_classes = [[i for i in cls if i != t_idx] for cls in lines]
     met = {i for cls in lines for i in cls}
     disjoint_classes: dict[tuple, dict[tuple, int]] = {}
-    for idx, basis in enumerate(bases):
+    for idx, s in enumerate(grass):
         if idx in met:
             continue
         # w = graph of a map from its projection ubar (off the target's
-        # pivots) into the target: reduce [u | w] to read ubar's canonical
-        # basis and, at the target's pivots, the map's coordinates
-        split = Subspace.from_span(field, 2 * M, [reduce_vector(target, r) + r for r in basis])
-        assert split.pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
-        split_basis = split.basis
-        ubar = tuple(row[:M] for row in split_basis)
-        key = tuple(tuple(row[M + p] for p in target.pivots) for row in split_basis)
-        disjoint_classes.setdefault(ubar, {})[key] = idx
+        # pivots) into the target: reduce the packed rows [u | w] to read
+        # ubar's canonical basis and, at the target's pivots, the map's
+        # coordinates
+        split = [_residual(field, M, target.rows, target.pivots, r) | r << top for r in s.rows]
+        split, pivots = _rref_rows(field, 2 * M, split)
+        assert pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
+        key = tuple(tuple(L.entry(row, M + p) for p in target.pivots) for row in split)
+        disjoint_classes.setdefault(tuple(row & low for row in split), {})[key] = idx
 
     pairs: list[tuple[int, int]] = []
 
@@ -538,7 +532,8 @@ def _pairing(field, grass, bases, t_idx: int, lines) -> PairingResult:
             pairs.extend(zip(parts[(i, j)], parts[(j, i)]))
 
     # within-class pairs for subspaces disjoint from the target
-    for ubar in sorted(disjoint_classes):
+    # in the order of the unpacked ubar, which packed ints do not keep
+    for ubar in sorted(disjoint_classes, key=lambda u: [L.unpack(row, M) for row in u]):
         members = disjoint_classes[ubar]
         done = set()
         for key in sorted(members):

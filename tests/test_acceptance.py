@@ -51,7 +51,7 @@ from subspace_lrc import (
     verify_std,
     weight_distribution,
 )
-from subspace_lrc.linalg import vec_add, vec_scale
+from subspace_lrc.linalg import vec_mat
 
 # instance sets exercised below; criterion 8 covers the union of them
 C1_DISTANCE = ((2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2), (2, 5, 2))
@@ -515,13 +515,7 @@ def canonicity_failures(q, M, b, trials=200):
             t_rows = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(d)]
             if Subspace.from_span(field, d, t_rows).dim == d:
                 break
-        new_vecs = []
-        for row in t_rows:
-            acc = (0,) * M
-            for c, basis_vec in zip(row, s1.basis):
-                if c:
-                    acc = vec_add(field, acc, vec_scale(field, c, basis_vec))
-            new_vecs.append(acc)
+        new_vecs = [vec_mat(row, s1.matrix()) for row in t_rows]
         if Subspace.from_span(field, M, new_vecs) != s1:
             bad += 1
     return bad

@@ -37,7 +37,7 @@ from subspace_lrc.errors import (
     TooLarge,
 )
 from subspace_lrc.gf import extension_new, field_new
-from subspace_lrc.linalg import Mat, Subspace, column_space, rank, row_space
+from subspace_lrc.linalg import Mat, Subspace, rank, row_space
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -106,7 +106,7 @@ def test_all_subspaces_shape():
     assert rank(code.generator) == 3
     # thick column j spans exactly the j-th subspace
     for j, s in enumerate(code.subspaces):
-        assert column_space(code.thick_column(j)) == s
+        assert row_space(code.thick_column(j).transpose()) == s
 
 
 def test_all_subspaces_b1_is_projective():
@@ -452,8 +452,14 @@ def test_code_from_subspaces_validation():
         code_from_subspaces(F2, [Subspace.from_span(F2, 4, [(1, 0, 0, 0)])], 2, 3, "x")
     # rank-deficient family: all subspaces inside a hyperplane
     inside = [s for s in spaces if all(v[2] == 0 for v in s.basis)]
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match=r"^associated subspaces span a 2-dim space, code needs the full 3$"):
         code_from_subspaces(F2, inside, 2, 3, "x")
+    # several columns, odd q, short columns and a zero column
+    lines = [Subspace.from_span(F3, 4, [v]) for v in [(1, 2, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)]]
+    with pytest.raises(BadParams, match=r"^associated subspaces span a 2-dim space, code needs the full 4$"):
+        code_from_subspaces(F3, lines, 2, 4, "x")
+    with pytest.raises(BadParams, match=r"^associated subspaces span a 0-dim space, code needs the full 3$"):
+        code_from_subspaces(F2, [Subspace.zero(F2, 3)], 2, 3, "x")
 
 
 def test_code_from_subspaces_pads_short_columns():
@@ -465,7 +471,7 @@ def test_code_from_subspaces_pads_short_columns():
     code = code_from_subspaces(F2, mixed, 2, 3, "padded")
     assert code.n == 3
     # the padded thick column still spans the declared 1-dim subspace
-    assert column_space(code.thick_column(1)) == mixed[1]
+    assert row_space(code.thick_column(1).transpose()) == mixed[1]
 
 
 def test_construction_from_blocks_errors():

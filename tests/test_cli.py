@@ -480,6 +480,10 @@ def test_repair_several_arrays_error_names_the_array(tmp_path, capsys):
         (["analyze", "{bundle}", "--jobs", "-3"], "--jobs"),
         (["analyze", "{bundle}", "--packing-cap", "-1"], "--packing-cap"),
         (["verify", "all-subspaces", "-M", "3", "-b", "2", "--packing-cap", "-1"], "--packing-cap"),
+        (["construct", "spread", "-M", "4", "-b", "2", "--limit", "0"], "--limit"),
+        (["construct", "all-subspaces", "-M", "3", "-b", "2", "--limit", "-1"], "--limit"),
+        (["analyze", "{bundle}", "--limit", "0"], "--limit"),
+        (["verify", "spread", "-M", "4", "-b", "2", "--limit", "0"], "--limit"),
     ],
 )
 def test_out_of_range_counts_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):

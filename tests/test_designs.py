@@ -11,7 +11,6 @@ from subspace_lrc.designs import (
     enumerate_grassmannian,
     gaussian,
     gaussian_or_zero,
-    rank_distance,
     steiner_parameters,
     verify_spread,
     verify_std,
@@ -23,12 +22,20 @@ from subspace_lrc.linalg import (
     Subspace,
     contains_subspace,
     intersection_dim,
+    rank,
     subspace_sum,
 )
 
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+
+
+def rank_distance(a, b):
+    """Rank of the difference of two equal-shape matrices."""
+    F = a.field
+    diff = tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
+    return rank(Mat(F, diff, a.cols))
 
 
 def grassmannian_oracle(field, n, k):
@@ -287,3 +294,26 @@ def test_steiner_parameters_spread_and_std():
     assert steiner_parameters(F2, one_class) == []
     all_two = enumerate_grassmannian(F2, 4, 2)
     assert steiner_parameters(F2, all_two) == [2]
+
+
+def test_design_verifiers_skip_over_limit_and_reject_invalid_limits():
+    spread = build_spread(F2, 4, 2)
+    std = build_std(F2, 1, 2, 2)
+    skipped = {c.name: c.detail for c in verify_spread(spread, limit=8).checks if c.passed is None}
+    assert skipped == {
+        "partition": "spread partition check needs 16 objects, limit is 8",
+        "pairwise-trivial-intersection": "skipped with partition",
+    }
+    skipped = {c.name: c.detail for c in verify_std(std, limit=10).checks if c.passed is None}
+    assert skipped == {"t-coverage": "t-subspace coverage scan needs 15 objects, limit is 10"}
+    # t = 1 scans 15 lines: at limit 14 it is not checked, at 15 it holds
+    assert steiner_parameters(F2, spread.blocks, limit=14) == []
+    assert steiner_parameters(F2, spread.blocks, limit=15) == [1]
+    # an invalid limit is an error, never a skipped or a failed check
+    for call in (
+        lambda: verify_spread(spread, limit=0),
+        lambda: verify_std(std, limit=0),
+        lambda: steiner_parameters(F2, spread.blocks, limit=0),
+    ):
+        with pytest.raises(ValueError, match="^limit must be positive$"):
+            call()

@@ -125,6 +125,15 @@ def test_validate_recovery_and_tampering():
         ),
     )
     assert not validate_recovery(code, bad)
+    # a functional of the wrong length is rejected, not truncated
+    short = RecoverySet(
+        kind=rset.kind,
+        column=rset.column,
+        row=rset.row,
+        columns=rset.columns,
+        coefficients=tuple(row[:-1] for row in rset.coefficients),
+    )
+    assert not validate_recovery(code, short)
     # recovery sets may never contain their own target
     self_ref = RecoverySet(
         kind="node", column=0, row=None, columns=(0, 1), coefficients=rset.coefficients
@@ -446,6 +455,7 @@ def test_engine_witnesses_match_bruteforce(code):
         subset = _brute_first(code, column, vectors)
         assert got.columns == subset
         assert got.coefficients == _brute_coefficients(code, subset, vectors)
+        assert validate_recovery(code, got)
         if row is None:
             assert min_node_recovery(code, column) == got
         else:
@@ -586,7 +596,7 @@ def test_repair_matches_reference_on_one_code_object(code):
     assert seen == {"repaired", Inconsistent}
     assert set(code._repair_plans) == set(range(code.n))
     assert _outcome(repair, code, array, code.n) == _outcome(reference_repair, code, array, code.n)
-    small = Mat.zero(code.field, code.b, code.n - 1)
+    small = Mat(code.field, ((0,) * (code.n - 1),) * code.b, code.n - 1)
     assert _outcome(repair, code, small, 0) == _outcome(reference_repair, code, small, 0)
 
 
