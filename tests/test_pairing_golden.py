@@ -3,8 +3,9 @@
 `grassmann_pairing` builds, for every 2-dim subspace of GF(q)^M, a family
 of disjoint helper pairs. tests/golden/pairing.json pins, for the ten
 small Grassmannians below, every target's `(target_index, covered,
-total_others, pairs)` with the pairs flattened in order. After a
-deliberate change to the pairing, rewrite the file with
+total_others, pairs)` with the pairs flattened in order, and the same rows
+for a few targets of gf(3) M = 5. After a deliberate change to the pairing,
+rewrite the file with
 
     PYTHONPATH=src python tests/test_pairing_golden.py
 
@@ -16,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from subspace_lrc.designs import enumerate_grassmannian
 from subspace_lrc.gf import parse_field
-from subspace_lrc.locality import grassmann_pairing
+from subspace_lrc.linalg import projective_points
+from subspace_lrc.locality import _pairing, grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
 
@@ -28,13 +31,38 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
 # target, so it pins the order of those classes
 INSTANCES = [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (7, 3), (8, 3), (9, 3), (3, 4), (2, 5)]
 
+# gf(3) M = 5 (1,210 subspaces) is the smallest odd-q ambient with more than
+# one disjoint class per target, where the partial pairing makes the order
+# of the classes matter; its whole family is too slow for these tests, so
+# a few targets are built one at a time
+ODD_TARGETS = (3, 5, (0, 1, 122, 605, 1000, 1209))
+
+
+def _row(p):
+    return [p.target_index, p.covered, p.total_others, [i for pair in p.pairs for i in pair]]
+
 
 def pairing_rows(q, M):
+    return [_row(p) for p in grassmann_pairing(parse_field(f"gf({q})"), M)]
+
+
+def target_rows(q, M, targets):
+    """pairing_rows restricted to targets, without building the other families."""
     field = parse_field(f"gf({q})")
-    return [
-        [p.target_index, p.covered, p.total_others, [i for pair in p.pairs for i in pair]]
-        for p in grassmann_pairing(field, M)
-    ]
+    grass = enumerate_grassmannian(field, M, 2)
+    points = [projective_points(s) for s in grass]
+    through: dict = {}
+    for idx, pts in enumerate(points):
+        for p in pts:
+            through.setdefault(p, []).append(idx)
+    return [_row(_pairing(field, grass, t, [through[p] for p in points[t]])) for t in targets]
+
+
+def golden_rows():
+    q, M, targets = ODD_TARGETS
+    rows = {f"q{q}-M{M}": pairing_rows(q, M) for q, M in INSTANCES}
+    rows[f"q{q}-M{M}-targets"] = target_rows(q, M, targets)
+    return rows
 
 
 @pytest.mark.parametrize("q,M", INSTANCES)
@@ -43,10 +71,21 @@ def test_pairing_matches_golden(q, M):
     assert pairing_rows(q, M) == golden[f"q{q}-M{M}"]
 
 
+def test_odd_pairing_targets_match_golden():
+    q, M, targets = ODD_TARGETS
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert target_rows(q, M, targets) == golden[f"q{q}-M{M}-targets"]
+
+
+def test_target_rows_agree_with_the_whole_family():
+    rows = pairing_rows(3, 4)
+    assert target_rows(3, 4, (0, 7, 129)) == [rows[0], rows[7], rows[129]]
+
+
 def regenerate() -> None:
     lines = [
-        f'"q{q}-M{M}": [\n' + ",\n".join(json.dumps(row) for row in pairing_rows(q, M)) + "\n]"
-        for q, M in INSTANCES
+        f'"{key}": [\n' + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+        for key, rows in golden_rows().items()
     ]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
