@@ -44,9 +44,10 @@ from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
+    _Generator,
     _Slots,
     _layout,
-    _subset_sums,
+    _subset_quotients,
     format_matrix,
     null_space,
     parse_matrix,
@@ -93,6 +94,11 @@ class ArrayCode:
     def _repair_plans(self) -> dict:
         """Erased column -> repair plan, filled by locality.repair on first use."""
         return {}
+
+    @cached_property
+    def _packed_generator(self) -> _Generator:
+        """The generator packed by rows for the subset walk, built on first use."""
+        return _Generator(self.field, self.generator.rows, self.b, self.n)
 
 
 def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> ArrayCode:
@@ -380,18 +386,19 @@ def dual_distance_by_supports(code: ArrayCode) -> int:
     """Minimum weight of the dual code, via thick-column support search.
 
     A dual codeword of weight w exists exactly when some w thick columns of
-    the primal generator carry linearly dependent flat columns. Thick
-    column j spans code.subspaces[j], so w columns are dependent exactly
-    when their subspace sum has dimension below w*b; the search walks the
-    supports by size and stops at the first such sum. Any support of size
-    > M/b is automatically dependent, which bounds the search depth.
+    the primal generator carry linearly dependent flat columns, that is
+    when their sum S has dimension below w*b; the search walks the supports
+    by size, with the generator reduced modulo S (M - dim S rows), and stops
+    at the first such sum. Any support of size > M/b is automatically
+    dependent, which bounds the search depth.
     """
     b, n, M = code.b, code.n, code.M
+    gen = code._packed_generator
     for w in range(1, n + 1):
         if w * b > M:
             # more flat columns than the ambient dimension: always dependent
             return w
-        if any(span.dim < w * b for _, span in _subset_sums(code.subspaces, range(n), w)):
+        if any(len(rows) > M - w * b for _, rows in _subset_quotients(gen, range(n), w)):
             return w
     raise TooLarge(f"no dual codeword of weight <= {n} found")
 

@@ -49,8 +49,10 @@ exit codes:
   3 data inconsistent with the code.
 """
 
-def _read_blocks(field, path: str):
+def _read_blocks(field, path: str | None):
     """Blocks file: matrix blocks separated by blank lines, one per subspace."""
+    if not path:
+        raise BadParams("from-blocks requires --blocks FILE")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     chunks = [c for c in re.split(r"\n\s*\n", text) if c.strip()]
@@ -102,8 +104,6 @@ def _build(args):
     if args.construction == "std-full":
         return construction_std(field, args.t, args.b, args.M, "full")
     if args.construction == "from-blocks":
-        if not args.blocks:
-            raise BadParams("from-blocks requires --blocks FILE")
         return construction_from_blocks(field, _read_blocks(field, args.blocks))
     raise BadParams(f"unknown construction {args.construction!r}")
 
@@ -284,11 +284,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     field = parse_field(args.field)
     _require_params(args)
-    blocks = None
-    if args.construction == "from-blocks":
-        if not args.blocks:
-            raise BadParams("from-blocks requires --blocks FILE")
-        blocks = _read_blocks(field, args.blocks)
+    blocks = _read_blocks(field, args.blocks) if args.construction == "from-blocks" else None
     suite = run_verification(
         args.construction,
         field,
@@ -399,22 +395,18 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_con = sub.add_parser(
-        "construct",
-        help="build a code and write it as a bundle",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    def command(name, help_text, func):
+        p = sub.add_parser(
+            name, help=help_text, epilog=EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter
+        )
+        p.set_defaults(func=func)
+        return p
+
+    p_con = command("construct", "build a code and write it as a bundle", _cmd_construct)
     _add_construction_args(p_con, verify=False)
     p_con.add_argument("-o", "--output", default=None, help="bundle path ('-' for stdout)")
-    p_con.set_defaults(func=_cmd_construct)
 
-    p_ana = sub.add_parser(
-        "analyze",
-        help="measure distance, weights, locality, availability of a bundle",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_ana = command("analyze", "measure distance, weights, locality, availability of a bundle", _cmd_analyze)
     p_ana.add_argument("bundle", help="bundle file from construct")
     p_ana.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_ana.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -429,14 +421,8 @@ def main(argv=None) -> int:
     p_ana.add_argument(
         "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
     )
-    p_ana.set_defaults(func=_cmd_analyze)
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="check every documented property of a construction",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_ver = command("verify", "check every documented property of a construction", _cmd_verify)
     _add_construction_args(p_ver, verify=True)
     p_ver.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
@@ -446,14 +432,8 @@ def main(argv=None) -> int:
     p_ver.add_argument(
         "--no-availability", action="store_true", help="skip availability checks"
     )
-    p_ver.set_defaults(func=_cmd_verify)
 
-    p_rep = sub.add_parser(
-        "repair",
-        help="rebuild one erased column of one or more codeword arrays",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_rep = command("repair", "rebuild one erased column of one or more codeword arrays", _cmd_repair)
     p_rep.add_argument("bundle", help="bundle file from construct")
     p_rep.add_argument(
         "--array",
@@ -464,7 +444,6 @@ def main(argv=None) -> int:
     p_rep.add_argument("--column", type=int, required=True, help="erased column, 1-based")
     p_rep.add_argument("-o", "--output", default=None, help="result path (default stdout)")
     p_rep.add_argument("--format", choices=["json", "text"], default="text")
-    p_rep.set_defaults(func=_cmd_repair)
 
     try:
         args = parser.parse_args(argv)

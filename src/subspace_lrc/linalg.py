@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
 from .limits import guard
@@ -497,24 +498,84 @@ def projective_points(s: Subspace) -> list[tuple[int, ...]]:
     return sorted(unpack(x, s.ambient) for x in out)
 
 
-def _subset_sums(subspaces, columns, size: int):
-    """Every size-element subset of columns in lex order, with the sum of
-    the subspaces it indexes.
+def _fold(x: int, width: int) -> int:
+    """x whose bit 0 of each width-bit group is set when the group is nonzero."""
+    span = 1
+    while span < width:  # bit t of x gathers bits t .. t + span - 1
+        step = min(span, width - span)
+        x |= x >> step
+        span += step
+    return x
 
-    Partial sums of the current subset's prefixes stay on a stack and are
-    shared with the next subset: a singleton's sum is its subspace, each
-    deeper element costs one subspace_sum, and a prefix that already spans
-    the ambient space is carried without reduction (the sum returns it).
+
+class _Generator:
+    """An M x (n b) generator packed by rows, entry c at bit c sym, for the subset walk.
+
+    In an OR of rows, an entry or a node's b entries is nonzero exactly when
+    one of its bits is set; folding each onto its lowest bit flags entry c at
+    bit c sym and node j, above every entry, at bit top + j b sym.
     """
-    stack: list[Subspace] = []
+
+    def __init__(self, field, rows, b: int, n: int):
+        S = self.slots = _vectors(field, n * b)
+        self.field, self.sym, self.rows = field, S.layout.sym, [S.layout.pack(r) for r in rows]
+        self.width, self.top = b * self.sym, n * b * self.sym
+        self.nodes = ((1 << self.top) - 1) // ((1 << self.width) - 1)  # bit 0 of every node
+
+    def flag(self, j: int, i: int | None) -> int:
+        """The flag bit of symbol i of node j, or of node j when i is None."""
+        return 1 << (j * self.width + (self.top if i is None else i * self.sym))
+
+    def column(self, j: int) -> int:
+        """Every flag bit of node j and its symbols."""
+        return ((1 << self.width) - 1 | 1 << self.top) << (j * self.width)
+
+    def unheld(self, rows) -> int:
+        """The flags of the symbols and nodes at which some row is nonzero."""
+        union = reduce(or_, rows, 0)
+        entries, nodes = _fold(union, self.sym), _fold(union, self.width)
+        return entries & self.slots.low | (nodes & self.nodes) << self.top
+
+    def reduce(self, rows, j: int) -> list[int]:
+        """The combinations of the rows that vanish on node j's entries: each
+        entry nonzero in some row pivots out one row."""
+        F, S, sym = self.field, self.slots, self.sym
+        mask, entry = S.layout.mask, S.layout.entry
+        for c in range(j * self.width, (j + 1) * self.width, sym):
+            for k, row in enumerate(rows):
+                if row >> c & mask:
+                    break
+            else:
+                continue
+            if F.q == 2:
+                rest = [r ^ row if r >> c & 1 else r for r in rows[k + 1 :]]
+            else:
+                e = c // sym
+                row = S.scale(row, F.inv(entry(row, e)))
+                rest = [S.add(r, S.scale(row, -entry(r, e))) if r >> c & mask else r for r in rows[k + 1 :]]
+            rows = rows[:k] + rest
+        return rows
+
+
+def _subset_quotients(gen: _Generator, columns, size: int):
+    """Every size-element subset of columns in lex order, with the generator
+    reduced modulo the sum S of the subset's column spaces.
+
+    The reduced rows are a basis of the rows y G with y in S^perp, M - dim S
+    of them for G of rank M, so a generator column lies in S exactly when
+    every reduced row is zero at it (gen.unheld). The reduced rows of the
+    prefixes of the current subset stay on a stack shared with the next
+    subset, so each deeper element costs one gen.reduce over its b entries.
+    """
+    stack = [gen.rows]
     prev = (-1,) * size
     for subset in combinations(columns, size):
         k = 0
         while prev[k] == subset[k]:
             k += 1
-        del stack[k:]
+        del stack[k + 1 :]
         for m in subset[k:]:
-            stack.append(subspace_sum(stack[-1], subspaces[m]) if stack else subspaces[m])
+            stack.append(gen.reduce(stack[-1], m))
         prev = subset
         yield subset, stack[-1]
 

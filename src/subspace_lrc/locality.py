@@ -25,15 +25,12 @@ from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange
 from .limits import guard
 from .linalg import (
     Mat,
-    Subspace,
     _Combiner,
     _layout,
     _residual,
     _rref_rows,
-    _subset_sums,
-    contains_subspace,
+    _subset_quotients,
     projective_points,
-    solve,
     vec_dot,
     vec_mat,
 )
@@ -59,19 +56,19 @@ class RecoverySet:
         return len(self.columns)
 
 
-def _helper_matrix(code: ArrayCode, columns) -> Mat:
-    # columns of the result = flat generator columns of the helper nodes
-    cols = []
-    for m in columns:
-        for i in range(code.b):
-            cols.append(code.column_vector(i, m))
-    return Mat(code.field, tuple(cols), code.M).transpose()
-
-
-def _functional_for(code: ArrayCode, columns, target_vec) -> tuple[int, ...]:
-    sol = solve(_helper_matrix(code, columns), target_vec)
-    assert sol is not None, "recovery set accepted but no functional exists"
-    return sol
+def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int, ...], ...]:
+    """For each symbol row of column, the x with (helper generator columns) x
+    = (the symbol's generator column) and free variables 0, as solve gives:
+    the helper part of one reduction, targets appended, is the reduced
+    echelon form of the helper columns alone."""
+    gen = code._packed_generator
+    flat = [m * code.b + i for m in columns for i in range(code.b)] + [column * code.b + i for i in rows]
+    k, sym, L = len(flat) - len(rows), gen.sym, gen.slots.layout
+    packed = [sum((g >> c * sym & L.mask) << (x * sym) for x, c in enumerate(flat)) for g in gen.rows]
+    basis, pivots = _rref_rows(code.field, len(flat), packed)
+    assert not pivots or pivots[-1] < k, "recovery set accepted but no functional exists"
+    at = dict(zip(pivots, basis))
+    return tuple(tuple(L.entry(at[c], k + t) if c in at else 0 for c in range(k)) for t in range(len(rows)))
 
 
 def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[int, ...]:
@@ -105,14 +102,29 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
 
 # --- recovery-set engine ----------------------------------------------------------
 # A target is (column, row, ...): row None asks for the whole node, otherwise
-# for one symbol. Its helper sets never contain its own column.
+# for one symbol. Its helper sets never contain its own column. The walk
+# hands over the generator reduced modulo each helper sum, and one packed
+# test tells every target the sum holds: its flag is clear in gen.unheld.
 
 
-def _target(code: ArrayCode, column: int, row: int | None) -> Subspace:
-    """The subspace a helper sum must contain; dimension 0 for a zero node or symbol."""
-    if row is None:
-        return code.subspaces[column]
-    return Subspace.from_span(code.field, code.M, [code.column_vector(row, column)])
+def _held(gen, subset, rows, wanted: int, waiting) -> tuple[int, list[int]]:
+    """The flags in wanted that the sum holds, outside the subset's own
+    columns, and the targets waiting on them."""
+    for m in subset:
+        wanted &= ~gen.column(m)
+    held = bits = wanted & ~gen.unheld(rows)
+    out = []
+    while bits:
+        out += waiting[bits & -bits]
+        bits &= bits - 1
+    return held, out
+
+
+def _waiting(gen, targets, keys) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for k in keys:
+        out.setdefault(gen.flag(*targets[k][:2]), []).append(k)
+    return out
 
 
 def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
@@ -121,34 +133,29 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     One walk per size serves every pending target, and zero targets need no
     helpers. NoRecovery names the first target with no set of size <= cap.
     """
-    subs = [_target(code, column, row) for column, row in targets]
-    found: list = [None if t.dim else () for t in subs]
-    pending = [k for k, f in enumerate(found) if f is None]
+    gen = code._packed_generator
+    nonzero = gen.unheld(gen.rows)
+    found: list = [None if gen.flag(*t) & nonzero else () for t in targets]
+    waiting = _waiting(gen, targets, [k for k, f in enumerate(found) if f is None])
+    pending = sum(waiting)
     columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
     for size in range(1, cap + 1):
         if not pending:
             break
-        for subset, span in _subset_sums(code.subspaces, columns, size):
-            hit = False
-            for k in pending:
-                if targets[k][0] not in subset and contains_subspace(span, subs[k]):
-                    found[k] = subset
-                    hit = True
-            if hit:
-                pending = [k for k in pending if found[k] is None]
-                if not pending:
-                    break
+        for subset, rows in _subset_quotients(gen, columns, size):
+            held, ks = _held(gen, subset, rows, pending, waiting)
+            for k in ks:
+                found[k] = subset
+            pending ^= held
+            if not pending:
+                break
     out = []
     for (column, row), subset in zip(targets, found):
         what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
         if subset is None:
             raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
-        functionals = (
-            _functional_for(code, subset, code.column_vector(i, column)) if subset else ()
-            for i in (range(code.b) if row is None else (row,))
-        )
-        kind = "node" if row is None else "symbol"
-        out.append(RecoverySet(kind, column, row, subset, tuple(functionals)))
+        functionals = _functionals(code, subset, column, range(code.b) if row is None else (row,))
+        out.append(RecoverySet("node" if row is None else "symbol", column, row, subset, functionals))
     return out
 
 
@@ -156,31 +163,27 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     """Each target's minimal valid helper sets, in (size, lex) order.
 
     targets are (column, row, r) triples; a helper set is valid when its size
-    is at most r and its sum holds the target. Sums only grow, so a set is
-    skipped for a target as soon as one of its subsets one element smaller
-    was valid for it (found or skipped itself).
+    is at most r and its sum holds the target. Sums only grow, so a valid set
+    is minimal unless one of its subsets one element smaller was valid too.
     """
     for r in dict.fromkeys(r for _, _, r in targets):
         total = sum(comb(code.n - 1, s) for s in range(1, r + 1))
         guard(total, f"enumerating {total} candidate helper sets", limit)
-    subs = [_target(code, column, row) for column, row, _ in targets]
+    gen = code._packed_generator
     pools: list[list[tuple]] = [[] for _ in targets]
     valid: list[set] = [set() for _ in targets]  # valid sets one size smaller
     for size in range(1, max((r for _, _, r in targets), default=0) + 1):
         active = [k for k, t in enumerate(targets) if t[2] >= size]
+        waiting = _waiting(gen, targets, active)
+        wanted = sum(waiting)
         grown: list[set] = [set() for _ in targets]
         columns = [m for m in range(code.n) if any(targets[k][0] != m for k in active)]
-        for subset, span in _subset_sums(code.subspaces, columns, size):
+        for subset, rows in _subset_quotients(gen, columns, size):
             faces = [subset[:i] + subset[i + 1 :] for i in range(size)]
-            for k in active:
-                column, _, r = targets[k]
-                if column in subset:
-                    continue
-                held = bool(valid[k]) and any(f in valid[k] for f in faces)
-                if not held and contains_subspace(span, subs[k]):
+            for k in _held(gen, subset, rows, wanted, waiting)[1]:
+                if not (valid[k] and any(f in valid[k] for f in faces)):
                     pools[k].append(subset)
-                    held = True
-                if held and size < r:
+                if size < targets[k][2]:
                     grown[k].add(subset)
         valid = grown
     return pools
@@ -194,6 +197,7 @@ def min_symbol_recovery(
     Ties break lexicographically on the helper index tuple. A zero generator
     column needs no helpers and yields the empty set.
     """
+    code.column_vector(row, column)  # OutOfRange for a bad row or column
     cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
     return _witnesses(code, [(column, row)], cap)[0]
 
@@ -378,10 +382,12 @@ def _worst_packing(pools, exact_cap: int, warm=None) -> AvailabilityResult:
 def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
     """Worst availability over the nonzero nodes or symbols of each (kind, r)
     group, with every pool from one walk."""
+    gen = code._packed_generator
+    nonzero = gen.unheld(gen.rows)
     targets = []
     for kind, r in groups:
         rows = (None,) if kind == "node" else range(code.b)
-        group = [(j, i, r) for j in range(code.n) for i in rows if _target(code, j, i).dim]
+        group = [(j, i, r) for j in range(code.n) for i in rows if gen.flag(j, i) & nonzero]
         if not group:
             raise BadParams(f"code has no nonzero {kind}")
         targets.append(group)
@@ -421,6 +427,8 @@ def node_availability(
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a node."""
+    if not 0 <= column < code.n:
+        raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
     if code.subspaces[column].dim == 0:
         raise BadParams("availability of a zero-dimensional node is unbounded")
     if r is None:

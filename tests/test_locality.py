@@ -209,6 +209,29 @@ def test_symbol_availability_zero_symbol_rejected():
         symbol_availability(code, 1, 1)
 
 
+def test_node_availability_rejects_a_column_out_of_range():
+    # -1 used to index the last node and count it among its own helpers
+    code = construction_spread(F2, 4, 2)  # n = 5
+    for column in (-1, 5):
+        with pytest.raises(OutOfRange, match=rf"^column {column} outside 0\.\.4$"):
+            node_availability(code, column, r=2)
+
+
+@pytest.mark.parametrize(
+    "row,column,message",
+    [(2, 0, r"^symbol row 2 outside 0\.\.1$"), (-1, 0, r"^symbol row -1 outside 0\.\.1$"),
+     (0, 5, r"^column 5 outside 0\.\.4$"), (0, -1, r"^column -1 outside 0\.\.4$")],
+)
+def test_symbol_searches_reject_a_row_or_column_out_of_range(row, column, message):
+    code = construction_spread(F2, 4, 2)
+    for call in (
+        lambda: min_symbol_recovery(code, row, column),
+        lambda: symbol_availability(code, row, column, r=2),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            call()
+
+
 def test_std_full_symbol_availability():
     code = construction_std(F2, 2, 2, 4, "full")
     res = code_symbol_availability(code)
@@ -492,7 +515,7 @@ def test_availability_guard_runs_before_any_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked before the size guard")
 
-    monkeypatch.setattr(locality, "_subset_sums", no_walk)
+    monkeypatch.setattr(locality, "_subset_quotients", no_walk)
     for call in (
         lambda: code_node_availability(code, r=2, limit=9),
         lambda: code_symbol_availability(code, r=2, limit=9),
