@@ -45,8 +45,6 @@ from .linalg import (
     Mat,
     Subspace,
     _Generator,
-    _Slots,
-    _layout,
     _subset_quotients,
     format_matrix,
     null_space,
@@ -246,27 +244,19 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int):
     (histogram, min nonzero weight or None).
 
     The running codeword and every scaled generator row are single ints
-    in the digit-slot layout of linalg._Layout: each symbol takes k slots
-    of s bits (one bit for p = 2, a guard bit on top for odd p), and a row
-    addition is one _Slots.add. Thick column j starts at bit
+    in the thick-column layout of linalg._Generator: each symbol takes k
+    slots of s bits (one bit for p = 2, a guard bit on top for odd p), and a
+    row addition is one _Slots.add. Thick column j starts at bit
     j * (b k s + 1): the spare bit above its data receives the carry of
     data + (2^(bks) - 1), which is set exactly when the column is nonzero,
     so the weight is one bit_count. Entries are range-checked once, while
     the rows are packed; scaled rows are built on first use by packed
     arithmetic, and the Gray steps call no field operation.
     """
-    q = field.q
-    M = len(rows)
-    L = _layout(field)
-    data = b * L.sym
-    width = data + 1
-    columns = ((1 << (n * width)) - 1) // ((1 << width) - 1)  # bit 0 of every column
-    ones = columns * ((1 << data) - 1)
-    guards = columns << data
-    S = _Slots(L, columns * (((1 << data) - 1) // ((1 << L.sym) - 1)))  # bit 0 of every symbol
+    q, M = field.q, len(rows)
+    G = _Generator(field, rows, b, n)
+    S, packed, ones, guards = G.slots, G.rows, G.ones, G.guards
     odd, carry, high, shift, p = S.odd, S.carry, S.high, S.shift, S.p
-
-    packed = [L.pack(row, b, width) for row in rows]
     # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row
     step = [field.sub((g + 1) % q, g) for g in range(q)]
     scaled: list[int | None] = [None] * (M * q)

@@ -23,7 +23,7 @@ from .arraycode import (
     read_bundle,
     write_bundle,
 )
-from .errors import BadParams, Inconsistent, OutOfRange, SubspaceCodeError
+from .errors import BadParams, Inconsistent, OutOfRange, SubspaceCodeError, TooLarge
 from .gf import parse_field
 from .limits import ENV_VAR
 from .linalg import parse_matrix, row_space
@@ -78,13 +78,7 @@ def _count(low: int):
 
 
 def _require_params(args):
-    need = {
-        "all-subspaces": ("M", "b"),
-        "spread": ("M", "b"),
-        "std-par": ("M", "b"),
-        "std-full": ("M", "b"),
-        "from-blocks": (),
-    }[args.construction]
+    need = () if args.construction == "from-blocks" else ("M", "b")
     missing = [name for name in need if getattr(args, name) is None]
     if missing:
         raise BadParams(
@@ -141,8 +135,6 @@ def _availability_json(res):
 
 
 def _locality_json(code, *, with_availability, exact_cap, limit):
-    from .errors import TooLarge
-
     try:
         profile = locality_profile(
             code,

@@ -498,74 +498,61 @@ def projective_points(s: Subspace) -> list[tuple[int, ...]]:
     return sorted(unpack(x, s.ambient) for x in out)
 
 
-def _fold(x: int, width: int) -> int:
-    """x whose bit 0 of each width-bit group is set when the group is nonzero."""
-    span = 1
-    while span < width:  # bit t of x gathers bits t .. t + span - 1
-        step = min(span, width - span)
-        x |= x >> step
-        span += step
-    return x
-
-
 class _Generator:
-    """An M x (n b) generator packed by rows, entry c at bit c sym, for the subset walk.
+    """An M x (n b) generator packed by rows, shared by the weight scan and the subset walk.
 
-    In an OR of rows, an entry or a node's b entries is nonzero exactly when
-    one of its bits is set; folding each onto its lowest bit flags entry c at
-    bit c sym and node j, above every entry, at bit top + j b sym.
-    """
+    Entry i of node j sits at bit j W + i sym, W = b sym + 1. Adding ones to
+    a packed vector carries into the spare bit on top of each node, its
+    guard, exactly when the node is nonzero; an entry is nonzero when one
+    of its sym bits is."""
 
     def __init__(self, field, rows, b: int, n: int):
-        S = self.slots = _vectors(field, n * b)
-        self.field, self.sym, self.rows = field, S.layout.sym, [S.layout.pack(r) for r in rows]
-        self.width, self.top = b * self.sym, n * b * self.sym
-        self.nodes = ((1 << self.top) - 1) // ((1 << self.width) - 1)  # bit 0 of every node
+        L = self.layout = _layout(field)
+        self.field, self.sym, self.width = field, L.sym, b * L.sym + 1
+        # bit 0 of every node, then of every entry
+        nodes = ((1 << (n * self.width)) - 1) // ((1 << self.width) - 1)
+        self.ones, self.guards = nodes * ((1 << (b * L.sym)) - 1), nodes << (b * L.sym)
+        self.slots = _Slots(L, nodes * (((1 << (b * L.sym)) - 1) // ((1 << L.sym) - 1)))
+        self.rows = [L.pack(r, b, self.width) for r in rows]
 
     def flag(self, j: int, i: int | None) -> int:
-        """The flag bit of symbol i of node j, or of node j when i is None."""
-        return 1 << (j * self.width + (self.top if i is None else i * self.sym))
-
-    def column(self, j: int) -> int:
-        """Every flag bit of node j and its symbols."""
-        return ((1 << self.width) - 1 | 1 << self.top) << (j * self.width)
+        """The flag bit of symbol i of node j, or of node j (its guard) when i is None."""
+        return 1 << (j * self.width + (self.width - 1 if i is None else i * self.sym))
 
     def unheld(self, rows) -> int:
         """The flags of the symbols and nodes at which some row is nonzero."""
-        union = reduce(or_, rows, 0)
-        entries, nodes = _fold(union, self.sym), _fold(union, self.width)
-        return entries & self.slots.low | (nodes & self.nodes) << self.top
+        union = entries = reduce(or_, rows, 0)
+        for shift in range(1, self.sym):
+            entries |= union >> shift
+        return (union + self.ones) & self.guards | entries & self.slots.low
 
     def reduce(self, rows, j: int) -> list[int]:
         """The combinations of the rows that vanish on node j's entries: each
         entry nonzero in some row pivots out one row."""
-        F, S, sym = self.field, self.slots, self.sym
-        mask, entry = S.layout.mask, S.layout.entry
-        for c in range(j * self.width, (j + 1) * self.width, sym):
+        F, S, L = self.field, self.slots, self.layout
+        for c in range(j * self.width, (j + 1) * self.width - 1, self.sym):
             for k, row in enumerate(rows):
-                if row >> c & mask:
+                if row >> c & L.mask:
                     break
             else:
                 continue
             if F.q == 2:
                 rest = [r ^ row if r >> c & 1 else r for r in rows[k + 1 :]]
             else:
-                e = c // sym
-                row = S.scale(row, F.inv(entry(row, e)))
-                rest = [S.add(r, S.scale(row, -entry(r, e))) if r >> c & mask else r for r in rows[k + 1 :]]
+                row = S.scale(row, F.inv(L.entry(row >> c, 0)))
+                rest = [(r, L.entry(r >> c, 0)) for r in rows[k + 1 :]]
+                rest = [S.add(r, S.scale(row, -f)) if f else r for r, f in rest]
             rows = rows[:k] + rest
         return rows
 
 
 def _subset_quotients(gen: _Generator, columns, size: int):
     """Every size-element subset of columns in lex order, with the generator
-    reduced modulo the sum S of the subset's column spaces.
-
-    The reduced rows are a basis of the rows y G with y in S^perp, M - dim S
-    of them for G of rank M, so a generator column lies in S exactly when
-    every reduced row is zero at it (gen.unheld). The reduced rows of the
-    prefixes of the current subset stay on a stack shared with the next
-    subset, so each deeper element costs one gen.reduce over its b entries.
+    reduced modulo the sum S of the subset's column spaces: a basis of the
+    rows y G with y in S^perp, M - dim S of them for G of rank M, so a
+    generator column lies in S exactly when every reduced row is zero at it
+    (gen.unheld). The reduced rows of the current subset's prefixes stay on
+    a stack shared with the next subset: one gen.reduce per deeper element.
     """
     stack = [gen.rows]
     prev = (-1,) * size

@@ -17,6 +17,7 @@ bound above the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .arraycode import ArrayCode
@@ -61,28 +62,21 @@ def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int
     = (the symbol's generator column) and free variables 0, as solve gives:
     the helper part of one reduction, targets appended, is the reduced
     echelon form of the helper columns alone."""
-    gen = code._packed_generator
-    flat = [m * code.b + i for m in columns for i in range(code.b)] + [column * code.b + i for i in rows]
-    k, sym, L = len(flat) - len(rows), gen.sym, gen.slots.layout
-    packed = [sum((g >> c * sym & L.mask) << (x * sym) for x, c in enumerate(flat)) for g in gen.rows]
-    basis, pivots = _rref_rows(code.field, len(flat), packed)
+    gen, L = code._packed_generator, _layout(code.field)
+    bits = [m * gen.width + i * L.sym for m in columns for i in range(code.b)]
+    bits += [column * gen.width + i * L.sym for i in rows]
+    k = len(bits) - len(rows)
+    packed = [sum((g >> c & L.mask) << (x * L.sym) for x, c in enumerate(bits)) for g in gen.rows]
+    basis, pivots = _rref_rows(code.field, len(bits), packed)
     assert not pivots or pivots[-1] < k, "recovery set accepted but no functional exists"
     at = dict(zip(pivots, basis))
-    return tuple(tuple(L.entry(at[c], k + t) if c in at else 0 for c in range(k)) for t in range(len(rows)))
+    return tuple(tuple(L.entry(at[c], t) if c in at else 0 for c in range(k)) for t in range(k, len(bits)))
 
 
 def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[int, ...]:
     """Rebuild the target symbols from the helper entries of a codeword array."""
-    field = code.field
     vals = [array.rows[i][m] for m in rset.columns for i in range(code.b)]
-    out = []
-    for coeff in rset.coefficients:
-        acc = 0
-        for c, v in zip(coeff, vals):
-            if c and v:
-                acc = field.add(acc, field.mul(c, v))
-        out.append(acc)
-    return tuple(out)
+    return tuple(vec_dot(code.field, coeff, vals) for coeff in rset.coefficients)
 
 
 def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
@@ -91,10 +85,8 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
         return False
     cols = tuple(code.column_vector(i, m) for m in rset.columns for i in range(code.b))
     helpers = Mat(code.field, cols, code.M)
-    if rset.kind == "node":
-        targets = [code.column_vector(i, rset.column) for i in range(code.b)]
-    else:
-        targets = [code.column_vector(rset.row, rset.column)]
+    rows = range(code.b) if rset.kind == "node" else (rset.row,)
+    targets = [code.column_vector(i, rset.column) for i in rows]
     if len(rset.coefficients) != len(targets) or any(len(c) != helpers.nrows for c in rset.coefficients):
         return False
     return all(vec_mat(coeff, helpers) == target for coeff, target in zip(rset.coefficients, targets))
@@ -107,28 +99,19 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
 # test tells every target the sum holds: its flag is clear in gen.unheld.
 
 
-def _held(gen, subset, rows, wanted: int, waiting) -> tuple[int, list[int]]:
-    """The flags in wanted that the sum holds, outside the subset's own
-    columns, and the targets waiting on them."""
+def _held(gen, subset, rows, wanted: int):
+    """Each flag in wanted, outside the subset's own columns, that the sum holds."""
     for m in subset:
-        wanted &= ~gen.column(m)
-    held = bits = wanted & ~gen.unheld(rows)
-    out = []
-    while bits:
-        out += waiting[bits & -bits]
-        bits &= bits - 1
-    return held, out
-
-
-def _waiting(gen, targets, keys) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for k in keys:
-        out.setdefault(gen.flag(*targets[k][:2]), []).append(k)
-    return out
+        wanted &= ~(((1 << gen.width) - 1) << m * gen.width)
+    held = wanted & ~gen.unheld(rows)
+    while held:
+        yield held & -held
+        held &= held - 1
 
 
 def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
-    """First helper set in (size, lex) order whose sum holds each target.
+    """First helper set in (size, lex) order whose sum holds each of the
+    distinct targets.
 
     One walk per size serves every pending target, and zero targets need no
     helpers. NoRecovery names the first target with no set of size <= cap.
@@ -136,17 +119,17 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     gen = code._packed_generator
     nonzero = gen.unheld(gen.rows)
     found: list = [None if gen.flag(*t) & nonzero else () for t in targets]
-    waiting = _waiting(gen, targets, [k for k, f in enumerate(found) if f is None])
+    waiting = {gen.flag(*targets[k]): k for k, f in enumerate(found) if f is None}
+    assert len(waiting) == found.count(None), "targets must be distinct"
     pending = sum(waiting)
     columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
     for size in range(1, cap + 1):
         if not pending:
             break
         for subset, rows in _subset_quotients(gen, columns, size):
-            held, ks = _held(gen, subset, rows, pending, waiting)
-            for k in ks:
-                found[k] = subset
-            pending ^= held
+            for bit in _held(gen, subset, rows, pending):
+                found[waiting[bit]] = subset
+                pending ^= bit
             if not pending:
                 break
     out = []
@@ -154,17 +137,18 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
         what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
         if subset is None:
             raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
-        functionals = _functionals(code, subset, column, range(code.b) if row is None else (row,))
-        out.append(RecoverySet("node" if row is None else "symbol", column, row, subset, functionals))
+        kind, rows = ("node", range(code.b)) if row is None else ("symbol", (row,))
+        out.append(RecoverySet(kind, column, row, subset, _functionals(code, subset, column, rows)))
     return out
 
 
 def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list[tuple]]:
     """Each target's minimal valid helper sets, in (size, lex) order.
 
-    targets are (column, row, r) triples; a helper set is valid when its size
-    is at most r and its sum holds the target. Sums only grow, so a valid set
-    is minimal unless one of its subsets one element smaller was valid too.
+    targets are distinct (column, row, r) triples; a helper set is valid when
+    its size is at most r and its sum holds the target. Sums only grow, so a
+    valid set is minimal unless one of its subsets one element smaller was
+    valid too.
     """
     for r in dict.fromkeys(r for _, _, r in targets):
         total = sum(comb(code.n - 1, s) for s in range(1, r + 1))
@@ -174,13 +158,15 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     valid: list[set] = [set() for _ in targets]  # valid sets one size smaller
     for size in range(1, max((r for _, _, r in targets), default=0) + 1):
         active = [k for k, t in enumerate(targets) if t[2] >= size]
-        waiting = _waiting(gen, targets, active)
+        waiting = {gen.flag(*targets[k][:2]): k for k in active}
+        assert len(waiting) == len(active), "targets must be distinct"
         wanted = sum(waiting)
         grown: list[set] = [set() for _ in targets]
         columns = [m for m in range(code.n) if any(targets[k][0] != m for k in active)]
         for subset, rows in _subset_quotients(gen, columns, size):
             faces = [subset[:i] + subset[i + 1 :] for i in range(size)]
-            for k in _held(gen, subset, rows, wanted, waiting)[1]:
+            for bit in _held(gen, subset, rows, wanted):
+                k = waiting[bit]
                 if not (valid[k] and any(f in valid[k] for f in faces)):
                     pools[k].append(subset)
                 if size < targets[k][2]:
@@ -338,19 +324,9 @@ def _improve_packing(cand, chosen):
     while improved:
         improved = False
         for drop in list(chosen):
-            rest = set()
-            for s in chosen:
-                if s is not drop:
-                    rest |= s
+            rest = set().union(*(s for s in chosen if s is not drop))
             free = [c for c in cand if c not in chosen and rest.isdisjoint(c)]
-            pair = None
-            for a_i in range(len(free)):
-                for b_i in range(a_i + 1, len(free)):
-                    if free[a_i].isdisjoint(free[b_i]):
-                        pair = (free[a_i], free[b_i])
-                        break
-                if pair:
-                    break
+            pair = next(((a, c) for a, c in combinations(free, 2) if a.isdisjoint(c)), None)
             if pair:
                 chosen.remove(drop)
                 chosen.extend(pair)
