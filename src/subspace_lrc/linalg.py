@@ -526,7 +526,7 @@ class _Generator:
             entries |= union >> shift
         return (union + self.ones) & self.guards | entries & self.slots.low
 
-    def reduce(self, rows, j: int) -> list[int]:
+    def eliminate(self, rows, j: int) -> list[int]:
         """The combinations of the rows that vanish on node j's entries: each
         entry nonzero in some row pivots out one row."""
         F, S, L = self.field, self.slots, self.layout
@@ -552,7 +552,7 @@ def _subset_quotients(gen: _Generator, columns, size: int):
     rows y G with y in S^perp, M - dim S of them for G of rank M, so a
     generator column lies in S exactly when every reduced row is zero at it
     (gen.unheld). The reduced rows of the current subset's prefixes stay on
-    a stack shared with the next subset: one gen.reduce per deeper element.
+    a stack shared with the next subset: one gen.eliminate per deeper element.
     """
     stack = [gen.rows]
     prev = (-1,) * size
@@ -562,7 +562,7 @@ def _subset_quotients(gen: _Generator, columns, size: int):
             k += 1
         del stack[k + 1 :]
         for m in subset[k:]:
-            stack.append(gen.reduce(stack[-1], m))
+            stack.append(gen.eliminate(stack[-1], m))
         prev = subset
         yield subset, stack[-1]
 
