@@ -540,8 +540,11 @@ class _Generator:
                 rest = [r ^ row if r >> c & 1 else r for r in rows[k + 1 :]]
             else:
                 row = S.scale(row, F.inv(L.entry(row >> c, 0)))
-                rest = [(r, L.entry(r >> c, 0)) for r in rows[k + 1 :]]
-                rest = [S.add(r, S.scale(row, -f)) if f else r for r, f in rest]
+                rest, times = rows[k + 1 :], {}  # times[f] = -f * row
+                for t, r in enumerate(rest):
+                    if r >> c & L.mask:
+                        f = L.entry(r >> c, 0)
+                        rest[t] = S.add(r, times.get(f) or times.setdefault(f, S.scale(row, -f)))
             rows = rows[:k] + rest
         return rows
 

@@ -110,8 +110,7 @@ def _held(gen, subset, rows, wanted: int):
 
 
 def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
-    """First helper set in (size, lex) order whose sum holds each of the
-    distinct targets.
+    """First helper set in (size, lex) order whose sum holds each distinct target.
 
     One walk per size serves every pending target, and zero targets need no
     helpers. NoRecovery names the first target with no set of size <= cap.
@@ -192,8 +191,7 @@ def min_node_recovery(
     code: ArrayCode, column: int, *, max_size: int | None = None
 ) -> RecoverySet:
     """Smallest helper set whose subspace sum contains the node's subspace."""
-    if not 0 <= column < code.n:
-        raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
+    code.column_vector(0, column)  # OutOfRange for a bad column
     cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
     return _witnesses(code, [(column, None)], cap)[0]
 
@@ -403,8 +401,7 @@ def node_availability(
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a node."""
-    if not 0 <= column < code.n:
-        raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
+    code.column_vector(0, column)  # OutOfRange for a bad column
     if code.subspaces[column].dim == 0:
         raise BadParams("availability of a zero-dimensional node is unbounded")
     if r is None:
