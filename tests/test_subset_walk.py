@@ -12,6 +12,7 @@ blocks, over gf(2), gf(3), gf(4) and gf(9).
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -142,15 +143,8 @@ def blocks_code(q, M, b, n, seed):
     rng, field = random.Random(seed), FIELDS[q]
     while True:
         blocks = list(dict.fromkeys(_random_subspace(rng, field, M, b) for _ in range(n)))
-        if len(blocks) == n and subspace_sum_all(blocks).dim == M:
+        if len(blocks) == n and reduce(subspace_sum, blocks).dim == M:
             return construction_from_blocks(field, blocks)
-
-
-def subspace_sum_all(subspaces):
-    total = subspaces[0]
-    for s in subspaces[1:]:
-        total = subspace_sum(total, s)
-    return total
 
 
 EXTRA = [
