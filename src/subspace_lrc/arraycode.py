@@ -69,17 +69,6 @@ class ArrayCode:
     subspaces: tuple[Subspace, ...]
     provenance: str
 
-    def thick_column(self, j: int) -> Mat:
-        """The M x b slice of the generator for node j (0-based)."""
-        if not 0 <= j < self.n:
-            raise OutOfRange(f"column {j} outside 0..{self.n - 1}")
-        cols = range(j * self.b, (j + 1) * self.b)
-        return Mat(
-            self.field,
-            tuple(tuple(r[c] for c in cols) for r in self.generator.rows),
-            self.b,
-        )
-
     def column_vector(self, i: int, j: int) -> tuple[int, ...]:
         """Generator column for symbol i of node j, as a length-M vector."""
         if not 0 <= i < self.b:
@@ -480,22 +469,21 @@ def analyze_code(
     limit: int | None = None,
     jobs: int = 1,
 ) -> CodeReport:
-    """Assemble the per-code report; oversize scans degrade to notes, never crash."""
+    """Assemble the per-code report; oversize scans degrade to notes, never crash.
+    The histogram and d come from one scan, and d is reported whenever it ran."""
     notes: list[str] = []
     dist: int | None = None
     wd: dict[int, int] | None = None
-    if with_weights:
+    if with_weights or with_distance:
         try:
-            wd = weight_distribution(code, limit=limit, jobs=jobs)
-            nonzero = [w for w in wd if w > 0]
-            dist = min(nonzero) if nonzero else None
+            hist = weight_distribution(code, limit=limit, jobs=jobs)
+            dist = min((w for w in hist if w > 0), default=None)
+            wd = hist if with_weights else None
         except TooLarge as exc:
-            notes.append(f"weight distribution skipped: {exc}")
-    if dist is None and with_distance:
-        try:
-            dist = min_distance(code, limit=limit)
-        except TooLarge as exc:
-            notes.append(f"distance skipped: {exc}")
+            if with_weights:
+                notes.append(f"weight distribution skipped: {exc}")
+            if with_distance:
+                notes.append(f"distance skipped: {exc}")
     mds: bool | None = None
     if dist is not None and code.M % code.b == 0:
         mds = is_mds(code, distance=dist)

@@ -126,7 +126,7 @@ def _witness_json(rset):
 
 def _availability_json(res):
     if res is None:
-        return None
+        return {"status": "skipped", "reason": "pass --availability to compute"}
     return {
         "value": res.value,
         "quality": "exact" if res.exact else "bound",
@@ -144,7 +144,7 @@ def _locality_json(code, *, with_availability, exact_cap, limit):
         )
     except TooLarge as exc:
         return {"status": "skipped", "reason": str(exc)}
-    out = {
+    return {
         "node_locality": profile.node_locality,
         "symbol_locality": profile.symbol_locality,
         "node_witnesses": [_witness_json(w) for w in profile.node_witnesses],
@@ -154,10 +154,6 @@ def _locality_json(code, *, with_availability, exact_cap, limit):
         "node_availability": _availability_json(profile.node_t),
         "symbol_availability": _availability_json(profile.symbol_t),
     }
-    if not with_availability:
-        out["node_availability"] = {"status": "skipped", "reason": "pass --availability to compute"}
-        out["symbol_availability"] = {"status": "skipped", "reason": "pass --availability to compute"}
-    return out
 
 
 def _emit(args, text: str) -> None:
@@ -263,14 +259,30 @@ def _cmd_analyze(args) -> int:
             exact_cap=args.packing_cap,
             limit=args.limit,
         )
-    if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        text = _report_csv(doc)
-    else:
-        text = _report_text(doc)
+    with _long_ints():
+        if args.format == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        elif args.format == "csv":
+            text = _report_csv(doc)
+        else:
+            text = _report_text(doc)
     _emit(args, text)
     return 0
+
+
+@contextlib.contextmanager
+def _long_ints():
+    """Lift Python's cap on int-to-str digits (4,300 by default, from 3.10.7)
+    while a report renders: an exact covering ratio q^M phi1 / q^(bn) can be
+    longer. Parsing keeps the cap, which bounds the cost of untrusted input."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _cmd_verify(args) -> int:

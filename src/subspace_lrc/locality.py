@@ -17,7 +17,7 @@ bound above the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .arraycode import ArrayCode
@@ -174,26 +174,20 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     return pools
 
 
-def min_symbol_recovery(
-    code: ArrayCode, row: int, column: int, *, max_size: int | None = None
-) -> RecoverySet:
+def min_symbol_recovery(code: ArrayCode, row: int, column: int) -> RecoverySet:
     """Smallest helper set whose subspace sum contains the symbol's column.
 
     Ties break lexicographically on the helper index tuple. A zero generator
     column needs no helpers and yields the empty set.
     """
     code.column_vector(row, column)  # OutOfRange for a bad row or column
-    cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
-    return _witnesses(code, [(column, row)], cap)[0]
+    return _witnesses(code, [(column, row)], code.n - 1)[0]
 
 
-def min_node_recovery(
-    code: ArrayCode, column: int, *, max_size: int | None = None
-) -> RecoverySet:
+def min_node_recovery(code: ArrayCode, column: int) -> RecoverySet:
     """Smallest helper set whose subspace sum contains the node's subspace."""
     code.column_vector(0, column)  # OutOfRange for a bad column
-    cap = code.n - 1 if max_size is None else min(max_size, code.n - 1)
-    return _witnesses(code, [(column, None)], cap)[0]
+    return _witnesses(code, [(column, None)], code.n - 1)[0]
 
 
 @dataclass(frozen=True)
@@ -241,9 +235,8 @@ def locality_profile(
     assert r_s <= r_n, "a node recovery set recovers each of its symbols"
     node_t = symbol_t = None
     if with_availability:
-        node_t, symbol_t = _worst_availability(
-            code, [("node", r_n), ("symbol", r_s)], exact_cap=exact_cap, limit=limit
-        )
+        groups = [_nonzero_targets(code, "node", r_n), _nonzero_targets(code, "symbol", r_s)]
+        node_t, symbol_t = _worst_availability(code, groups, exact_cap=exact_cap, limit=limit)
     return LocalityProfile(
         node_locality=r_n,
         symbol_locality=r_s,
@@ -340,36 +333,29 @@ class AvailabilityResult:
     sets: tuple[frozenset, ...]
 
 
-def _worst_packing(pools, exact_cap: int, warm=None) -> AvailabilityResult:
-    """Packing of the first pool with the smallest value; warm, when given,
-    holds one known disjoint family per pool to seed its search."""
-    worst: AvailabilityResult | None = None
-    for k, cand in enumerate(pools):
-        value, sets, exact = max_disjoint_packing(
-            cand, exact_cap=exact_cap, warm_start=None if warm is None else warm[k]
-        )
-        if worst is None or value < worst.value:
-            worst = AvailabilityResult(value, exact, sets)
-    return worst
-
-
-def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
-    """Worst availability over the nonzero nodes or symbols of each (kind, r)
-    group, with every pool from one walk."""
+def _nonzero_targets(code: ArrayCode, kind: str, r: int) -> list[tuple]:
+    """(column, row, r) for every nonzero node (row None) or symbol of the code."""
     gen = code._packed_generator
     nonzero = gen.unheld(gen.rows)
-    targets = []
-    for kind, r in groups:
-        rows = (None,) if kind == "node" else range(code.b)
-        group = [(j, i, r) for j in range(code.n) for i in rows if gen.flag(j, i) & nonzero]
-        if not group:
-            raise BadParams(f"code has no nonzero {kind}")
-        targets.append(group)
-    pools = _minimal_recovery_sets(code, [t for g in targets for t in g], limit=limit)
+    rows = (None,) if kind == "node" else range(code.b)
+    group = [(j, i, r) for j in range(code.n) for i in rows if gen.flag(j, i) & nonzero]
+    if not group:
+        raise BadParams(f"code has no nonzero {kind}")
+    return group
+
+
+def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit, warm=None) -> list:
+    """Worst availability over each group of distinct (column, row, r)
+    targets, with every pool from one walk: the packing of the group's first
+    pool with the smallest value. warm, when given, holds one known disjoint
+    family per target, in the order of the groups, to seed its search."""
+    pools = _minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit)
+    warm = [None] * len(pools) if warm is None else warm
+    packings = (max_disjoint_packing(p, exact_cap=exact_cap, warm_start=w) for p, w in zip(pools, warm))
     out = []
-    for g in targets:
-        out.append(_worst_packing(pools[: len(g)], exact_cap))
-        pools = pools[len(g) :]
+    for g in groups:
+        value, sets, exact = min(islice(packings, len(g)), key=lambda p: p[0])
+        out.append(AvailabilityResult(value, exact, sets))
     return out
 
 
@@ -387,9 +373,7 @@ def symbol_availability(
         raise BadParams("availability of an identically zero symbol is unbounded")
     if r is None:
         r = symbol_locality(code)
-    return _worst_packing(
-        _minimal_recovery_sets(code, [(column, row, r)], limit=limit), exact_cap
-    )
+    return _worst_availability(code, [[(column, row, r)]], exact_cap=exact_cap, limit=limit)[0]
 
 
 def node_availability(
@@ -406,9 +390,7 @@ def node_availability(
         raise BadParams("availability of a zero-dimensional node is unbounded")
     if r is None:
         r = node_locality(code)
-    return _worst_packing(
-        _minimal_recovery_sets(code, [(column, None, r)], limit=limit), exact_cap
-    )
+    return _worst_availability(code, [[(column, None, r)]], exact_cap=exact_cap, limit=limit)[0]
 
 
 def code_symbol_availability(
@@ -417,7 +399,8 @@ def code_symbol_availability(
     """Worst symbol availability over all nonzero symbols."""
     if r is None:
         r = symbol_locality(code)
-    return _worst_availability(code, [("symbol", r)], exact_cap=exact_cap, limit=limit)[0]
+    group = _nonzero_targets(code, "symbol", r)
+    return _worst_availability(code, [group], exact_cap=exact_cap, limit=limit)[0]
 
 
 def code_node_availability(
@@ -426,7 +409,8 @@ def code_node_availability(
     """Worst node availability over all nonzero nodes."""
     if r is None:
         r = node_locality(code)
-    return _worst_availability(code, [("node", r)], exact_cap=exact_cap, limit=limit)[0]
+    group = _nonzero_targets(code, "node", r)
+    return _worst_availability(code, [group], exact_cap=exact_cap, limit=limit)[0]
 
 
 # --- disjoint pair system on the full width-2 subspace family -------------------

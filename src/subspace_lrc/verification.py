@@ -5,9 +5,10 @@ per construction: the closed forms it claims in its parameters (column
 count, distance and weight support, symbol and node locality, availability,
 dual distance and covering ratio), each with its note. The measurement is
 shared: a `_Measure` computes each expensive quantity of one code at most
-once (the weight distribution and d, the locality profile, the availability
-pools, the dual distance by supports and the guarded exhaustive dual scan).
-One builder per check kind pairs a claim with its measurement.
+once (the weight distribution and d, the locality profile, the dual distance
+by supports and the guarded exhaustive dual scan). One builder per check
+kind pairs a claim with its measurement; availability comes from the one
+locality entry that the library and `analyze` use too.
 
 Every check carries the measured value even when it passes. A quantity over
 an enumeration limit or the packing cap, or not claimed for the parameters,
@@ -50,8 +51,8 @@ from .errors import BadParams, TooLarge
 from .limits import enumeration_limit
 from .linalg import contains_subspace, subspace_sum
 from .locality import (
-    _minimal_recovery_sets,
-    _worst_packing,
+    _nonzero_targets,
+    _worst_availability,
     grassmann_pairing,
     locality_profile,
 )
@@ -177,8 +178,7 @@ class _Measure:
     """The measured quantities of one code, each computed at most once.
 
     Over the enumeration limit the scan results are None and scan_skip
-    holds the reason; pools() returns a reason string instead of pools.
-    The builders turn either into a skipped check.
+    holds the reason, which the builders turn into a skipped check.
     """
 
     def __init__(self, code: ArrayCode, limit=None, exact_cap: int = 5000):
@@ -210,22 +210,6 @@ class _Measure:
             return None
         wd = weight_distribution(dual(code), limit=CROSS_CHECK_LIMIT)
         return min(w for w in wd if w > 0)
-
-    def pools(self, kind: str, r: int, cap: int | None):
-        """Minimal helper sets of size <= r for every node or every symbol,
-        or why they were not enumerated: more candidates than cap, or more
-        than the enumeration limit."""
-        code = self.code
-        budget = sum(comb(code.n - 1, s) for s in range(1, r + 1))
-        if cap is not None and budget > cap:
-            return f"candidate enumeration {budget} over cap"
-        rows = (None,) if kind == "node" else range(code.b)
-        try:
-            return _minimal_recovery_sets(
-                code, [(j, i, r) for j in range(code.n) for i in rows], limit=self.limit
-            )
-        except TooLarge as exc:
-            return str(exc)
 
 
 # --- shared builders ----------------------------------------------------------------
@@ -297,14 +281,19 @@ def _availability_check(
 ) -> Check:
     """Worst packing of disjoint helper sets over every node or symbol.
 
-    A claim passes only on an exact packing; with expected None the value
-    is reported.
+    Skipped when the helper sets of size <= r number more than cap or than
+    the enumeration limit. A claim passes only on an exact packing; with
+    expected None the value is reported.
     """
-    check_id = f"{kind}-availability"
-    pools = m.pools(kind, r, cap)
-    if isinstance(pools, str):
-        return _skip(check_id, f"disjoint {kind} helper sets", pools + skip_note)
-    worst = _worst_packing(pools, m.exact_cap, warm)
+    check_id, what, code = f"{kind}-availability", f"disjoint {kind} helper sets", m.code
+    budget = sum(comb(code.n - 1, s) for s in range(1, r + 1))
+    if cap is not None and budget > cap:
+        return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
+    group = _nonzero_targets(code, kind, r)
+    try:
+        [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit, warm=warm)
+    except TooLarge as exc:
+        return _skip(check_id, what, f"{exc}{skip_note}")
     measured = f"{worst.value} ({'exact' if worst.exact else 'bound'})"
     if expected is None:
         return _info(check_id, measured, note)
@@ -312,11 +301,12 @@ def _availability_check(
     return _cond(check_id, description, ok, expected, measured, note)
 
 
-def _dual_distance_checks(m: _Measure, skip="", *, worst_claimed=True) -> list[Check]:
+def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
     """Dual distance against the worst and the smallest symbol recovery size
-    plus one, cross-checked by the exhaustive dual scan when it fits. With
-    worst_claimed False the first is only reported: the worst-case identity
-    needs every nonzero symbol to have the same smallest recovery size."""
+    plus one, cross-checked by the exhaustive dual scan when it fits. For a
+    user's block set (claimed False) the first is only reported, and the
+    second is a bound: two blocks can meet in a vector outside both bases.
+    """
     by_worst = "dual code distance equals worst symbol locality plus one"
     by_min = "dual code distance equals smallest symbol recovery size plus one"
     if skip:
@@ -330,12 +320,15 @@ def _dual_distance_checks(m: _Measure, skip="", *, worst_claimed=True) -> list[C
     )
     exhaustive = m.dual_scan
     note = "" if exhaustive is None else f"exhaustive dual scan agrees: {exhaustive}"
-    by_worst_claim = p.symbol_locality + 1 if worst_claimed else None
+    by_worst_claim = p.symbol_locality + 1 if claimed else None
     checks = [_expect("dual-distance", by_worst, by_worst_claim, d_dual, note)]
     if exhaustive is not None and exhaustive != d_dual:
         description = "support search agrees with exhaustive dual scan"
         checks.append(_cond("dual-distance-cross-check", description, False, d_dual, exhaustive))
-    checks.append(_expect("dual-distance-min-symbol", by_min, min_sym + 1, d_dual))
+    if not claimed:
+        by_min = "dual code distance is at most smallest symbol recovery size plus one"
+    by_min_claim = min_sym + 1 if claimed else _Range(1, min_sym + 1)
+    checks.append(_expect("dual-distance-min-symbol", by_min, by_min_claim, d_dual))
     return checks
 
 
@@ -645,7 +638,7 @@ def verify_blocks(code: ArrayCode, *, limit: int | None = None) -> VerificationS
             "r_s <= r_n",
             f"r_s={m.profile.symbol_locality}, r_n={m.profile.node_locality}",
         ),
-        *_dual_distance_checks(m, worst_claimed=False),
+        *_dual_distance_checks(m, claimed=False),
         _covering_check("ball-ratio", "", perfectness(code)),
     ]
     return VerificationSuite(

@@ -6,6 +6,7 @@ import pytest
 from subspace_lrc.arraycode import (
     ArrayCode,
     _scan_range,
+    _thick_column_spans,
     analyze_code,
     code_from_subspaces,
     construction_all_subspaces,
@@ -105,8 +106,7 @@ def test_all_subspaces_shape():
     assert code.subspaces == enumerate_grassmannian(F2, 3, 2)
     assert rank(code.generator) == 3
     # thick column j spans exactly the j-th subspace
-    for j, s in enumerate(code.subspaces):
-        assert row_space(code.thick_column(j).transpose()) == s
+    assert _thick_column_spans(code.generator, code.b) == code.subspaces
 
 
 def test_all_subspaces_b1_is_projective():
@@ -471,7 +471,7 @@ def test_code_from_subspaces_pads_short_columns():
     code = code_from_subspaces(F2, mixed, 2, 3, "padded")
     assert code.n == 3
     # the padded thick column still spans the declared 1-dim subspace
-    assert row_space(code.thick_column(1).transpose()) == mixed[1]
+    assert _thick_column_spans(code.generator, code.b)[1] == mixed[1]
 
 
 def test_construction_from_blocks_errors():

@@ -202,6 +202,33 @@ def test_analyze_skip_distance(tmp_path, capsys):
     assert rep["distance"] is None
 
 
+def test_analyze_prints_ratios_longer_than_the_int_digit_cap(tmp_path, capsys):
+    """15,000 copies of the line of GF(2)^1: the covering ratio is
+    2 * 15001 / 2^15000 = 15001 / 2^14999, whose denominator has 4,516
+    digits, over the 4,300 that Python prints by default."""
+    line = subspace_lrc.Subspace.from_span(F2, 1, [(1,)])
+    bundle = tmp_path / "lines.bundle"
+    subspace_lrc.write_bundle(subspace_lrc.code_from_subspaces(F2, [line] * 15000, 1, 1, "lines"), str(bundle))
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    outs = {}
+    for fmt in ("json", "text", "csv"):
+        capsys.readouterr()
+        assert cli.main(["analyze", str(bundle), "--format", fmt, "--skip-weights", "--skip-distance"]) == 0
+        outs[fmt] = capsys.readouterr().out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap, "the cap is restored"
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        den = str(2**14999)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+    assert len(den) == 4516
+    assert f'"ratio_den": {den},' in outs["json"] and '"ratio_num": 15001,' in outs["json"]
+    assert f"perfect: False (ball 15001, ratio 15001/{den})\n" in outs["text"]
+    assert f"ratio_num,15001\nratio_den,{den}\n" in outs["csv"]
+
+
 def test_analyze_output_file(tmp_path, capsys):
     bundle = spread_bundle(tmp_path)
     report = tmp_path / "report.json"

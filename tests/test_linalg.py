@@ -464,7 +464,7 @@ def test_kernel_matches_reference_on_acceptance_codes():
         # the transposed generator: decoding systems, and the dual's kernel
         check_matrix_against_reference(F, gen.transpose().rows, M, rng)
         for j, s in enumerate(code.subspaces):
-            thick = code.thick_column(j).transpose()
+            thick = Mat(F, tuple(code.column_vector(i, j) for i in range(b)), M)
             assert (row_space(thick).basis, s.pivots) == reference_span(F, thick.rows, M)
             # a running sum over the columns, as the recovery walk builds it
             partner = code.subspaces[(7 * j + 1) % n]

@@ -535,8 +535,8 @@ def test_no_recovery_names_first_unrecoverable_target():
             call()
     with pytest.raises(NoRecovery, match=r"^symbol \(1,4\) has no recovery set of size <= 4$"):
         symbol_locality(code)
-    with pytest.raises(NoRecovery, match=r"^node 5 has no recovery set of size <= 2$"):
-        min_node_recovery(code, 4, max_size=2)
+    with pytest.raises(NoRecovery, match=r"^node 5 has no recovery set of size <= 4$"):
+        min_node_recovery(code, 4)
 
 
 # --- repair plans against the per-request path ----------------------------------

@@ -11,6 +11,7 @@ import pytest
 from subspace_lrc import (
     BadParams,
     Check,
+    Subspace,
     VerificationSuite,
     code_from_subspaces,
     construction_from_blocks,
@@ -220,6 +221,21 @@ def test_verify_blocks_reports_properties():
     assert by_id(suite, "ball-ratio").status == "pass"
 
 
+def test_verify_blocks_dual_distance_is_bounded_by_min_symbol_recovery():
+    """Two blocks can meet in a vector that is a basis row of neither, so a
+    dual codeword can be shorter than the smallest symbol recovery set plus
+    its node: from-blocks asserts only that bound."""
+    spans = ["1001 0100", "1011 0110", "1000 0010", "1100 0001"]
+    blocks = [
+        Subspace.from_span(F2, 4, [tuple(int(x) for x in row) for row in rows.split()]) for rows in spans
+    ]
+    suite = verify_blocks(construction_from_blocks(F2, blocks))
+    assert suite.ok, "\n".join(suite.lines())
+    check = by_id(suite, "dual-distance-min-symbol")
+    assert (check.status, check.expected, check.measured) == ("pass", "in [1, 3]", "2")
+    assert by_id(suite, "dual-distance").note == "exhaustive dual scan agrees: 2"
+
+
 def test_verify_blocks_short_column():
     # column width 2 with one 1-dim block: its column is padded, not full rank
     blocks = enumerate_grassmannian(F2, 3, 2) + enumerate_grassmannian(F2, 3, 1)[:1]
@@ -253,7 +269,7 @@ def test_each_measurement_runs_once_per_suite(monkeypatch):
         "locality_profile",
         "dual_distance_by_supports",
         "dual",
-        "_minimal_recovery_sets",
+        "_worst_availability",
     ):
         monkeypatch.setattr(verification, name, counted(name, getattr(verification, name)))
 
