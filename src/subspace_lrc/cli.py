@@ -25,7 +25,7 @@ from .arraycode import (
 )
 from .errors import BadParams, Inconsistent, OutOfRange, SubspaceCodeError, TooLarge
 from .gf import parse_field
-from .limits import ENV_VAR
+from .limits import DEFAULT_PACKING_CAP, ENV_VAR
 from .linalg import parse_matrix, row_space
 from .locality import locality_profile, repair
 from .verification import run_verification
@@ -41,8 +41,8 @@ limits:
   Exhaustive scans refuse to enumerate more than a configured number of
   objects (default 2^20) and report the affected entries as skipped.
   Raise or lower the cap with --limit or the {ENV_VAR} environment
-  variable. --packing-cap bounds the exact disjoint-set search; larger
-  pools fall back to a greedy packing flagged as a bound.
+  variable. --packing-cap bounds the exact disjoint-set search; a larger
+  pool of overlapping sets gets a greedy bound, which verify skips instead.
 
 exit codes:
   0 success, 1 verification failure, 2 usage or parameter error,
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     p_ana.add_argument("--jobs", type=_count(1), default=1, help="parallel weight-scan workers")
     p_ana.add_argument("--limit", type=_count(1), default=None, help="enumeration cap override")
     p_ana.add_argument(
-        "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
+        "--packing-cap", type=_count(0), default=DEFAULT_PACKING_CAP, help="candidate cap for the exact packing search"
     )
 
     p_ver = command("verify", "check every documented property of a construction", _cmd_verify)
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.add_argument(
-        "--packing-cap", type=_count(0), default=5000, help="candidate cap for the exact packing search"
+        "--packing-cap", type=_count(0), default=DEFAULT_PACKING_CAP, help="candidate cap for the exact packing search"
     )
     p_ver.add_argument(
         "--no-availability", action="store_true", help="skip availability checks"

@@ -47,6 +47,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _refuse_order(p: int, m: int, written: str) -> None:
+    """Refuse p^m over the table limit before factoring p or raising it to a large power."""
+    cap = DEFAULT_TABLE_LIMIT
+    if p > 1 and m >= 1 and (p > cap or m >= cap.bit_length() or p**m > cap):
+        raise OrderTooLarge(f"field order {written} exceeds table limit {cap}")
+
+
 def _digits(x: int, base: int, width: int) -> tuple[int, ...]:
     out = []
     for _ in range(width):
@@ -175,11 +182,8 @@ class _PolyField:
     def __init__(self, cf, degree: int):
         self.cf = cf
         self.degree = degree
+        _refuse_order(cf.q, degree, f"{cf.q}^{degree}")
         self.q = cf.q**degree
-        if self.q > DEFAULT_TABLE_LIMIT:
-            raise OrderTooLarge(
-                f"field order {cf.q}^{degree} = {self.q} exceeds table limit {DEFAULT_TABLE_LIMIT}"
-            )
         self.modulus = _smallest_irreducible(degree, cf)
         self._exp, self._log = _power_tables(self.q, self.raw_mul)
 
@@ -308,6 +312,7 @@ class FieldContext(_FieldOps):
     """
 
     def __init__(self, p: int, m: int):
+        _refuse_order(p, m, f"{p}^{m}")
         if not is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if m < 1:
@@ -315,8 +320,6 @@ class FieldContext(_FieldOps):
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > DEFAULT_TABLE_LIMIT:
-            raise OrderTooLarge(f"field order {p}^{m} = {self.q} exceeds table limit {DEFAULT_TABLE_LIMIT}")
         if m == 1:
             self.modulus = (0, 1)
             exp, log = _power_tables(p, lambda a, b: a * b % p)
@@ -444,18 +447,11 @@ def field_from_order(q: int) -> FieldContext:
     """GF(q) for a prime power q, decomposed into (p, m)."""
     if q < 2:
         raise OutOfRange(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    m = 0
-    rest = q
-    while rest % p == 0 and rest > 1:
-        rest //= p
-        m += 1
-    if rest != 1:
+    _refuse_order(q, 1, str(q))
+    factors = _distinct_prime_factors(q)
+    if len(factors) > 1:
         raise NotPrime(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
     return field_new(p, m)

@@ -14,6 +14,8 @@ from .errors import TooLarge
 
 DEFAULT_ENUMERATION_LIMIT = 1 << 20
 DEFAULT_TABLE_LIMIT = 1 << 16
+# Largest candidate pool that availability packs by exact search.
+DEFAULT_PACKING_CAP = 5000
 
 ENV_VAR = "SUBSPACE_LRC_LIMIT"
 

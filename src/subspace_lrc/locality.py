@@ -10,8 +10,8 @@ single target admits.
 All searches are exact and deterministic: subsets are tried in size order,
 then lexicographically, and the first valid set wins. Availability uses
 exact maximum set packing over the minimal valid helper sets when the
-candidate pool is small enough, and degrades to a flagged greedy lower
-bound above the cap.
+candidate pool is small enough or pairwise disjoint, and degrades to a
+flagged greedy lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 from .arraycode import ArrayCode
 from .designs import enumerate_grassmannian
 from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange
-from .limits import guard
+from .limits import DEFAULT_PACKING_CAP, guard
 from .linalg import (
     Mat,
     _Combiner,
@@ -141,6 +141,11 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     return out
 
 
+def _candidate_count(n: int, r: int) -> int:
+    """Helper sets of size 1..r among the n - 1 columns other than a target."""
+    return sum(comb(n - 1, s) for s in range(1, r + 1))
+
+
 def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list[tuple]]:
     """Each target's minimal valid helper sets, in (size, lex) order.
 
@@ -150,7 +155,7 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     valid too.
     """
     for r in dict.fromkeys(r for _, _, r in targets):
-        total = sum(comb(code.n - 1, s) for s in range(1, r + 1))
+        total = _candidate_count(code.n, r)
         guard(total, f"enumerating {total} candidate helper sets", limit)
     gen = code._packed_generator
     pools: list[list[tuple]] = [[] for _ in targets]
@@ -221,7 +226,7 @@ def locality_profile(
     code: ArrayCode,
     *,
     with_availability: bool = False,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     limit: int | None = None,
 ) -> LocalityProfile:
     n, b = code.n, code.b
@@ -250,13 +255,13 @@ def locality_profile(
 # --- availability ---------------------------------------------------------------
 
 
-def max_disjoint_packing(sets, *, exact_cap: int = 5000, warm_start=None):
+def max_disjoint_packing(sets, *, exact_cap: int = DEFAULT_PACKING_CAP, warm_start=None):
     """Largest pairwise-disjoint subcollection.
 
-    Exact branch-and-bound (element branching with fail-first pivots) when
-    the pool is within exact_cap, otherwise greedy plus one-out-two-in local
-    improvement, flagged exact=False. warm_start may carry a known disjoint
-    family from the pool to seed the search. Returns (count, chosen, exact).
+    Exact: a pairwise-disjoint pool itself, else branch-and-bound (element
+    branching with fail-first pivots) on a pool within exact_cap. Otherwise
+    greedy plus one-out-two-in local improvement, flagged exact=False; a
+    warm_start family from the pool seeds both. Returns (count, chosen, exact).
     """
     cand = sorted({frozenset(s) for s in sets}, key=lambda f: (len(f), sorted(f)))
     if not cand:
@@ -275,6 +280,8 @@ def max_disjoint_packing(sets, *, exact_cap: int = 5000, warm_start=None):
         assert all(s in pool for s in warm), "warm start must come from the pool"
         if len(warm) > len(greedy):
             greedy = warm
+    if len(greedy) == len(cand):
+        return len(greedy), tuple(greedy), True
     if len(cand) > exact_cap:
         greedy = _improve_packing(cand, greedy)
         return len(greedy), tuple(greedy), False
@@ -365,7 +372,7 @@ def symbol_availability(
     column: int,
     *,
     r: int | None = None,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a symbol."""
@@ -381,7 +388,7 @@ def node_availability(
     column: int,
     *,
     r: int | None = None,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     limit: int | None = None,
 ) -> AvailabilityResult:
     """Maximum number of pairwise disjoint size-<=r helper sets for a node."""
@@ -394,7 +401,7 @@ def node_availability(
 
 
 def code_symbol_availability(
-    code: ArrayCode, *, r: int | None = None, exact_cap: int = 5000, limit: int | None = None
+    code: ArrayCode, *, r: int | None = None, exact_cap: int = DEFAULT_PACKING_CAP, limit: int | None = None
 ) -> AvailabilityResult:
     """Worst symbol availability over all nonzero symbols."""
     if r is None:
@@ -404,7 +411,7 @@ def code_symbol_availability(
 
 
 def code_node_availability(
-    code: ArrayCode, *, r: int | None = None, exact_cap: int = 5000, limit: int | None = None
+    code: ArrayCode, *, r: int | None = None, exact_cap: int = DEFAULT_PACKING_CAP, limit: int | None = None
 ) -> AvailabilityResult:
     """Worst node availability over all nonzero nodes."""
     if r is None:

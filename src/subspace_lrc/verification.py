@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 
 from .arraycode import (
     ArrayCode,
@@ -48,9 +47,10 @@ from .designs import (
     verify_std,
 )
 from .errors import BadParams, TooLarge
-from .limits import enumeration_limit
+from .limits import DEFAULT_PACKING_CAP, enumeration_limit
 from .linalg import contains_subspace, subspace_sum
 from .locality import (
+    _candidate_count,
     _nonzero_targets,
     _worst_availability,
     grassmann_pairing,
@@ -181,7 +181,7 @@ class _Measure:
     holds the reason, which the builders turn into a skipped check.
     """
 
-    def __init__(self, code: ArrayCode, limit=None, exact_cap: int = 5000):
+    def __init__(self, code: ArrayCode, limit=None, exact_cap: int = DEFAULT_PACKING_CAP):
         self.code, self.limit, self.exact_cap = code, limit, exact_cap
         size = code.field.q**code.M
         self.scan_skip = "" if size <= enumeration_limit(limit) else f"q^M={size} over limit"
@@ -277,28 +277,28 @@ def _availability_disabled() -> list[Check]:
 
 
 def _availability_check(
-    m: _Measure, kind, r, expected, description, *, cap=None, note="", warm=None, skip_note=""
+    m: _Measure, kind, r, expected, description, *, note="", warm=None, skip_note=""
 ) -> Check:
     """Worst packing of disjoint helper sets over every node or symbol.
 
-    Skipped when the helper sets of size <= r number more than cap or than
-    the enumeration limit. A claim passes only on an exact packing; with
-    expected None the value is reported.
+    Skipped when r > 1 and the helper sets of size <= r outnumber the packing
+    cap, or over the enumeration limit; so every packing measured is exact,
+    single columns being disjoint. With expected None the value is reported.
     """
     check_id, what, code = f"{kind}-availability", f"disjoint {kind} helper sets", m.code
-    budget = sum(comb(code.n - 1, s) for s in range(1, r + 1))
-    if cap is not None and budget > cap:
+    budget = _candidate_count(code.n, r)
+    if r > 1 and budget > m.exact_cap:
         return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
     group = _nonzero_targets(code, kind, r)
     try:
         [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit, warm=warm)
     except TooLarge as exc:
         return _skip(check_id, what, f"{exc}{skip_note}")
-    measured = f"{worst.value} ({'exact' if worst.exact else 'bound'})"
+    assert worst.exact, "single-column pools and pools within the cap pack exactly"
+    measured = f"{worst.value} (exact)"
     if expected is None:
         return _info(check_id, measured, note)
-    ok = worst.exact and _meets(expected, worst.value)
-    return _cond(check_id, description, ok, expected, measured, note)
+    return _cond(check_id, description, _meets(expected, worst.value), expected, measured, note)
 
 
 def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
@@ -311,13 +311,9 @@ def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
     by_min = "dual code distance equals smallest symbol recovery size plus one"
     if skip:
         return [_skip("dual-distance", by_worst, skip), _skip("dual-distance-min-symbol", by_min, skip)]
-    code, p, d_dual = m.code, m.profile, m.dual_distance
-    min_sym = min(
-        p.symbol_witnesses[i][j].size
-        for j in range(code.n)
-        for i in range(code.b)
-        if any(code.column_vector(i, j))
-    )
+    p, d_dual = m.profile, m.dual_distance
+    # a nonzero symbol needs a helper and a zero symbol's witness is empty
+    min_sym = min(w.size for row in p.symbol_witnesses for w in row if w.size)
     exhaustive = m.dual_scan
     note = "" if exhaustive is None else f"exhaustive dual scan agrees: {exhaustive}"
     by_worst_claim = p.symbol_locality + 1 if claimed else None
@@ -355,7 +351,7 @@ def verify_all_subspaces(
     b: int,
     *,
     limit: int | None = None,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     availability: bool = True,
 ) -> VerificationSuite:
     q = field.q
@@ -397,14 +393,10 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
     else:
         expected = _Range(Fraction(q ** (M - 1) - 1, 2))
         note = "claimed closed form is non-integral at q=2; read as a lower bound and report the exact packing"
-    checks = [
-        _availability_check(
-            m, "symbol", r_s, expected, description, cap=max(m.exact_cap, 5000), note=note
-        )
-    ]
+    checks = [_availability_check(m, "symbol", r_s, expected, description, note=note)]
     if b != 2:
         note = "no closed form claimed at this width; measured value reported"
-        checks.append(_availability_check(m, "node", r_n, None, "", cap=m.exact_cap, note=note))
+        checks.append(_availability_check(m, "node", r_n, None, "", note=note))
         return checks
 
     # node availability via the explicit pair family when b = 2; the columns
@@ -447,9 +439,7 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
     warm = [[frozenset(pair) for pair in p.pairs] for p in pairings]
     skip_note = f"; pair family still proves >= {smallest}"
     checks.append(
-        _availability_check(
-            m, "node", r_n, expected, description, cap=m.exact_cap, warm=warm, skip_note=skip_note
-        )
+        _availability_check(m, "node", r_n, expected, description, warm=warm, skip_note=skip_note)
     )
     return checks
 
@@ -576,7 +566,7 @@ def verify_std_full(
     M: int,
     *,
     limit: int | None = None,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     availability: bool = True,
 ) -> VerificationSuite:
     q = field.q
@@ -657,7 +647,7 @@ def run_verification(
     method: str = "gabidulin-echelon",
     blocks=None,
     limit: int | None = None,
-    exact_cap: int = 5000,
+    exact_cap: int = DEFAULT_PACKING_CAP,
     availability: bool = True,
 ) -> VerificationSuite:
     if construction == "all-subspaces":

@@ -286,6 +286,11 @@ def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
     assert (rc, err) == (3, "error: bundle declares 7 subspaces, holds 5\n")
 
 
+def test_bundle_field_over_table_limit_is_named(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "field gf(2)", "field gf(2^20000)")
+    assert (rc, err) == (3, "error: bundle header 'field': field order 2^20000 exceeds table limit 65536\n")
+
+
 def analyze_truncated_bundle(tmp_path, capsys, keep):
     """Exit code and stderr of analyze on the spread bundle's first keep lines."""
     lines = Path(spread_bundle(tmp_path)).read_text().splitlines()
@@ -376,6 +381,46 @@ def test_verify_availability_over_limit_is_skipped(capsys):
         "symbol-availability: SKIPPED (expected -, measured -) -- enumerating 15 candidate"
         " helper sets needs 15 objects, limit is 10"
     ) in out
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["all-subspaces", "-M", "3", "-b", "2"], "symbol-availability: PASS (expected 2, measured 2 (exact))"),
+        (["std-full", "-t", "2", "-M", "4", "-b", "2"], "symbol-availability: PASS (expected 3, measured 3 (exact))"),
+    ],
+    ids=["all-subspaces", "std-full"],
+)
+def test_verify_single_column_pools_are_exact_at_packing_cap_0(argv, line, capsys):
+    # at symbol locality 1 every helper set is one column: the pool is
+    # pairwise disjoint and packs exactly whatever the cap
+    assert cli.main(["verify", *argv, "--packing-cap", "0"]) == 0
+    out = capsys.readouterr().out
+    assert line in out and "(bound)" not in out
+
+
+def test_verify_over_packing_cap_skips_symbol_and_node_alike(capsys):
+    assert cli.main(["verify", "all-subspaces", "-M", "3", "-b", "1", "--packing-cap", "1"]) == 0
+    out = capsys.readouterr().out
+    for kind in ("symbol", "node"):
+        assert f"{kind}-availability: SKIPPED (expected -, measured -) -- candidate enumeration 21 over cap" in out
+    assert "(bound)" not in out
+
+
+def test_analyze_single_column_pool_is_exact_at_packing_cap_0(tmp_path, capsys):
+    bundle = tmp_path / "all.bundle"
+    assert cli.main(["construct", "all-subspaces", "-M", "3", "-b", "2", "-o", str(bundle)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", str(bundle), "--availability", "--packing-cap", "0"]) == 0
+    loc = json.loads(capsys.readouterr().out)["locality"]
+    assert (loc["symbol_availability"]["value"], loc["symbol_availability"]["quality"]) == (2, "exact")
+    # the node pools hold overlapping pairs, so cap 0 leaves a greedy bound
+    assert loc["node_availability"]["quality"] == "bound"
+
+
+def test_field_over_table_limit_exits_2_naming_the_order(capsys):
+    assert cli.main(["verify", "spread", "--field", "gf(2^20000)", "-M", "2", "-b", "1"]) == 2
+    assert capsys.readouterr().err == "error: field order 2^20000 exceeds table limit 65536\n"
 
 
 @pytest.mark.parametrize("construction", ["spread", "std-par"])

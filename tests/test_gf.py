@@ -9,6 +9,7 @@ from subspace_lrc.errors import (
     OrderTooLarge,
     OutOfRange,
 )
+from subspace_lrc import gf
 from subspace_lrc.gf import (
     extension_new,
     field_from_order,
@@ -190,6 +191,33 @@ def test_not_prime_and_too_large():
         field_new(2, 0)
     with pytest.raises(OutOfRange):
         field_from_order(1)
+
+
+def test_order_over_table_limit_is_refused_before_factoring(monkeypatch):
+    """An order over the table limit is named as written, with no trial
+    division and no power above the limit: the prime 10^18 + 3 would take
+    minutes to factor, and 2^20000 has too many digits to print."""
+
+    def factored(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(gf, "is_prime", factored)
+    monkeypatch.setattr(gf, "_distinct_prime_factors", factored)
+    big = 10**18 + 3
+    cases = [
+        ("gf(2^17)", "2^17"),
+        ("gf(2^20000)", "2^20000"),
+        ("gf(65537)", "65537"),
+        (f"gf({big}^1)", f"{big}^1"),
+        (f"gf({big})", str(big)),
+        (str(big), str(big)),
+    ]
+    for descriptor, written in cases:
+        with pytest.raises(OrderTooLarge) as exc:
+            parse_field(descriptor)
+        assert str(exc.value) == f"field order {written} exceeds table limit 65536"
+    with pytest.raises(OrderTooLarge, match="field order 4\\^9 exceeds"):
+        extension_new(field_new(2, 2), 9)
 
 
 def test_parse_field_and_descriptor():

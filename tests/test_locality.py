@@ -282,6 +282,17 @@ def test_packing_cap_falls_back_to_bound():
     assert len(flat) == len(set(flat))
 
 
+def test_packing_disjoint_pool_is_exact_at_any_cap():
+    # a pairwise-disjoint pool is its own maximum packing, so no cap turns it
+    # into a bound; the warm-start asserts still run first
+    cand = [frozenset({2 * i, 2 * i + 1}) for i in range(10)]
+    count, chosen, exact = max_disjoint_packing(cand, exact_cap=0)
+    assert (count, exact) == (10, True)
+    assert set(chosen) == set(cand)
+    with pytest.raises(AssertionError, match="from the pool"):
+        max_disjoint_packing(cand, exact_cap=0, warm_start=[frozenset({99})])
+
+
 def test_packing_empty():
     count, chosen, exact = max_disjoint_packing([])
     assert count == 0 and chosen == () and exact
