@@ -433,14 +433,18 @@ def parse_field(descriptor: str) -> FieldContext:
     the same cached context.
     """
     cleaned = "".join(descriptor.split()).lower()
-    if cleaned.isdecimal():
-        return field_from_order(int(cleaned))
-    match = _DESCRIPTOR_RE.match(cleaned)
+    match = _DESCRIPTOR_RE.match(f"gf({cleaned})" if cleaned.isdecimal() else cleaned)
     if not match:
         raise OutOfRange(f"cannot parse field {descriptor!r}; expected gf(q) or gf(p^m)")
+    # sized by digit count first: int() refuses more than 4,300 digits, and
+    # past the table limit only "too large" matters
+    digits = [g.lstrip("0") or "0" for g in match.groups("1")]
+    p, m = (int(g) if len(g) <= len(str(DEFAULT_TABLE_LIMIT)) else DEFAULT_TABLE_LIMIT + 1 for g in digits)
     if match.group(2) is None:
-        return field_from_order(int(match.group(1)))
-    return field_new(int(match.group(1)), int(match.group(2)))
+        _refuse_order(p, 1, digits[0])
+        return field_from_order(p)
+    _refuse_order(p, m, "^".join(digits))
+    return field_new(p, m)
 
 
 def field_from_order(q: int) -> FieldContext:

@@ -8,10 +8,12 @@ many pairwise disjoint helper sets (each within the locality bound) a
 single target admits.
 
 All searches are exact and deterministic: subsets are tried in size order,
-then lexicographically, and the first valid set wins. Availability uses
-exact maximum set packing over the minimal valid helper sets when the
-candidate pool is small enough or pairwise disjoint, and degrades to a
-flagged greedy lower bound otherwise.
+then lexicographically, and the first valid set wins. Availability packs the
+minimal valid helper sets: exactly when the pool is within the packing cap or
+pairwise disjoint, else as a flagged greedy lower bound. At r <= 2 within the
+cap a pool's value is its singleton count plus a maximum matching; the family
+shown for a group comes from branch-and-bound on the group's first worst
+pool only, stopped once it reaches that optimum.
 """
 
 from __future__ import annotations
@@ -288,13 +290,16 @@ def max_disjoint_packing(sets, *, exact_cap: int = DEFAULT_PACKING_CAP, warm_sta
 
     best = list(greedy)
     best_n = len(greedy)
+    # best changes only on a strict gain, so stopping at a known optimum keeps
+    # the family the full search returns
+    goal = _matching_value(cand) if len(cand[-1]) <= 2 else None
 
     def dfs(active, chosen):
         nonlocal best, best_n
         if len(chosen) > best_n:
             best_n = len(chosen)
             best = list(chosen)
-        if not active:
+        if not active or best_n == goal:
             return
         free = set().union(*active)
         msz = min(len(a) for a in active)
@@ -312,7 +317,97 @@ def max_disjoint_packing(sets, *, exact_cap: int = DEFAULT_PACKING_CAP, warm_sta
         dfs([a for a in active if pivot not in a], chosen)
 
     dfs(cand, [])
+    assert goal is None or best_n == goal, "branch-and-bound and matching disagree"
     return best_n, tuple(best), True
+
+
+def _matching_value(sets) -> int:
+    """Largest packing of distinct sets of size <= 2.
+
+    A set of size < 2 is always worth taking, since it meets at most one
+    pair of a packing; the pairs clear of those sets are the edges of a
+    graph, packed by a maximum matching: Edmonds' blossom search, started
+    from a greedy matching, with one augmenting-path search per free vertex.
+    """
+    loose = [s for s in sets if len(s) < 2]
+    taken = set().union(*loose)
+    edges = [s for s in sets if len(s) == 2 and taken.isdisjoint(s)] if loose else sets
+    mate: dict = {}
+    for a, c in edges:
+        if a not in mate and c not in mate:
+            mate[a], mate[c] = c, a
+    vertices = set().union(*edges)
+    n, size = len(vertices), len(mate) // 2
+    if 2 * (size + 1) > n:  # the greedy start already covers all but one vertex
+        return len(loose) + size
+    ids = {x: i for i, x in enumerate(vertices)}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, c in edges:
+        adj[ids[a]].append(ids[c])
+        adj[ids[c]].append(ids[a])
+    match = [ids[mate[x]] if x in mate else -1 for x in ids]
+
+    def augment(root) -> bool:
+        # BFS over alternating paths from root; an odd cycle (blossom) is
+        # shrunk onto its base, so the path found is augmenting in the graph
+        parent, base = [-1] * n, list(range(n))
+        seen = [i == root for i in range(n)]
+        queue = [root]
+
+        def lca(a, c):
+            path = {base[a]}
+            while match[base[a]] >= 0:
+                a = parent[match[base[a]]]
+                path.add(base[a])
+            while base[c] not in path:
+                c = parent[match[base[c]]]
+            return base[c]
+
+        def mark(v, stem, child, blossom):
+            while base[v] != stem:
+                blossom.update((base[v], base[match[v]]))
+                parent[v] = child
+                child = match[v]
+                v = parent[child]
+
+        for v in queue:
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or match[w] >= 0 and parent[match[w]] >= 0:
+                    stem, blossom = lca(v, w), set()
+                    mark(v, stem, w, blossom)
+                    mark(w, stem, v, blossom)
+                    inside = [i for i in range(n) if base[i] in blossom]
+                    queue += [i for i in inside if not seen[i]]
+                    for i in inside:
+                        base[i], seen[i] = stem, True
+                elif parent[w] < 0:
+                    parent[w] = v
+                    if match[w] < 0:
+                        while w >= 0:
+                            v, nxt = parent[w], match[parent[w]]
+                            match[w], match[v] = v, w
+                            w = nxt
+                        return True
+                    seen[match[w]] = True
+                    queue.append(match[w])
+        return False
+
+    for root in range(n):
+        if 2 * (size + 1) > n:
+            break
+        if match[root] < 0 and augment(root):
+            size += 1
+    return len(loose) + size
+
+
+def _packing_value(pool, exact_cap, warm) -> int:
+    """The count max_disjoint_packing returns for pool, by a maximum matching
+    when every set has size <= 2 and the pool is within the cap."""
+    if len(pool) <= exact_cap and max(map(len, pool), default=0) <= 2:
+        return _matching_value(pool)
+    return max_disjoint_packing(pool, exact_cap=exact_cap, warm_start=warm)[0]
 
 
 def _improve_packing(cand, chosen):
@@ -354,14 +449,18 @@ def _nonzero_targets(code: ArrayCode, kind: str, r: int) -> list[tuple]:
 def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit, warm=None) -> list:
     """Worst availability over each group of distinct (column, row, r)
     targets, with every pool from one walk: the packing of the group's first
-    pool with the smallest value. warm, when given, holds one known disjoint
-    family per target, in the order of the groups, to seed its search."""
+    pool with the smallest value, the only pool of the group whose family is
+    searched. warm, when given, holds one known disjoint family per target,
+    in the order of the groups, to seed its search."""
     pools = _minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit)
-    warm = [None] * len(pools) if warm is None else warm
-    packings = (max_disjoint_packing(p, exact_cap=exact_cap, warm_start=w) for p, w in zip(pools, warm))
+    seeded = zip(pools, [None] * len(pools) if warm is None else warm)
     out = []
     for g in groups:
-        value, sets, exact = min(islice(packings, len(g)), key=lambda p: p[0])
+        group = list(islice(seeded, len(g)))
+        values = [_packing_value(p, exact_cap, w) for p, w in group]
+        pool, w = group[values.index(min(values))]
+        value, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap, warm_start=w)
+        assert value == min(values), "a pool's value and its packing disagree"
         out.append(AvailabilityResult(value, exact, sets))
     return out
 

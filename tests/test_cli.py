@@ -291,6 +291,14 @@ def test_bundle_field_over_table_limit_is_named(tmp_path, capsys):
     assert (rc, err) == (3, "error: bundle header 'field': field order 2^20000 exceeds table limit 65536\n")
 
 
+def test_bundle_field_of_5000_digits_is_named(tmp_path, capsys):
+    # past 4,300 digits int() itself refuses the string, so the size is read
+    # off the digit count first
+    nines = "9" * 5000
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "field gf(2)", f"field gf({nines})")
+    assert (rc, err) == (3, f"error: bundle header 'field': field order {nines} exceeds table limit 65536\n")
+
+
 def analyze_truncated_bundle(tmp_path, capsys, keep):
     """Exit code and stderr of analyze on the spread bundle's first keep lines."""
     lines = Path(spread_bundle(tmp_path)).read_text().splitlines()
@@ -421,6 +429,12 @@ def test_analyze_single_column_pool_is_exact_at_packing_cap_0(tmp_path, capsys):
 def test_field_over_table_limit_exits_2_naming_the_order(capsys):
     assert cli.main(["verify", "spread", "--field", "gf(2^20000)", "-M", "2", "-b", "1"]) == 2
     assert capsys.readouterr().err == "error: field order 2^20000 exceeds table limit 65536\n"
+
+
+def test_field_of_5000_digits_exits_2_naming_the_order(capsys):
+    nines = "9" * 5000
+    assert cli.main(["verify", "spread", "--field", f"gf({nines})", "-M", "2", "-b", "1"]) == 2
+    assert capsys.readouterr().err == f"error: field order {nines} exceeds table limit 65536\n"
 
 
 @pytest.mark.parametrize("construction", ["spread", "std-par"])

@@ -220,6 +220,21 @@ def test_order_over_table_limit_is_refused_before_factoring(monkeypatch):
         extension_new(field_new(2, 2), 9)
 
 
+def test_parse_field_sizes_long_digit_strings_before_converting():
+    """Numbers longer than the table limit's digits are never passed to int(),
+    which refuses more than 4,300 digits; the other errors stay as they were."""
+    nines = "9" * 5000
+    for descriptor, written in [(nines, nines), (f"gf(2^{nines})", f"2^{nines}"), (f"gf(00{nines}^1)", f"{nines}^1")]:
+        with pytest.raises(OrderTooLarge) as exc:
+            parse_field(descriptor)
+        assert str(exc.value) == f"field order {written} exceeds table limit 65536"
+    with pytest.raises(OutOfRange, match="extension degree must be >= 1, got 0"):
+        parse_field(f"gf({nines}^0)")
+    with pytest.raises(NotPrime, match="characteristic 1 is not prime"):
+        parse_field(f"gf(1^{nines})")
+    assert parse_field("gf(0002^03)") is field_new(2, 3)
+
+
 def test_parse_field_and_descriptor():
     assert parse_field("gf(2)") is field_new(2)
     assert parse_field("GF(3^2)") is field_new(3, 2)
