@@ -549,25 +549,34 @@ class _Generator:
         return rows
 
 
-def _subset_quotients(gen: _Generator, columns, size: int):
-    """Every size-element subset of columns in lex order, with the generator
-    reduced modulo the sum S of the subset's column spaces: a basis of the
-    rows y G with y in S^perp, M - dim S of them for G of rank M, so a
-    generator column lies in S exactly when every reduced row is zero at it
-    (gen.unheld). The reduced rows of the current subset's prefixes stay on
-    a stack shared with the next subset: one gen.eliminate per deeper element.
+def _subset_quotients(gen: _Generator, columns, size: int, leaves=None):
+    """Every size-element subset of the ascending columns in lex order, with
+    the generator reduced modulo the sum S of the subset's column spaces: a
+    basis of the rows y G with y in S^perp, M - dim S of them for G of rank
+    M, so a generator column lies in S exactly when every reduced row is zero
+    at it (gen.unheld). The reduced rows of the current subset's prefixes
+    stay on a stack shared with the next subset: one gen.eliminate per deeper
+    element. leaves(rows), when given, maps a prefix's reduced rows to the
+    node guard flags of the last elements worth trying; the others are skipped.
     """
-    stack = [gen.rows]
-    prev = (-1,) * size
-    for subset in combinations(columns, size):
+    stack, prev = [gen.rows], ()
+    allowed = sum(gen.flag(m, None) for m in columns)
+    for prefix in combinations(columns[:-1], size - 1):
         k = 0
-        while prev[k] == subset[k]:
+        while k < len(prev) and prev[k] == prefix[k]:
             k += 1
         del stack[k + 1 :]
-        for m in subset[k:]:
+        for m in prefix[k:]:
             stack.append(gen.eliminate(stack[-1], m))
-        prev = subset
-        yield subset, stack[-1]
+        prev, rows = prefix, stack[-1]
+        above = (prefix[-1] + 1) * gen.width if prefix else 0
+        todo = allowed >> above << above
+        if leaves is not None:
+            todo &= leaves(rows)
+        while todo:
+            m = (todo & -todo).bit_length() // gen.width - 1
+            todo &= todo - 1
+            yield prefix + (m,), gen.eliminate(rows, m)
 
 
 # --- matrix text format -----------------------------------------------------
@@ -585,7 +594,7 @@ def parse_matrix(text: str, field=None) -> Mat:
     """Parse the matrix text format; field inferred from the header unless given.
 
     An error in a row names the row (1-based) and, for an entry that is not
-    an integer, the entry.
+    an integer or lies outside the field, the entry.
     """
     from .gf import field_from_order
 
@@ -612,7 +621,11 @@ def parse_matrix(text: str, field=None) -> Mat:
         except ValueError:
             bad = next(x for x in parts if not _is_int(x))
             raise OutOfRange(f"row {i}: entry {bad!r} is not an integer") from None
-    return Mat.from_rows(field, rows, cols)
+    try:
+        return Mat.from_rows(field, rows, cols)
+    except OutOfRange:
+        i, bad = next((i, x) for i, r in enumerate(rows, 1) for x in r if not 0 <= x < q)
+        raise OutOfRange(f"row {i}: entry {bad} outside field of order {q}") from None
 
 
 def _is_int(token: str) -> bool:

@@ -8,7 +8,9 @@ many pairwise disjoint helper sets (each within the locality bound) a
 single target admits.
 
 All searches are exact and deterministic: subsets are tried in size order,
-then lexicographically, and the first valid set wins. Availability packs the
+then lexicographically, and the first valid set wins. While one node j is
+the only pending target, a prefix whose sum S misses b dimensions of U_j
+tries as its last helper only the nodes inside S + U_j. Availability packs the
 minimal valid helper sets: exactly when the pool is within the packing cap or
 pairwise disjoint, else as a flagged greedy lower bound. At r <= 2 within the
 cap a pool's value is its singleton count plus a maximum matching; the family
@@ -124,10 +126,21 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     assert len(waiting) == found.count(None), "targets must be distinct"
     pending = sum(waiting)
     columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
+
+    def leaves(rows):
+        # one node j pending, b dimensions outside the prefix sum S: a leaf m
+        # with U_j in S + U_m has dim(S + U_m) <= dim(S + U_j), so U_m lies in S + U_j
+        k = waiting.get(pending)
+        if k is not None and targets[k][1] is None:
+            rest = gen.eliminate(rows, targets[k][0])
+            if len(rows) - len(rest) == code.b:
+                return gen.guards & ~gen.unheld(rest)
+        return gen.guards
+
     for size in range(1, cap + 1):
         if not pending:
             break
-        for subset, rows in _subset_quotients(gen, columns, size):
+        for subset, rows in _subset_quotients(gen, columns, size, leaves):
             for bit in _held(gen, subset, rows, pending):
                 found[waiting[bit]] = subset
                 pending ^= bit

@@ -281,6 +281,11 @@ def test_bundle_non_integer_entry_is_named(tmp_path, capsys):
     assert (rc, err) == (3, "error: malformed code bundle: generator: row 2: entry 'x' is not an integer\n")
 
 
+def test_bundle_out_of_field_entry_names_the_row(tmp_path, capsys):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, "0 1 0 1 0 1 0 1 0 0", "0 1 0 7 0 1 0 1 0 0")
+    assert (rc, err) == (3, "error: malformed code bundle: generator: row 2: entry 7 outside field of order 2\n")
+
+
 def test_bundle_subspace_count_over_matrices_is_named(tmp_path, capsys):
     rc, err = analyze_edited_bundle(tmp_path, capsys, "subspaces 5", "subspaces 7")
     assert (rc, err) == (3, "error: bundle declares 7 subspaces, holds 5\n")
@@ -502,6 +507,14 @@ def test_repair_wrong_shape_exits_2(tmp_path, capsys):
     assert cli.main(["repair", bundle, "--array", str(bad), "--column", "1"]) == 2
 
 
+def test_repair_out_of_field_entry_names_the_row(tmp_path, capsys):
+    bundle = spread_bundle(tmp_path)
+    array = codeword_file(tmp_path, clobber=[(1, 3, 7)])
+    capsys.readouterr()
+    assert cli.main(["repair", bundle, "--array", array, "--column", "1"]) == 2
+    assert capsys.readouterr().err == "error: row 2: entry 7 outside field of order 2\n"
+
+
 def test_repair_several_arrays_share_one_plan(tmp_path, capsys, monkeypatch):
     """Stripes with the same column erased: each is repaired as on its own,
     and the code searches for the node's recovery set once."""
@@ -678,6 +691,7 @@ def test_from_blocks_file(tmp_path, capsys):
     [
         ("2 3 4\n0 0 1 0\n0 0 0 1\n", "block 2 of 3: expected 3 rows, got 2"),
         ("2 2 4\n0 0 1 0\n0 0 x 1\n", "block 2 of 3: row 2: entry 'x' is not an integer"),
+        ("2 2 4\n0 7 1 0\n0 0 0 1\n", "block 2 of 3: row 1: entry 7 outside field of order 2"),
     ],
 )
 @pytest.mark.parametrize("command", ["construct", "verify"])

@@ -16,9 +16,11 @@ from functools import reduce
 
 import pytest
 
+from subspace_lrc import linalg
 from subspace_lrc.arraycode import (
     code_from_subspaces,
     construction_from_blocks,
+    construction_spread,
     dual_distance_by_supports,
 )
 from subspace_lrc.gf import field_new
@@ -29,7 +31,13 @@ from subspace_lrc.linalg import (
     contains_vector,
     subspace_sum,
 )
-from subspace_lrc.locality import _minimal_recovery_sets, _witnesses, locality_profile
+from subspace_lrc.locality import (
+    _minimal_recovery_sets,
+    _witnesses,
+    locality_profile,
+    min_node_recovery,
+    validate_recovery,
+)
 from test_arraycode import acceptance_codes
 
 FIELDS = {q: field_new(p, k) for q, p, k in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (9, 3, 2))}
@@ -197,6 +205,33 @@ def test_witnesses_match_reference(code):
     targets = _targets(code)
     got = [w.columns for w in _witnesses(code, targets, code.n - 1)]
     assert got == reference_witness_sets(code, targets, code.n - 1)
+
+
+@pytest.mark.parametrize("code", CODES, ids=ids)
+def test_single_node_search_matches_reference(code):
+    """One node target: the walk tries only the leaves inside S + U_j when
+    the node adds b dimensions to the prefix sum S, every leaf otherwise (the
+    padded codes' narrow nodes)."""
+    for j in range(code.n):
+        rset = min_node_recovery(code, j)
+        assert rset.columns == reference_witness_sets(code, [(j, None)], code.n - 1)[0]
+        assert validate_recovery(code, rset)
+
+
+def test_single_node_search_eliminates_only_inside_s_plus_u_j(monkeypatch):
+    """Spread q=2 M=12 b=3, node 401: the lex-first witness is a pair, and an
+    unfiltered walk eliminates once per pair before it (93,178 times)."""
+    code = construction_spread(FIELDS[2], 12, 3)
+    calls = []
+    eliminate = linalg._Generator.eliminate
+
+    def counted(self, rows, j):
+        calls.append(j)
+        return eliminate(self, rows, j)
+
+    monkeypatch.setattr(linalg._Generator, "eliminate", counted)
+    assert min_node_recovery(code, 400).columns == (188, 568)
+    assert len(calls) <= 1000
 
 
 @pytest.mark.parametrize("code", CODES, ids=ids)
