@@ -4,6 +4,8 @@ Provides exact Gaussian binomial coefficients, deterministic enumeration of
 Grassmannians, rank-metric codes with maximal rank distance, b-spreads of
 GF(q)^M, and resolvable subspace transversal designs, together with
 exhaustive verifiers that re-check every defining property from scratch.
+The verifiers and the q-Steiner detection ask which blocks hold a point or
+a subspace through one table, point_incidence, instead of containment tests.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from .errors import (
 )
 from .gf import ExtensionContext, extension_new
 from .limits import guard
-from .linalg import (
-    Subspace,
-    contains_subspace,
-    enumerate_vectors,
-    intersection_dim,
-    projective_points,
-)
+from .linalg import Subspace, _layout, _points
 
 
 def gaussian(n: int, k: int, q: int) -> int:
@@ -237,9 +233,26 @@ class DesignReport:
         return [f"{c.status:7s} {c.name}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
 
 
-# Largest spread, in blocks, whose pairwise trivial intersection is also
-# checked pair by pair; above it the exact partition alone implies it.
-PAIRWISE_CAP = 60
+def point_incidence(blocks) -> dict[int, list[int]]:
+    """Each packed projective point of the blocks -> the ascending indices of
+    the blocks that hold it.
+
+    A subspace lies in a block exactly when every row of its reduced row
+    echelon basis does, and each such row has leading entry 1, so it is a
+    key: the subspace's holders are the intersection of its rows' lists
+    (_holders).
+    """
+    table: dict[int, list[int]] = {}
+    for idx, blk in enumerate(blocks):
+        for p in _points(blk):
+            table.setdefault(p, []).append(idx)
+    return table
+
+
+def _holders(incidence, w: Subspace) -> list[int]:
+    """Ascending indices of the blocks of incidence that hold w."""
+    first, *rest = (incidence.get(r, ()) for r in w.rows)
+    return sorted(set(first).intersection(*rest))
 
 
 def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignReport:
@@ -260,46 +273,29 @@ def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignRe
     dims_ok = all(blk.dim == b and blk.ambient == M and blk.field == field for blk in design.blocks)
     checks.append(CheckOutcome("block-dimensions", dims_ok, f"all blocks {b}-dim in gf({q})^{M}"))
 
-    # Exhaustive partition check doubles as the pairwise-intersection check:
-    # a vector seen in two blocks is a counterexample to both.
+    # The blocks partition the nonzero vectors exactly when every point lies
+    # in one block, and a point in two blocks is also where two blocks meet.
     try:
         guard(q**M, "spread partition check", limit)
     except TooLarge as exc:
         checks.append(CheckOutcome("partition", None, str(exc)))
         checks.append(CheckOutcome("pairwise-trivial-intersection", None, "skipped with partition"))
     else:
-        seen: dict[tuple[int, ...], int] = {}
-        clash = None
-        for idx, blk in enumerate(design.blocks):
-            for v in enumerate_vectors(blk, limit=limit):
-                if not any(v):
-                    continue
-                if v in seen:
-                    clash = (seen[v], idx, v)
-                    break
-                seen[v] = idx
-            if clash:
-                break
-        covered = len(seen) == q**M - 1 and clash is None
+        incidence = point_incidence(design.blocks)
+        clash = next(((p, h) for p, h in incidence.items() if len(h) > 1), None)
+        covered = (q - 1) * len(incidence)
+        detail = f"covered {covered} of {q**M - 1} nonzero vectors"
+        if clash:
+            point, (i, j, *_) = clash
+            detail += f"; vector {_layout(field).unpack(point, M)} in blocks {i} and {j}"
+        checks.append(CheckOutcome("partition", covered == q**M - 1 and clash is None, detail))
         checks.append(
             CheckOutcome(
-                "partition",
-                covered,
-                f"covered {len(seen)} of {q**M - 1} nonzero vectors"
-                + (f"; vector {clash[2]} in blocks {clash[0]} and {clash[1]}" if clash else ""),
+                "pairwise-trivial-intersection",
+                clash is None,
+                f"blocks {i} and {j} intersect" if clash else "no point lies in two blocks",
             )
         )
-        pairwise = clash is None
-        detail = "implied by exact partition"
-        if pairwise and len(design.blocks) <= PAIRWISE_CAP:
-            for (i, x), (j, y) in combinations(enumerate(design.blocks), 2):
-                if intersection_dim(x, y) != 0:
-                    pairwise = False
-                    detail = f"blocks {i} and {j} intersect"
-                    break
-            else:
-                detail = "checked directly on all pairs"
-        checks.append(CheckOutcome("pairwise-trivial-intersection", pairwise, detail))
 
     units_ok = all(
         design.blocks[idx] == _unit_subspace(field, M, b, level)
@@ -389,11 +385,6 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     )
 
 
-def _block_point_indices(block: Subspace, point_index) -> list[int]:
-    """Indices of the design points lying inside a block."""
-    return sorted(point_index[p] for p in projective_points(block) if p in point_index)
-
-
 def verify_std(design: TransversalDesign, *, limit: int | None = None) -> DesignReport:
     """Exhaustively re-check the transversal design axioms and resolvability."""
     field = design.field
@@ -428,12 +419,12 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         )
     )
 
+    # a packed point's first b entries are its head, zero on the zero-head subspace
+    head = (1 << (b * _layout(field).sym)) - 1
+    incidence = point_incidence(design.blocks)
     count_ok = len(design.blocks) == q ** (m * t)
     dims_ok = all(blk.dim == b and blk.ambient == n for blk in design.blocks)
-    zero_head = Subspace.from_span(
-        field, n, [tuple(0 if i < b else (1 if i == b + j else 0) for i in range(n)) for j in range(m)]
-    )
-    avoid_ok = all(intersection_dim(blk, zero_head) == 0 for blk in design.blocks)
+    avoid_ok = all(p & head for p in incidence)
     checks.append(
         CheckOutcome(
             "blocks",
@@ -442,26 +433,22 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         )
     )
 
-    point_index = {p.basis[0]: i for i, p in enumerate(design.points)}
-    incidence: list[list[int]] = []
+    inside: list[list[int]] = [[] for _ in design.blocks]
+    for idx, p in enumerate(design.points):
+        for bi in incidence.get(p.rows[0], ()):
+            inside[bi].append(idx)
     meet_ok = True
     meet_detail = "every block meets every group exactly once"
-    for blk in design.blocks:
-        inside = _block_point_indices(blk, point_index)
-        incidence.append(inside)
-        group_of = {}
-        for idx in inside:
-            key = design.points[idx].basis[0][:b]
-            if key in group_of:
-                meet_ok = False
-                meet_detail = f"block {len(incidence) - 1} meets group {key} twice"
-                break
-            group_of[key] = idx
-        if not meet_ok:
-            break
-        if len(inside) != gaussian(b, 1, q):
+    for bi, pts in enumerate(inside):
+        heads = [design.points[idx].rows[0] & head for idx in pts]
+        if len(set(heads)) != len(heads):
+            twice = next(idx for i, idx in enumerate(pts) if heads[i] in heads[:i])
             meet_ok = False
-            meet_detail = f"block {len(incidence) - 1} holds {len(inside)} points, expected {gaussian(b, 1, q)}"
+            meet_detail = f"block {bi} meets group {design.points[twice].basis[0][:b]} twice"
+            break
+        if len(pts) != gaussian(b, 1, q):
+            meet_ok = False
+            meet_detail = f"block {bi} holds {len(pts)} points, expected {gaussian(b, 1, q)}"
             break
     checks.append(CheckOutcome("block-group-incidence", meet_ok, meet_detail))
 
@@ -475,12 +462,10 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         coverage_ok = True
         coverage_detail = f"scanned all {gaussian(n, t, q)} t-subspaces"
         for w in enumerate_grassmannian(field, n, t, limit=limit):
-            if intersection_dim(w, zero_head) != 0:
+            heads = {x & head for x in _points(w)}
+            if 0 in heads or len(heads) != gaussian(t, 1, q):
                 continue
-            points_of_w = projective_points(w)
-            if len({v[:b] for v in points_of_w}) != len(points_of_w):
-                continue
-            holders = [i for i, blk in enumerate(design.blocks) if contains_subspace(blk, w)]
+            holders = _holders(incidence, w)
             if len(holders) != 1:
                 coverage_ok = False
                 coverage_detail = f"t-subspace {w.basis} lies in {len(holders)} blocks"
@@ -491,11 +476,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
     detail = f"{len(design.classes)} classes of {q**m} blocks"
     if resolvable_ok:
         for ci, cls in enumerate(design.classes):
-            counts: dict[int, int] = {}
-            for bi in cls:
-                for idx in incidence[bi] if meet_ok else _block_point_indices(design.blocks[bi], point_index):
-                    counts[idx] = counts.get(idx, 0) + 1
-            if len(counts) != len(design.points) or any(v != 1 for v in counts.values()):
+            if sorted(idx for bi in cls for idx in inside[bi]) != list(range(len(design.points))):
                 resolvable_ok = False
                 detail = f"class {ci} does not cover every point exactly once"
                 break
@@ -507,23 +488,28 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
 
 
 def steiner_parameters(field, blocks, *, limit: int | None = None) -> list[int]:
-    """All t for which the blocks cover every t-dim subspace exactly once."""
+    """All t for which the blocks cover every t-dim subspace exactly once.
+
+    A whole-space block holds every subspace, and the other blocks' holders
+    come from their point incidence. That is built for the first scan below
+    the whole space within the limit, which implies the scan of points is,
+    so it holds at most len(blocks) times the limit points.
+    """
     if not blocks:
         return []
     ambient = blocks[0].ambient
     b = blocks[0].dim
+    whole = sum(1 for blk in blocks if blk.dim == ambient)
+    incidence: dict[int, list[int]] = {}
     out = []
     for t in range(1, b + 1):
         try:
             guard(gaussian(ambient, t, field.q), "Steiner coverage scan", limit)
         except TooLarge:  # an over-limit t simply is not checked
             continue
-        good = True
-        for w in enumerate_grassmannian(field, ambient, t, limit=limit):
-            holders = sum(1 for blk in blocks if contains_subspace(blk, w))
-            if holders != 1:
-                good = False
-                break
-        if good:
+        if t < ambient and not incidence:
+            incidence = point_incidence([blk for blk in blocks if blk.dim < ambient])
+        scan = enumerate_grassmannian(field, ambient, t, limit=limit)
+        if all(whole + len(_holders(incidence, w)) == 1 for w in scan):
             out.append(t)
     return out

@@ -483,19 +483,28 @@ def enumerate_vectors(s: Subspace, *, limit: int | None = None) -> list[tuple[in
     return [unpack(x, s.ambient) for x in _combinations(s, s.rows)]
 
 
-def projective_points(s: Subspace) -> list[tuple[int, ...]]:
-    """The points of s: its nonzero vectors whose first nonzero entry is 1, sorted.
+def _points(s: Subspace) -> list[int]:
+    """The points of s packed: its nonzero vectors whose first nonzero entry is 1.
 
     Such a vector has coefficient 1 on some basis row i and 0 on the rows
     before it, because its leading entry sits on pivot i; so the points are
-    listed directly instead of normalising all q^dim vectors.
+    listed directly instead of normalising all q^dim vectors. They come in
+    the order of their unpacked tuples: a later row i means more leading
+    zeros, and for one i two points first differ at a later pivot, where
+    their entries are their coefficients, which _combinations walks in
+    lexicographic order.
     """
     V = _vectors(s.field, s.ambient)
     out = []
-    for i, lead in enumerate(s.rows):
-        out += [V.add(lead, x) for x in _combinations(s, s.rows[i + 1 :])]
-    unpack = V.layout.unpack
-    return sorted(unpack(x, s.ambient) for x in out)
+    for i in reversed(range(len(s.rows))):
+        out += [V.add(s.rows[i], x) for x in _combinations(s, s.rows[i + 1 :])]
+    return out
+
+
+def projective_points(s: Subspace) -> list[tuple[int, ...]]:
+    """The points of s (see _points), unpacked, in ascending order."""
+    unpack = _layout(s.field).unpack
+    return [unpack(x, s.ambient) for x in _points(s)]
 
 
 class _Generator:

@@ -25,17 +25,17 @@ from itertools import combinations, islice
 from math import comb
 
 from .arraycode import ArrayCode
-from .designs import enumerate_grassmannian
+from .designs import enumerate_grassmannian, point_incidence
 from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange
 from .limits import DEFAULT_PACKING_CAP, guard
 from .linalg import (
     Mat,
     _Combiner,
     _layout,
+    _points,
     _residual,
     _rref_rows,
     _subset_quotients,
-    projective_points,
     vec_dot,
     vec_mat,
 )
@@ -560,20 +560,16 @@ def grassmann_pairing(field, M: int, *, limit=None) -> list[PairingResult]:
     (every non-target subspace lands in exactly one pair); for odd q the
     disjoint classes pair only partially and the result is a lower bound.
 
-    The Grassmannian and its point-to-subspace incidence are built once, so
-    the subspaces through each point of a target are a lookup.
+    The Grassmannian and its point incidence are built once, so the
+    subspaces through each point of a target are a lookup.
     """
     if M < 2:
         raise BadParams(f"pairing needs 2-dim subspaces, got M={M}")
     grass = enumerate_grassmannian(field, M, 2, limit=limit)
-    points = [projective_points(s) for s in grass]
-    through: dict[tuple, list[int]] = {}
-    for idx, pts in enumerate(points):
-        for p in pts:
-            through.setdefault(p, []).append(idx)
+    through = point_incidence(grass)
     return [
-        _pairing(field, grass, t_idx, [through[p] for p in points[t_idx]])
-        for t_idx in range(len(grass))
+        _pairing(field, grass, t_idx, [through[p] for p in _points(target)])
+        for t_idx, target in enumerate(grass)
     ]
 
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import re
 
 import pytest
 
@@ -21,6 +23,7 @@ from subspace_lrc.linalg import (
     Mat,
     Subspace,
     contains_subspace,
+    contains_vector,
     intersection_dim,
     rank,
     subspace_sum,
@@ -210,6 +213,12 @@ def test_verify_spread_flags_broken_design():
     broken = SpreadDesign(F2, 4, 2, design.method, tuple(bad_blocks), design.unit_indices)
     report = verify_spread(broken)
     assert not report.ok
+    # the partition detail names a vector that both named blocks hold
+    detail = next(c.detail for c in report.checks if c.name == "partition")
+    match = re.search(r"; vector (\(.*\)) in blocks (\d+) and (\d+)$", detail)
+    vector, i, j = ast.literal_eval(match[1]), int(match[2]), int(match[3])
+    assert i != j
+    assert contains_vector(broken.blocks[i], vector) and contains_vector(broken.blocks[j], vector)
 
 
 @pytest.mark.parametrize(

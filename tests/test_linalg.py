@@ -18,6 +18,7 @@ from subspace_lrc.linalg import (
     intersection_dim,
     null_space,
     parse_matrix,
+    projective_points,
     rank,
     row_space,
     rref,
@@ -241,6 +242,21 @@ def test_enumerate_vectors():
     unit_rows = [tuple(int(i == j) for j in range(40)) for i in range(30)]
     with pytest.raises(TooLarge):
         enumerate_vectors(Subspace.from_span(F2, 40, unit_rows), limit=100)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, field_new(3, 2)], ids=["gf2", "gf3", "gf4", "gf9"])
+def test_projective_points_are_the_sorted_normalised_vectors(field):
+    # projective_points lists the points in ascending order without sorting
+    from subspace_lrc.designs import enumerate_grassmannian
+
+    for k in range(4):
+        for s in enumerate_grassmannian(field, 3, k):
+            normalised = set()
+            for v in enumerate_vectors(s):
+                if any(v):
+                    lead = field.inv(next(x for x in v if x))
+                    normalised.add(tuple(field.mul(lead, x) for x in v))
+            assert projective_points(s) == sorted(normalised)
 
 
 def test_matrix_text_roundtrip():

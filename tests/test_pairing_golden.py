@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from subspace_lrc.designs import enumerate_grassmannian
+from subspace_lrc.designs import enumerate_grassmannian, point_incidence
 from subspace_lrc.gf import parse_field
-from subspace_lrc.linalg import projective_points
+from subspace_lrc.linalg import _layout, projective_points
 from subspace_lrc.locality import _pairing, grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
@@ -50,12 +50,11 @@ def target_rows(q, M, targets):
     """pairing_rows restricted to targets, without building the other families."""
     field = parse_field(f"gf({q})")
     grass = enumerate_grassmannian(field, M, 2)
-    points = [projective_points(s) for s in grass]
-    through: dict = {}
-    for idx, pts in enumerate(points):
-        for p in pts:
-            through.setdefault(p, []).append(idx)
-    return [_row(_pairing(field, grass, t, [through[p] for p in points[t]])) for t in targets]
+    through, pack = point_incidence(grass), _layout(field).pack
+    return [
+        _row(_pairing(field, grass, t, [through[pack(p)] for p in sorted(projective_points(grass[t]))]))
+        for t in targets
+    ]
 
 
 def golden_rows():
