@@ -49,7 +49,6 @@ from .linalg import (
     format_matrix,
     null_space,
     parse_matrix,
-    rank,
     row_space,
     solve,
     subspace_sum,
@@ -127,14 +126,14 @@ def construction_all_subspaces(field, M: int, b: int, *, limit: int | None = Non
 
 def construction_spread(field, M: int, b: int, method: str = "gabidulin-echelon") -> ArrayCode:
     """One thick column per block of a b-spread of GF(q)^M."""
-    design = build_spread(field, M, b, method)
-    return code_from_subspaces(
-        field,
-        design.blocks,
-        b,
-        M,
-        f"spread q={field.q} M={M} b={b} method={method}",
-    )
+    return _spread_code(build_spread(field, M, b, method))
+
+
+def _spread_code(design) -> ArrayCode:
+    """The code of a built spread, one thick column per block."""
+    field, M, b = design.field, design.M, design.b
+    tag = f"spread q={field.q} M={M} b={b} method={design.method}"
+    return code_from_subspaces(field, design.blocks, b, M, tag)
 
 
 def construction_from_blocks(field, blocks) -> ArrayCode:
@@ -166,15 +165,17 @@ def construction_std(
     scope "par" uses the blocks of one parallel class (n = q^(M-b));
     scope "full" uses every block (n = q^((M-b) t)).
     """
-    m = M - b
-    if not 1 <= t <= b <= m:
+    if not 1 <= t <= b <= M - b:
         raise BadParams(f"need 1 <= t <= b <= M - b, got t={t}, b={b}, M={M}")
-    design = build_std(field, t, b, m)
+    return _std_code(build_std(field, t, b, M - b), scope, class_index)
+
+
+def _std_code(design, scope: str, class_index: int = 0) -> ArrayCode:
+    """The code of a built transversal design: one parallel class ("par") or every block ("full")."""
+    field, t, b, M = design.field, design.t, design.b, design.ambient
     if scope == "par":
         if not 0 <= class_index < len(design.classes):
-            raise OutOfRange(
-                f"class index {class_index} outside 0..{len(design.classes) - 1}"
-            )
+            raise OutOfRange(f"class index {class_index} outside 0..{len(design.classes) - 1}")
         blocks = [design.blocks[i] for i in design.classes[class_index]]
         tag = f"std-par q={field.q} t={t} b={b} M={M} class={class_index}"
     elif scope == "full":
@@ -224,8 +225,8 @@ def _gray_digits(s: int, q: int, M: int) -> list[int]:
     return [(d[i] - d[i + 1]) % q for i in range(M)]
 
 
-def _scan_range(field, rows, b: int, n: int, lo: int, hi: int):
-    """Weight histogram of the messages with Gray indices in [lo, hi).
+def _scan_range(G: _Generator, lo: int, hi: int):
+    """Weight histogram of the messages with packed generator G and Gray indices in [lo, hi).
 
     Gray index s maps to the message whose i-th coordinate is the i-th
     modular Gray digit of s; step s flips digit v_q(s) up by one, so the
@@ -242,8 +243,8 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int):
     the rows are packed; scaled rows are built on first use by packed
     arithmetic, and the Gray steps call no field operation.
     """
-    q, M = field.q, len(rows)
-    G = _Generator(field, rows, b, n)
+    field, n = G.field, G.guards.bit_count()  # one guard per node
+    q, M = field.q, len(G.rows)
     S, packed, ones, guards = G.slots, G.rows, G.ones, G.guards
     odd, carry, high, shift, p = S.odd, S.carry, S.high, S.shift, S.p
     # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row
@@ -287,8 +288,7 @@ def _scan_range(field, rows, b: int, n: int, lo: int, hi: int):
 
 def _scan_worker(args):
     descriptor, rows, b, n, lo, hi = args
-    field = parse_field(descriptor)
-    hist, _ = _scan_range(field, rows, b, n, lo, hi)
+    hist, _ = _scan_range(_Generator(parse_field(descriptor), rows, b, n), lo, hi)
     return hist
 
 
@@ -306,18 +306,14 @@ def weight_distribution(
     chunks = max(jobs, 1)
     bounds = [total * i // chunks for i in range(chunks + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    rows = code.generator.rows
     merged: dict[int, int] = {}
     if jobs > 1 and isinstance(code.field, FieldContext) and len(ranges) > 1:
-        tasks = [
-            (code.field.descriptor(), rows, code.b, code.n, lo, hi) for lo, hi in ranges
-        ]
+        rows = code.generator.rows
+        tasks = [(code.field.descriptor(), rows, code.b, code.n, lo, hi) for lo, hi in ranges]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_scan_worker, tasks))
     else:
-        parts = [
-            _scan_range(code.field, rows, code.b, code.n, lo, hi)[0] for lo, hi in ranges
-        ]
+        parts = [_scan_range(code._packed_generator, lo, hi)[0] for lo, hi in ranges]
     for part in parts:
         for w, c in part.items():
             merged[w] = merged.get(w, 0) + c
@@ -328,7 +324,7 @@ def min_distance(code: ArrayCode, *, limit: int | None = None) -> int:
     """Exact minimum weight over nonzero codewords."""
     total = code.field.q**code.M
     guard(total, f"scanning {total} codewords", limit)
-    _, best = _scan_range(code.field, code.generator.rows, code.b, code.n, 0, total)
+    _, best = _scan_range(code._packed_generator, 0, total)
     assert best is not None
     return best
 
@@ -595,13 +591,15 @@ def parse_bundle(text: str) -> ArrayCode:
         raise Inconsistent(
             f"bundle shapes disagree: generator {gen.nrows}x{gen.cols}, declared M={M}, b={b}, n={n}"
         )
-    code = ArrayCode(field, b, n, M, gen, tuple(subs), provenance)
-    if rank(gen) != M:
-        raise Inconsistent(f"generator rank {rank(gen)} differs from declared dimension {M}")
-    for j, (span, s) in enumerate(zip(_thick_column_spans(gen, b), code.subspaces)):
+    # the rank is the dimension of the sum of the column spans, as in code_from_subspaces
+    spans = _thick_column_spans(gen, b)
+    spanned = reduce(subspace_sum, spans, Subspace.zero(field, M)).dim
+    if spanned != M:
+        raise Inconsistent(f"generator rank {spanned} differs from declared dimension {M}")
+    for j, (span, s) in enumerate(zip(spans, subs)):
         if span != s:
             raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
-    return code
+    return ArrayCode(field, b, n, M, gen, spans, provenance)
 
 
 def _header_int(header: dict[str, str], key: str) -> int:

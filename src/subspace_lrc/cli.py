@@ -23,7 +23,7 @@ from .arraycode import (
     read_bundle,
     write_bundle,
 )
-from .errors import BadParams, Inconsistent, OutOfRange, SubspaceCodeError, TooLarge
+from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange, SubspaceCodeError, TooLarge
 from .gf import parse_field
 from .limits import DEFAULT_PACKING_CAP, ENV_VAR
 from .linalg import parse_matrix, row_space
@@ -142,7 +142,7 @@ def _locality_json(code, *, with_availability, exact_cap, limit):
             exact_cap=exact_cap,
             limit=limit,
         )
-    except TooLarge as exc:
+    except (TooLarge, NoRecovery) as exc:
         return {"status": "skipped", "reason": str(exc)}
     return {
         "node_locality": profile.node_locality,

@@ -357,13 +357,9 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
 
     point_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
     points = tuple(Subspace.from_rref(field, n, (v,), (v.index(1),)) for v in point_reps)
-    key_of = {}
-    group_keys = []
-    groups: list[list[int]] = []
-    for key in _projective_reps(field, b):
-        key_of[key] = len(group_keys)
-        group_keys.append(key)
-        groups.append([])
+    group_keys = _projective_reps(field, b)
+    key_of = {key: k for k, key in enumerate(group_keys)}
+    groups: list[list[int]] = [[] for _ in group_keys]
     for idx, v in enumerate(point_reps):
         groups[key_of[v[:b]]].append(idx)
 
@@ -373,15 +369,7 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
         tuple(range(c * class_size, (c + 1) * class_size)) for c in range(len(blocks) // class_size)
     )
     return TransversalDesign(
-        field,
-        t,
-        b,
-        m,
-        points,
-        tuple(group_keys),
-        tuple(tuple(g) for g in groups),
-        tuple(blocks),
-        classes,
+        field, t, b, m, points, tuple(group_keys), tuple(map(tuple, groups)), tuple(blocks), classes
     )
 
 
@@ -392,11 +380,14 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
     t, b, m, n = design.t, design.b, design.m, design.ambient
     checks = []
 
+    # points are compared packed; a packed point's first b entries are its head
+    pack = _layout(field).pack
+    head = (1 << (b * _layout(field).sym)) - 1
     expected_reps = [v for v in _projective_reps(field, n) if any(v[:b])]
     points_ok = (
         len(design.points) == gaussian(b, 1, q) * q**m
-        and [p.basis[0] for p in design.points] == expected_reps
-        and all(p.dim == 1 and p.ambient == n for p in design.points)
+        and [p.rows for p in design.points] == [(pack(v),) for v in expected_reps]
+        and all(p.ambient == n for p in design.points)
     )
     checks.append(
         CheckOutcome("points", points_ok, f"{len(design.points)} lines outside the zero-head subspace")
@@ -408,7 +399,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         and sorted(i for g in design.groups for i in g) == list(range(len(design.points)))
     )
     keys_ok = all(
-        all(design.points[i].basis[0][:b] == key for i in grp)
+        {design.points[i].rows[0] & head for i in grp} <= {pack(key)}
         for key, grp in zip(design.group_keys, design.groups)
     )
     checks.append(
@@ -419,8 +410,6 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
         )
     )
 
-    # a packed point's first b entries are its head, zero on the zero-head subspace
-    head = (1 << (b * _layout(field).sym)) - 1
     incidence = point_incidence(design.blocks)
     count_ok = len(design.blocks) == q ** (m * t)
     dims_ok = all(blk.dim == b and blk.ambient == n for blk in design.blocks)

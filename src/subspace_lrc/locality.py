@@ -415,12 +415,12 @@ def _matching_value(sets) -> int:
     return len(loose) + size
 
 
-def _packing_value(pool, exact_cap, warm) -> int:
+def _packing_value(pool, exact_cap) -> int:
     """The count max_disjoint_packing returns for pool, by a maximum matching
     when every set has size <= 2 and the pool is within the cap."""
     if len(pool) <= exact_cap and max(map(len, pool), default=0) <= 2:
         return _matching_value(pool)
-    return max_disjoint_packing(pool, exact_cap=exact_cap, warm_start=warm)[0]
+    return max_disjoint_packing(pool, exact_cap=exact_cap)[0]
 
 
 def _improve_packing(cand, chosen):
@@ -459,20 +459,18 @@ def _nonzero_targets(code: ArrayCode, kind: str, r: int) -> list[tuple]:
     return group
 
 
-def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit, warm=None) -> list:
+def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
     """Worst availability over each group of distinct (column, row, r)
     targets, with every pool from one walk: the packing of the group's first
     pool with the smallest value, the only pool of the group whose family is
-    searched. warm, when given, holds one known disjoint family per target,
-    in the order of the groups, to seed its search."""
-    pools = _minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit)
-    seeded = zip(pools, [None] * len(pools) if warm is None else warm)
+    searched."""
+    pools = iter(_minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit))
     out = []
     for g in groups:
-        group = list(islice(seeded, len(g)))
-        values = [_packing_value(p, exact_cap, w) for p, w in group]
-        pool, w = group[values.index(min(values))]
-        value, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap, warm_start=w)
+        group = list(islice(pools, len(g)))
+        values = [_packing_value(p, exact_cap) for p in group]
+        pool = group[values.index(min(values))]
+        value, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap)
         assert value == min(values), "a pool's value and its packing disagree"
         out.append(AvailabilityResult(value, exact, sets))
     return out

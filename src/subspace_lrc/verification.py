@@ -26,10 +26,10 @@ from functools import cached_property
 
 from .arraycode import (
     ArrayCode,
+    _spread_code,
+    _std_code,
     construction_all_subspaces,
     construction_from_blocks,
-    construction_spread,
-    construction_std,
     dual,
     dual_distance_by_supports,
     dual_perfectness,
@@ -46,7 +46,7 @@ from .designs import (
     verify_spread,
     verify_std,
 )
-from .errors import BadParams, TooLarge
+from .errors import BadParams, NoRecovery, TooLarge
 from .limits import DEFAULT_PACKING_CAP, enumeration_limit
 from .linalg import contains_subspace, subspace_sum
 from .locality import (
@@ -199,6 +199,16 @@ class _Measure:
         return locality_profile(self.code)
 
     @cached_property
+    def locality_skip(self) -> str:
+        """Why the code has no locality profile: the first node with no
+        recovery set, named by NoRecovery; empty when it has one."""
+        try:
+            self.profile
+        except NoRecovery as exc:
+            return str(exc)
+        return ""
+
+    @cached_property
     def dual_distance(self) -> int:
         return dual_distance_by_supports(self.code)
 
@@ -245,9 +255,10 @@ def _locality_checks(
     m: _Measure, symbol, node, *, node_description="worst-case smallest node recovery set", note="", skip=""
 ) -> list[Check]:
     """Symbol and node locality against their claims (see _expect)."""
+    skip = skip or m.locality_skip
     if skip:
         return [
-            _skip("symbol-locality", "smallest symbol recovery", skip, symbol),
+            _skip("symbol-locality", "smallest symbol recovery", skip, "-" if symbol is None else symbol),
             _skip("node-locality", "smallest node recovery", skip),
         ]
     p = m.profile
@@ -276,9 +287,7 @@ def _availability_disabled() -> list[Check]:
     ]
 
 
-def _availability_check(
-    m: _Measure, kind, r, expected, description, *, note="", warm=None, skip_note=""
-) -> Check:
+def _availability_check(m: _Measure, kind, r, expected, description, *, note="", skip_note="") -> Check:
     """Worst packing of disjoint helper sets over every node or symbol.
 
     Skipped when r > 1 and the helper sets of size <= r outnumber the packing
@@ -291,7 +300,7 @@ def _availability_check(
         return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
     group = _nonzero_targets(code, kind, r)
     try:
-        [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit, warm=warm)
+        [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
     except TooLarge as exc:
         return _skip(check_id, what, f"{exc}{skip_note}")
     assert worst.exact, "single-column pools and pools within the cap pack exactly"
@@ -306,23 +315,27 @@ def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
     plus one, cross-checked by the exhaustive dual scan when it fits. For a
     user's block set (claimed False) the first is only reported, and the
     second is a bound: two blocks can meet in a vector outside both bases.
+    A node with no recovery set leaves the second unmeasured; with b n = M
+    every generator column is independent, so the dual code is trivial.
     """
     by_worst = "dual code distance equals worst symbol locality plus one"
     by_min = "dual code distance equals smallest symbol recovery size plus one"
-    if skip:
-        return [_skip("dual-distance", by_worst, skip), _skip("dual-distance-min-symbol", by_min, skip)]
-    p, d_dual = m.profile, m.dual_distance
-    # a nonzero symbol needs a helper and a zero symbol's witness is empty
-    min_sym = min(w.size for row in p.symbol_witnesses for w in row if w.size)
-    exhaustive = m.dual_scan
+    if not claimed:
+        by_min = "dual code distance is at most smallest symbol recovery size plus one"
+    if skip or m.code.b * m.code.n == m.code.M:
+        trivial, no_locality = skip or "dual code is trivial", skip or m.locality_skip
+        return [_skip("dual-distance", by_worst, trivial), _skip("dual-distance-min-symbol", by_min, no_locality)]
+    d_dual, exhaustive = m.dual_distance, m.dual_scan
     note = "" if exhaustive is None else f"exhaustive dual scan agrees: {exhaustive}"
-    by_worst_claim = p.symbol_locality + 1 if claimed else None
+    by_worst_claim = m.profile.symbol_locality + 1 if claimed else None
     checks = [_expect("dual-distance", by_worst, by_worst_claim, d_dual, note)]
     if exhaustive is not None and exhaustive != d_dual:
         description = "support search agrees with exhaustive dual scan"
         checks.append(_cond("dual-distance-cross-check", description, False, d_dual, exhaustive))
-    if not claimed:
-        by_min = "dual code distance is at most smallest symbol recovery size plus one"
+    if m.locality_skip:
+        return checks + [_skip("dual-distance-min-symbol", by_min, m.locality_skip)]
+    # a nonzero symbol needs a helper and a zero symbol's witness is empty
+    min_sym = min(w.size for row in m.profile.symbol_witnesses for w in row if w.size)
     by_min_claim = min_sym + 1 if claimed else _Range(1, min_sym + 1)
     checks.append(_expect("dual-distance-min-symbol", by_min, by_min_claim, d_dual))
     return checks
@@ -436,11 +449,8 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
             )
         )
         expected, description = _Range(lb), "exact packing meets the pair-family lower bound"
-    warm = [[frozenset(pair) for pair in p.pairs] for p in pairings]
     skip_note = f"; pair family still proves >= {smallest}"
-    checks.append(
-        _availability_check(m, "node", r_n, expected, description, warm=warm, skip_note=skip_note)
-    )
+    checks.append(_availability_check(m, "node", r_n, expected, description, skip_note=skip_note))
     return checks
 
 
@@ -458,8 +468,7 @@ def verify_spread_code(
     q = field.q
     design = build_spread(field, M, b, method)
     design_check = _design_check(verify_spread(design, limit=limit), "spread")
-    code = construction_spread(field, M, b, method)
-    assert code.subspaces == tuple(design.blocks)
+    code = _spread_code(design)
     m = _Measure(code, limit)
 
     few = "fewer than three columns" if code.n < 3 else ""
@@ -500,7 +509,7 @@ def verify_std_par(
     m_dim = M - b
     design = build_std(field, t, b, m_dim)
     design_check = _design_check(verify_std(design, limit=limit), "transversal design")
-    code = construction_std(field, t, b, M, "par", class_index)
+    code = _std_code(design, "par", class_index)
     m = _Measure(code, limit)
 
     d_expected = q ** (M - b) - q ** (M - 2 * b)
@@ -573,7 +582,7 @@ def verify_std_full(
     m_dim = M - b
     design = build_std(field, t, b, m_dim)
     design_check = _design_check(verify_std(design, limit=limit), "transversal design")
-    code = construction_std(field, t, b, M, "full")
+    code = _std_code(design, "full")
     m = _Measure(code, limit, exact_cap)
 
     d_expected = q ** (m_dim * (t - 1)) * (q**m_dim - q ** (m_dim - b))
@@ -621,7 +630,9 @@ def verify_blocks(code: ArrayCode, *, limit: int | None = None) -> VerificationS
             lambda: _info("weight-distribution", m.weights),
         ),
         *_locality_checks(m, None, None),
-        _cond(
+        _skip("locality-order", "symbol locality never exceeds node locality", m.locality_skip)
+        if m.locality_skip
+        else _cond(
             "locality-order",
             "symbol locality never exceeds node locality",
             m.profile.symbol_locality <= m.profile.node_locality,

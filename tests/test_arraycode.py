@@ -190,14 +190,14 @@ def test_packed_scan_matches_reference_on_acceptance_codes():
     for code in codes:
         rows, b, n = code.generator.rows, code.b, code.n
         total = code.field.q**code.M
-        assert _scan_range(code.field, rows, b, n, 0, total) == (
+        assert _scan_range(code._packed_generator, 0, total) == (
             reference_scan_range(code.field, rows, b, n, 0, total)
         )
         # random-access starts
         cuts = [0, total // 3, total // 3 + 1, (2 * total) // 3, total]
         for lo, hi in zip(cuts, cuts[1:]):
             if lo < hi:
-                assert _scan_range(code.field, rows, b, n, lo, hi) == (
+                assert _scan_range(code._packed_generator, lo, hi) == (
                     reference_scan_range(code.field, rows, b, n, lo, hi)
                 )
 

@@ -77,7 +77,7 @@ def test_codes_cover_the_locality_workload():
 def test_packing_value_matches_branch_and_bound_on_every_pool(code, monkeypatch):
     certified = 0
     for pool in availability_pools(code):
-        value = _packing_value(pool, DEFAULT_PACKING_CAP, None)
+        value = _packing_value(pool, DEFAULT_PACKING_CAP)
         if len(pool) <= UNSTOPPED_MAX_POOL or certified == 0:
             full = unstopped_packing(monkeypatch, pool)
             assert max_disjoint_packing(pool) == full
@@ -91,14 +91,14 @@ def test_packing_value_matches_branch_and_bound_on_every_pool(code, monkeypatch)
 def test_packing_value_over_cap_and_at_r3_is_the_search_count(monkeypatch):
     pairs = [frozenset({i, i + 1}) for i in range(1, 30)]
     triples = [frozenset({1, 2, 3}), frozenset({3, 4, 5}), frozenset({5, 6, 1}), frozenset({7})]
-    assert _packing_value(pairs, 29, None) == 15
+    assert _packing_value(pairs, 29) == 15
 
     def no_matching(sets):
         raise AssertionError("over the cap and at r >= 3 the search alone counts")
 
     monkeypatch.setattr(locality, "_matching_value", no_matching)
-    assert _packing_value(pairs, 3, None) == max_disjoint_packing(pairs, exact_cap=3)[0]
-    assert _packing_value(triples, DEFAULT_PACKING_CAP, None) == 2
+    assert _packing_value(pairs, 3) == max_disjoint_packing(pairs, exact_cap=3)[0]
+    assert _packing_value(triples, DEFAULT_PACKING_CAP) == 2
 
 
 def test_matching_value_takes_every_singleton():

@@ -49,6 +49,9 @@ CASES = {
     "std-full-q2-t2-M4-b2-no-availability": ("std-full", "-t", "2", "-M", "4", "-b", "2", "--no-availability"),
     "from-blocks-q2-M4-b2": ("from-blocks", "--blocks", "{golden}/blocks.txt"),
     "from-blocks-q2-M4-b2-limit-8": ("from-blocks", "--blocks", "{golden}/blocks.txt", "--limit", "8"),
+    # one whole-space block, and e1, e2, e3, e1+e2: a node no other column recovers
+    "from-blocks-q2-M2-b2-one-block": ("from-blocks", "--blocks", "{golden}/blocks-one.txt"),
+    "from-blocks-q2-M3-b1-unrecoverable": ("from-blocks", "--blocks", "{golden}/blocks-unrecoverable.txt"),
 }
 # the first five instances are also pinned in JSON
 for _name in list(CASES)[:5]:
