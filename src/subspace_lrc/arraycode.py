@@ -45,6 +45,7 @@ from .linalg import (
     Mat,
     Subspace,
     _Generator,
+    _points,
     _subset_quotients,
     format_matrix,
     null_space,
@@ -357,21 +358,37 @@ def _thick_column_spans(gen: Mat, b: int) -> tuple[Subspace, ...]:
     )
 
 
-def dual_distance_by_supports(code: ArrayCode) -> int:
+def dual_distance_by_supports(code: ArrayCode, *, dependent_triple: bool = False) -> int:
     """Minimum weight of the dual code, via thick-column support search.
 
     A dual codeword of weight w exists exactly when some w thick columns of
     the primal generator carry linearly dependent flat columns, that is
-    when their sum S has dimension below w*b; the search walks the supports
-    by size, with the generator reduced modulo S (M - dim S rows), and stops
-    at the first such sum. Any support of size > M/b is automatically
-    dependent, which bounds the search depth.
+    when their sum S has dimension below w*b. The blocks settle w <= 2: it
+    is 1 when some block has dim < b, else 2 when some projective point
+    lies in two blocks. dependent_triple says that three blocks are known to
+    be dependent, which settles 3. Larger supports are walked by size, with
+    the generator reduced modulo S (M - dim S rows), up to the first such
+    sum; any support of size > M/b is dependent, which bounds the depth.
     """
     b, n, M = code.b, code.n, code.M
+    if any(s.dim < b for s in code.subspaces):
+        return 1
+    start = 3
+    try:
+        guard(n * (code.field.q**b - 1) // (code.field.q - 1), "listing the points of every block")
+    except TooLarge:
+        start = 2
+    else:
+        seen: set[int] = set()
+        for s in code.subspaces:
+            for p in _points(s):
+                if p in seen:
+                    return 2
+                seen.add(p)
     gen = code._packed_generator
-    for w in range(1, n + 1):
-        if w * b > M:
-            # more flat columns than the ambient dimension: always dependent
+    for w in range(start, n + 1):
+        if w * b > M or (w == 3 and dependent_triple):
+            # more flat columns than the ambient dimension, or a known triple
             return w
         if any(len(rows) > M - w * b for _, rows in _subset_quotients(gen, range(n), w)):
             return w
@@ -561,6 +578,8 @@ def parse_bundle(text: str) -> ArrayCode:
     except ValueError as exc:
         raise Inconsistent(f"bundle header 'field': {exc}") from exc
     b, n, M = (_header_int(header, key) for key in ("b", "n", "M"))
+    if b < 1:
+        raise Inconsistent(f"bundle header 'b' must be at least 1, got {b}")
     provenance = header["provenance"]
 
     def matrix(pos: int, what: str) -> tuple[Mat, int]:

@@ -48,6 +48,7 @@ class RecoverySet:
     coefficients[i][k] multiplies the k-th helper symbol (flat order: helper
     column index m first, then symbol row) when rebuilding target symbol i;
     node targets carry one functional per symbol row, symbol targets one.
+    A witness of the search computes them when they are first read.
     """
 
     kind: str
@@ -59,6 +60,15 @@ class RecoverySet:
     @property
     def size(self) -> int:
         return len(self.columns)
+
+    def __getattr__(self, name):
+        # reached only while a witness of _witnesses has no coefficients yet
+        unsolved = self.__dict__.get("_unsolved") if name == "coefficients" else None
+        if unsolved is None:
+            raise AttributeError(name)
+        object.__setattr__(self, name, _functionals(*unsolved))
+        del self.__dict__["_unsolved"]
+        return self.coefficients
 
 
 def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int, ...], ...]:
@@ -152,7 +162,10 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
         if subset is None:
             raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
         kind, rows = ("node", range(code.b)) if row is None else ("symbol", (row,))
-        out.append(RecoverySet(kind, column, row, subset, _functionals(code, subset, column, rows)))
+        # verify and analyze print no coefficients: they are solved on first read
+        w = object.__new__(RecoverySet)
+        w.__dict__.update(kind=kind, column=column, row=row, columns=subset, _unsolved=(code, subset, column, rows))
+        out.append(w)
     return out
 
 

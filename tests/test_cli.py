@@ -330,6 +330,16 @@ def test_bundle_cut_after_generator_names_missing_section(tmp_path, capsys):
     assert (rc, err) == (3, "error: bundle missing the subspaces section\n")
 
 
+def test_bundle_zero_b_header_is_named(tmp_path, capsys):
+    # shapes that agree with b 0: a 0 x 0 generator and one 0 x 0 subspace
+    text = "bundle array-code\nfield gf(2)\nb 0\nn 1\nM 0\nprovenance x\ngenerator\n2 0 0\nsubspaces 1\n2 0 0\n"
+    bad = tmp_path / "b0.bundle"
+    bad.write_text(text)
+    capsys.readouterr()
+    rc, err = cli.main(["analyze", str(bad)]), capsys.readouterr().err
+    assert (rc, err) == (3, "error: bundle header 'b' must be at least 1, got 0\n")
+
+
 # --- verify --------------------------------------------------------------------
 
 
