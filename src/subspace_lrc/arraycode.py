@@ -38,14 +38,13 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .designs import build_spread, build_std, enumerate_grassmannian
+from .designs import build_spread, build_std, enumerate_grassmannian, point_incidence
 from .gf import FieldContext, parse_field
 from .limits import guard
 from .linalg import (
     Mat,
     Subspace,
     _Generator,
-    _points,
     _subset_quotients,
     format_matrix,
     null_space,
@@ -358,17 +357,16 @@ def _thick_column_spans(gen: Mat, b: int) -> tuple[Subspace, ...]:
     )
 
 
-def dual_distance_by_supports(code: ArrayCode, *, dependent_triple: bool = False) -> int:
+def dual_distance_by_supports(code: ArrayCode) -> int:
     """Minimum weight of the dual code, via thick-column support search.
 
     A dual codeword of weight w exists exactly when some w thick columns of
     the primal generator carry linearly dependent flat columns, that is
     when their sum S has dimension below w*b. The blocks settle w <= 2: it
     is 1 when some block has dim < b, else 2 when some projective point
-    lies in two blocks. dependent_triple says that three blocks are known to
-    be dependent, which settles 3. Larger supports are walked by size, with
-    the generator reduced modulo S (M - dim S rows), up to the first such
-    sum; any support of size > M/b is dependent, which bounds the depth.
+    lies in two blocks. Larger supports are walked by size, with the
+    generator reduced modulo S (M - dim S rows), up to the first such sum;
+    any support of size > M/b is dependent, which bounds the depth.
     """
     b, n, M = code.b, code.n, code.M
     if any(s.dim < b for s in code.subspaces):
@@ -379,16 +377,12 @@ def dual_distance_by_supports(code: ArrayCode, *, dependent_triple: bool = False
     except TooLarge:
         start = 2
     else:
-        seen: set[int] = set()
-        for s in code.subspaces:
-            for p in _points(s):
-                if p in seen:
-                    return 2
-                seen.add(p)
+        if any(len(h) > 1 for h in point_incidence(code.subspaces).values()):
+            return 2
     gen = code._packed_generator
     for w in range(start, n + 1):
-        if w * b > M or (w == 3 and dependent_triple):
-            # more flat columns than the ambient dimension, or a known triple
+        if w * b > M:
+            # more flat columns than the ambient dimension: always dependent
             return w
         if any(len(rows) > M - w * b for _, rows in _subset_quotients(gen, range(n), w)):
             return w

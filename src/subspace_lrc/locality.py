@@ -61,13 +61,24 @@ class RecoverySet:
     def size(self) -> int:
         return len(self.columns)
 
+    # The search's witnesses are made by _unsolved, which fills __dict__
+    # without __init__, and __getattr__ solves their coefficients on first
+    # read; so the class must stay a dataclass without slots or __post_init__.
+    @classmethod
+    def _unsolved(cls, code: ArrayCode, column: int, row: int | None, columns) -> RecoverySet:
+        """The witness of (column, row) by columns; it holds code until its coefficients are read."""
+        kind, rows = ("node", range(code.b)) if row is None else ("symbol", (row,))
+        w = object.__new__(cls)
+        w.__dict__.update(kind=kind, column=column, row=row, columns=columns, _solve=(code, columns, column, rows))
+        return w
+
     def __getattr__(self, name):
-        # reached only while a witness of _witnesses has no coefficients yet
-        unsolved = self.__dict__.get("_unsolved") if name == "coefficients" else None
-        if unsolved is None:
+        # reached only while a witness made by _unsolved has no coefficients yet
+        solve = self.__dict__.get("_solve") if name == "coefficients" else None
+        if solve is None:
             raise AttributeError(name)
-        object.__setattr__(self, name, _functionals(*unsolved))
-        del self.__dict__["_unsolved"]
+        object.__setattr__(self, name, _functionals(*solve))
+        del self.__dict__["_solve"]
         return self.coefficients
 
 
@@ -161,11 +172,8 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
         what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
         if subset is None:
             raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
-        kind, rows = ("node", range(code.b)) if row is None else ("symbol", (row,))
         # verify and analyze print no coefficients: they are solved on first read
-        w = object.__new__(RecoverySet)
-        w.__dict__.update(kind=kind, column=column, row=row, columns=subset, _unsolved=(code, subset, column, rows))
-        out.append(w)
+        out.append(RecoverySet._unsolved(code, column, row, subset))
     return out
 
 

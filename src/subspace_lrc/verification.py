@@ -210,9 +210,7 @@ class _Measure:
 
     @cached_property
     def dual_distance(self) -> int:
-        # a node witness {a, c} puts U_j in U_a + U_c: three blocks in 2b dimensions
-        triple = not self.locality_skip and any(w.size == 2 for w in self.profile.node_witnesses)
-        return dual_distance_by_supports(self.code, dependent_triple=triple)
+        return dual_distance_by_supports(self.code)
 
     @cached_property
     def dual_scan(self) -> int | None:

@@ -2,11 +2,9 @@
 
 `dual_distance_by_supports` reads 1 off a block of dim < b and 2 off a
 projective point in two blocks, and walks supports only from size 3 (from
-size 2 when the points are over the enumeration limit). `verify` also reads 3
-off a node witness of size 2: U_j in U_a + U_c puts three blocks in a
-2b-dimensional space. Each rule must agree with the reference walk of
-`tests/test_subset_walk.py` and, where the dual is small, with the exhaustive
-dual scan.
+size 2 when the points are over the enumeration limit). Each rule must agree
+with the reference walk of `tests/test_subset_walk.py` and, where the dual is
+small, with the exhaustive dual scan.
 """
 
 import pytest
@@ -126,13 +124,14 @@ def test_three_blocks_over_m_give_3(monkeypatch):
 
 
 @pytest.mark.parametrize("M,b", [(6, 2), (12, 3)])
-def test_size_2_node_witness_gives_3(M, b, monkeypatch):
+def test_size_2_node_witness_ends_the_walk_at_3(M, b, monkeypatch):
+    # U_j in U_a + U_c puts three blocks in 2b dimensions; the walk finds such a triple
     code = construction_spread(F2, M, b)
     m = _Measure(code)
     assert 3 * b <= M and any(w.size == 2 for w in m.profile.node_witnesses)
     sizes = count_walks(monkeypatch)
     assert m.dual_distance == 3
-    assert sizes == []
+    assert sizes == [3]
     if M == 6:
         assert reference_dual_distance(code) == 3
 
