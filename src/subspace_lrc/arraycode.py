@@ -165,9 +165,14 @@ def construction_std(
     scope "par" uses the blocks of one parallel class (n = q^(M-b));
     scope "full" uses every block (n = q^((M-b) t)).
     """
+    return _std_code(_std_design(field, t, b, M), scope, class_index)
+
+
+def _std_design(field, t: int, b: int, M: int):
+    """The transversal design of the std codes on GF(q)^M, parameters checked in t, b and M."""
     if not 1 <= t <= b <= M - b:
         raise BadParams(f"need 1 <= t <= b <= M - b, got t={t}, b={b}, M={M}")
-    return _std_code(build_std(field, t, b, M - b), scope, class_index)
+    return build_std(field, t, b, M - b)
 
 
 def _std_code(design, scope: str, class_index: int = 0) -> ArrayCode:

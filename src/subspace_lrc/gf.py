@@ -8,9 +8,12 @@ the smallest integer encoding (digits read from the constant term up), so
 a context is fully reproducible from its parameters alone. No Conway
 polynomial tables and no randomness are involved.
 
-Extensions built with ExtensionContext use the same scheme one level up:
+ExtensionContext is the one engine that builds a field from polynomials:
 elements of GF(q^s) are base-q digit vectors over the base field, reduced
 modulo the smallest irreducible monic degree-s polynomial over GF(q).
+FieldContext(p, m) for m > 1 takes its modulus and tables from the
+extension of GF(p) of degree m. Every field multiplies through its
+exp/log tables and adds digit by digit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from .errors import (
     OutOfRange,
 )
 from .limits import DEFAULT_TABLE_LIMIT
-
-# Full q x q product tables below this order; log/antilog tables above it.
-_MUL_TABLE_MAX = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -109,11 +109,6 @@ def _poly_mod(a: tuple[int, ...], mod: tuple[int, ...], cf) -> tuple[int, ...]:
     return _poly_trim(tuple(a))
 
 
-def _poly_divisible(a: tuple[int, ...], d: tuple[int, ...], cf) -> bool:
-    # d monic, deg d >= 1
-    return not _poly_mod(a, d, cf)
-
-
 def _monic_polys(degree: int, cf) -> Iterable[tuple[int, ...]]:
     """All monic polynomials of exactly this degree, smallest encoding first."""
     q = cf.q
@@ -126,7 +121,7 @@ def _is_irreducible(poly: tuple[int, ...], cf) -> bool:
     degree = len(poly) - 1
     for d in range(1, degree // 2 + 1):
         for div in _monic_polys(d, cf):
-            if _poly_divisible(poly, div, cf):
+            if not _poly_mod(poly, div, cf):
                 return False
     return True
 
@@ -176,86 +171,26 @@ def _power_tables(q: int, mul) -> tuple[list[int], list[int]]:
     return exp, log
 
 
-class _PolyField:
-    """Shared table-backed arithmetic for a degree-s extension of cf."""
+def _digitwise(p: int, op):
+    """Apply op(a_i, b_i) mod p to every base-p digit of a and b."""
 
-    def __init__(self, cf, degree: int):
-        self.cf = cf
-        self.degree = degree
-        _refuse_order(cf.q, degree, f"{cf.q}^{degree}")
-        self.q = cf.q**degree
-        self.modulus = _smallest_irreducible(degree, cf)
-        self._exp, self._log = _power_tables(self.q, self.raw_mul)
+    def apply(a: int, b: int = 0) -> int:
+        out, mult = 0, 1
+        while a or b:
+            out += op(a % p, b % p) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
 
-    def _encode(self, poly: tuple[int, ...]) -> int:
-        return _from_digits(poly + (0,) * (self.degree - len(poly)), self.cf.q)
-
-    def _decode(self, x: int) -> tuple[int, ...]:
-        return _poly_trim(_digits(x, self.cf.q, self.degree))
-
-    def raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self._decode(a), self._decode(b), self.cf)
-        return self._encode(_poly_mod(prod, self.modulus, self.cf))
-
-    def add_fn(self):
-        cf, degree = self.cf, self.degree
-        if cf.p == 2:
-            # base-q digits with q a power of two are bit-aligned: no carries
-            return lambda a, b: a ^ b
-        cq = cf.q
-        cadd = cf.add
-
-        def add(a: int, b: int) -> int:
-            out, mult = 0, 1
-            for _ in range(degree):
-                out += cadd(a % cq, b % cq) * mult
-                a //= cq
-                b //= cq
-                mult *= cq
-            return out
-
-        return add
-
-    def neg_fn(self):
-        cf, degree = self.cf, self.degree
-        if cf.p == 2:
-            return lambda a: a
-        cq = cf.q
-        cneg = cf.neg
-
-        def neg(a: int) -> int:
-            out, mult = 0, 1
-            for _ in range(degree):
-                out += cneg(a % cq) * mult
-                a //= cq
-                mult *= cq
-            return out
-
-        return neg
+    return apply
 
 
 class _FieldOps:
-    """Mixin implementing the element operations from exp/log (+ mul table)."""
+    """Mixin implementing the element operations; a field sets _add, _neg, _exp and _log."""
 
     p: int
     q: int
-
-    def _init_ops(self, add_fn, neg_fn, exp: list[int], log: list[int]) -> None:
-        self._add = add_fn
-        self._neg = neg_fn
-        self._exp = exp
-        self._log = log
-        self._mul_table = None
-        if self.q <= _MUL_TABLE_MAX:
-            q = self.q
-            table = [[0] * q for _ in range(q)]
-            order = q - 1
-            for a in range(1, q):
-                la = log[a]
-                row = table[a]
-                for b in range(1, q):
-                    row[b] = exp[(la + log[b]) % order]
-            self._mul_table = table
 
     def _check(self, *elems: int) -> None:
         for a in elems:
@@ -276,8 +211,6 @@ class _FieldOps:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -308,7 +241,8 @@ class FieldContext(_FieldOps):
     """GF(p^m) with integer-encoded elements.
 
     modulus is the defining polynomial as a coefficient tuple, constant
-    term first (for m = 1 it is x itself, i.e. (0, 1)).
+    term first (for m = 1 it is x itself, i.e. (0, 1)). For m > 1 the
+    modulus and the tables are those of GF(p^m) as an extension of GF(p).
     """
 
     def __init__(self, p: int, m: int):
@@ -322,14 +256,13 @@ class FieldContext(_FieldOps):
         self.q = p**m
         if m == 1:
             self.modulus = (0, 1)
-            exp, log = _power_tables(p, lambda a, b: a * b % p)
-            add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
-            neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
-            self._init_ops(add, neg, exp, log)
+            self._add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
+            self._neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
+            self._exp, self._log = _power_tables(p, lambda a, b: a * b % p)
         else:
-            engine = _PolyField(FieldContext(p, 1), m)
-            self.modulus = engine.modulus
-            self._init_ops(engine.add_fn(), engine.neg_fn(), engine._exp, engine._log)
+            ext = extension_new(field_new(p), m)
+            self.modulus = ext.modulus
+            self._add, self._neg, self._exp, self._log = ext._add, ext._neg, ext._exp, ext._log
 
     def descriptor(self) -> str:
         return f"gf({self.p})" if self.m == 1 else f"gf({self.p}^{self.m})"
@@ -347,6 +280,10 @@ class FieldContext(_FieldOps):
 class ExtensionContext(_FieldOps):
     """GF(q^s) built as degree-s polynomials over an existing field of order q.
 
+    The modulus is the smallest irreducible monic degree-s polynomial over
+    the base field. An element's base-q digits are base-p digit vectors
+    themselves, so addition and negation act on its base-p digits.
+
     The basis 1, y, ..., y^(s-1) makes expand/recombine GF(q)-linear: expand
     returns the base-q digit vector of an element, recombine inverts it.
     """
@@ -354,13 +291,24 @@ class ExtensionContext(_FieldOps):
     def __init__(self, base, degree: int):
         if degree < 1:
             raise OutOfRange(f"extension degree must be >= 1, got {degree}")
+        _refuse_order(base.q, degree, f"{base.q}^{degree}")
         self.base = base
         self.degree = degree
-        self.p = base.p
+        self.p = p = base.p
         self.q = base.q**degree
-        engine = _PolyField(base, degree)
-        self.modulus = engine.modulus
-        self._init_ops(engine.add_fn(), engine.neg_fn(), engine._exp, engine._log)
+        self.modulus = _smallest_irreducible(degree, base)
+        if p == 2:
+            # binary digits are bits: no carries
+            self._add, self._neg = (lambda a, b: a ^ b), (lambda a: a)
+        else:
+            self._add, self._neg = _digitwise(p, lambda x, y: x + y), _digitwise(p, lambda x, _: -x)
+        self._exp, self._log = _power_tables(self.q, self._poly_product)
+
+    def _poly_product(self, a: int, b: int) -> int:
+        """a * b as polynomials over the base field, reduced by the modulus."""
+        base, s = self.base, self.degree
+        prod = _poly_mul(_digits(a, base.q, s), _digits(b, base.q, s), base)
+        return _from_digits(_poly_mod(prod, self.modulus, base), base.q)
 
     @property
     def basis(self) -> tuple[int, ...]:

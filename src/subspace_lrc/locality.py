@@ -291,31 +291,23 @@ def locality_profile(
 # --- availability ---------------------------------------------------------------
 
 
-def max_disjoint_packing(sets, *, exact_cap: int = DEFAULT_PACKING_CAP, warm_start=None):
+def max_disjoint_packing(sets, *, exact_cap: int = DEFAULT_PACKING_CAP):
     """Largest pairwise-disjoint subcollection.
 
     Exact: a pairwise-disjoint pool itself, else branch-and-bound (element
     branching with fail-first pivots) on a pool within exact_cap. Otherwise
-    greedy plus one-out-two-in local improvement, flagged exact=False; a
-    warm_start family from the pool seeds both. Returns (count, chosen, exact).
+    greedy plus one-out-two-in local improvement, flagged exact=False.
+    Returns (count, chosen, exact).
     """
     cand = sorted({frozenset(s) for s in sets}, key=lambda f: (len(f), sorted(f)))
     if not cand:
         return 0, (), True
-    pool = set(cand)
     used: set = set()
     greedy = []
     for c in cand:
         if used.isdisjoint(c):
             greedy.append(c)
             used |= c
-    if warm_start is not None:
-        warm = [frozenset(s) for s in warm_start]
-        flat = [e for s in warm for e in s]
-        assert len(flat) == len(set(flat)), "warm start must be pairwise disjoint"
-        assert all(s in pool for s in warm), "warm start must come from the pool"
-        if len(warm) > len(greedy):
-            greedy = warm
     if len(greedy) == len(cand):
         return len(greedy), tuple(greedy), True
     if len(cand) > exact_cap:

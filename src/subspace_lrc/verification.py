@@ -28,6 +28,7 @@ from .arraycode import (
     ArrayCode,
     _spread_code,
     _std_code,
+    _std_design,
     construction_all_subspaces,
     construction_from_blocks,
     dual,
@@ -39,7 +40,6 @@ from .arraycode import (
 )
 from .designs import (
     build_spread,
-    build_std,
     gaussian,
     gaussian_or_zero,
     steiner_parameters,
@@ -507,7 +507,7 @@ def verify_std_par(
 ) -> VerificationSuite:
     q = field.q
     m_dim = M - b
-    design = build_std(field, t, b, m_dim)
+    design = _std_design(field, t, b, M)
     design_check = _design_check(verify_std(design, limit=limit), "transversal design")
     code = _std_code(design, "par", class_index)
     m = _Measure(code, limit)
@@ -580,7 +580,7 @@ def verify_std_full(
 ) -> VerificationSuite:
     q = field.q
     m_dim = M - b
-    design = build_std(field, t, b, m_dim)
+    design = _std_design(field, t, b, M)
     design_check = _design_check(verify_std(design, limit=limit), "transversal design")
     code = _std_code(design, "full")
     m = _Measure(code, limit, exact_cap)

@@ -459,6 +459,14 @@ def test_verify_mds_over_limit_is_skipped(construction, capsys):
     assert "mds: SKIPPED (expected True, measured -) -- q^M=64 over limit" in out
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("construction", ["std-par", "std-full"])
+def test_std_bad_params_named_by_flags(command, construction, capsys):
+    # M = b + m, but the message names the flags -t, -b and -M, not m
+    assert cli.main([command, construction, "-t", "3", "-b", "2", "-M", "5"]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= t <= b <= M - b, got t=3, b=2, M=5\n"
+
+
 def test_verify_missing_params_exits_2(capsys):
     assert cli.main(["verify", "spread", "-M", "4"]) == 2
     assert "-b" in capsys.readouterr().err

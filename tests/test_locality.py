@@ -264,13 +264,6 @@ def test_packing_matches_bruteforce():
         assert all(s in cand for s in chosen)
 
 
-def test_packing_warm_start_adopted():
-    cand = [frozenset({1, 2}), frozenset({3, 4}), frozenset({1, 3}), frozenset({2, 4})]
-    warm = (frozenset({1, 3}), frozenset({2, 4}))
-    count, chosen, exact = max_disjoint_packing(cand, warm_start=warm)
-    assert count == 2 and exact
-
-
 def test_packing_cap_falls_back_to_bound():
     cand = [frozenset({i, i + 1}) for i in range(1, 30)]
     optimum, _, _ = max_disjoint_packing(cand)  # exact: {1,2},{3,4},..,{29,30}
@@ -284,13 +277,19 @@ def test_packing_cap_falls_back_to_bound():
 
 def test_packing_disjoint_pool_is_exact_at_any_cap():
     # a pairwise-disjoint pool is its own maximum packing, so no cap turns it
-    # into a bound; the warm-start asserts still run first
+    # into a bound
     cand = [frozenset({2 * i, 2 * i + 1}) for i in range(10)]
     count, chosen, exact = max_disjoint_packing(cand, exact_cap=0)
     assert (count, exact) == (10, True)
     assert set(chosen) == set(cand)
-    with pytest.raises(AssertionError, match="from the pool"):
-        max_disjoint_packing(cand, exact_cap=0, warm_start=[frozenset({99})])
+
+
+def test_packing_over_cap_swaps_one_set_for_two():
+    # greedy takes {1,2} and blocks both others; the improvement step trades
+    # it for the disjoint pair {1,3}, {2,4}
+    count, chosen, exact = max_disjoint_packing([{1, 2}, {1, 3}, {2, 4}], exact_cap=0)
+    assert (count, exact) == (2, False)
+    assert set(chosen) == {frozenset({1, 3}), frozenset({2, 4})}
 
 
 def test_packing_empty():
