@@ -25,12 +25,12 @@ from .arraycode import (
 )
 from .errors import BadParams, Inconsistent, NoRecovery, OutOfRange, SubspaceCodeError, TooLarge
 from .gf import parse_field
-from .limits import DEFAULT_PACKING_CAP, ENV_VAR
+from .limits import DEFAULT_PACKING_CAP
 from .linalg import parse_matrix, row_space
 from .locality import locality_profile, repair
 from .verification import run_verification
 
-EPILOG = f"""\
+EPILOG = """\
 determinism:
   Ties everywhere are broken lexicographically: subspaces are kept in
   reduced row echelon form and enumerated in ascending basis order, and
@@ -40,9 +40,9 @@ determinism:
 limits:
   Exhaustive scans refuse to enumerate more than a configured number of
   objects (default 2^20) and report the affected entries as skipped.
-  Raise or lower the cap with --limit or the {ENV_VAR} environment
-  variable. --packing-cap bounds the exact disjoint-set search; a larger
-  pool of overlapping sets gets a greedy bound, which verify skips instead.
+  Raise or lower the cap with --limit; nothing else sets it. --packing-cap
+  bounds the exact disjoint-set search; a larger pool of overlapping sets
+  gets a greedy bound, which verify skips instead.
 
 exit codes:
   0 success, 1 verification failure, 2 usage or parameter error,

@@ -134,11 +134,11 @@ def _held(gen, subset, rows, wanted: int):
         held &= held - 1
 
 
-def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
+def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
     """First helper set in (size, lex) order whose sum holds each distinct target.
 
     One walk per size serves every pending target, and zero targets need no
-    helpers. NoRecovery names the first target with no set of size <= cap.
+    helpers. NoRecovery names the first target with no set of size <= n - 1.
     """
     gen = code._packed_generator
     nonzero = gen.unheld(gen.rows)
@@ -158,7 +158,7 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
                 return gen.guards & ~gen.unheld(rest)
         return gen.guards
 
-    for size in range(1, cap + 1):
+    for size in range(1, code.n):
         if not pending:
             break
         for subset, rows in _subset_quotients(gen, columns, size, leaves):
@@ -171,7 +171,7 @@ def _witnesses(code: ArrayCode, targets, cap: int) -> list[RecoverySet]:
     for (column, row), subset in zip(targets, found):
         what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
         if subset is None:
-            raise NoRecovery(f"{what} has no recovery set of size <= {cap}")
+            raise NoRecovery(f"{what} has no recovery set of size <= {code.n - 1}")
         # verify and analyze print no coefficients: they are solved on first read
         out.append(RecoverySet._unsolved(code, column, row, subset))
     return out
@@ -222,13 +222,13 @@ def min_symbol_recovery(code: ArrayCode, row: int, column: int) -> RecoverySet:
     column needs no helpers and yields the empty set.
     """
     code.column_vector(row, column)  # OutOfRange for a bad row or column
-    return _witnesses(code, [(column, row)], code.n - 1)[0]
+    return _witnesses(code, [(column, row)])[0]
 
 
 def min_node_recovery(code: ArrayCode, column: int) -> RecoverySet:
     """Smallest helper set whose subspace sum contains the node's subspace."""
     code.column_vector(0, column)  # OutOfRange for a bad column
-    return _witnesses(code, [(column, None)], code.n - 1)[0]
+    return _witnesses(code, [(column, None)])[0]
 
 
 @dataclass(frozen=True)
@@ -248,14 +248,14 @@ class LocalityProfile:
 
 
 def node_locality(code: ArrayCode) -> int:
-    wits = _witnesses(code, [(j, None) for j in range(code.n)], code.n - 1)
+    wits = _witnesses(code, [(j, None) for j in range(code.n)])
     return max(w.size for w in wits)
 
 
 def symbol_locality(code: ArrayCode) -> int:
     """Worst-case over symbols with nonzero generator columns."""
     targets = [(j, i) for j in range(code.n) for i in range(code.b)]
-    return max(w.size for w in _witnesses(code, targets, code.n - 1))
+    return max(w.size for w in _witnesses(code, targets))
 
 
 def locality_profile(
@@ -267,7 +267,7 @@ def locality_profile(
 ) -> LocalityProfile:
     n, b = code.n, code.b
     targets = [(j, None) for j in range(n)] + [(j, i) for i in range(b) for j in range(n)]
-    wits = _witnesses(code, targets, n - 1)
+    wits = _witnesses(code, targets)
     node_wits = tuple(wits[:n])
     sym_wits = tuple(tuple(wits[n * (i + 1) : n * (i + 2)]) for i in range(b))
     r_n = max(w.size for w in node_wits)

@@ -326,7 +326,8 @@ def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
         trivial, no_locality = skip or "dual code is trivial", skip or m.locality_skip
         return [_skip("dual-distance", by_worst, trivial), _skip("dual-distance-min-symbol", by_min, no_locality)]
     d_dual, exhaustive = m.dual_distance, m.dual_scan
-    note = "" if exhaustive is None else f"exhaustive dual scan agrees: {exhaustive}"
+    verdict = "agrees" if exhaustive == d_dual else "disagrees"
+    note = "" if exhaustive is None else f"exhaustive dual scan {verdict}: {exhaustive}"
     by_worst_claim = m.profile.symbol_locality + 1 if claimed else None
     checks = [_expect("dual-distance", by_worst, by_worst_claim, d_dual, note)]
     if exhaustive is not None and exhaustive != d_dual:

@@ -1,11 +1,12 @@
 """Golden pins for `analyze`'s skip flags: stdout, stderr and exit code.
 
-Each case runs `cli.main` in-process, with no SUBSPACE_LRC_LIMIT in the
-environment, on a bundle written by `construct` into a temporary directory.
-The cases cross no skip flag, --skip-weights, --skip-distance and both with
-and without a --limit below q^M, in every output format. The expected bytes
-are in tests/golden/analyze.json. After a deliberate output change, rewrite
-it with
+Each case runs `cli.main` in-process on a bundle written by `construct` into
+a temporary directory. The cases cross no skip flag, --skip-weights,
+--skip-distance and both with and without a --limit below q^M, in every
+output format. The locality cases render --locality and --availability, the
+latter also with a --limit below the helper-set count, as text and CSV. The
+expected bytes are in tests/golden/analyze.json. After a deliberate output
+change, rewrite it with
 
     PYTHONPATH=src python tests/test_analyze_golden.py
 
@@ -14,7 +15,6 @@ and say in the change log which cases changed and why.
 
 import io
 import json
-import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from subspace_lrc import cli
-from subspace_lrc.limits import ENV_VAR
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "analyze.json"
 
@@ -47,6 +46,19 @@ CASES = {
     for limited in (False, True)
     for fmt in ("json", "text", "csv")
 }
+# locality rendering on the spread: name -> analyze flags
+LOCALITY = {
+    "locality": ("--locality",),
+    "availability": ("--availability",),
+    "availability-limit": ("--availability", "--limit", "8"),
+}
+CASES.update(
+    {
+        f"spread-q2-M4-b2-{name}-{fmt}": ("spread-q2-M4-b2", (*flags, "--format", fmt))
+        for name, flags in LOCALITY.items()
+        for fmt in ("text", "csv")
+    }
+)
 
 
 def run(argv):
@@ -70,22 +82,19 @@ def bundles(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_analyze_matches_golden(name, bundles, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_analyze_matches_golden(name, bundles):
     bundle, argv = CASES[name]
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run(["analyze", bundles[bundle], *argv]) == expected
 
 
 @pytest.mark.parametrize("bundle", sorted(BUNDLES))
-def test_skip_weights_output_is_independent_of_jobs(bundle, bundles, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_skip_weights_output_is_independent_of_jobs(bundle, bundles):
     argv = ["analyze", bundles[bundle], "--skip-weights", "--format", "text"]
     assert run([*argv, "--jobs", "2"]) == run([*argv, "--jobs", "1"])
 
 
 def regenerate() -> None:
-    os.environ.pop(ENV_VAR, None)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_bundles(Path(tmp))
         doc = {name: run(["analyze", paths[b], *argv]) for name, (b, argv) in sorted(CASES.items())}

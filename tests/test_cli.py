@@ -22,7 +22,7 @@ from subspace_lrc import (
     read_bundle,
     format_bundle,
 )
-from subspace_lrc import cli, locality
+from subspace_lrc import cli, locality, verification
 from subspace_lrc.linalg import format_matrix
 
 F2 = field_new(2)
@@ -104,12 +104,11 @@ def test_construct_bad_field_exits_2(capsys):
     assert "cannot parse field" in capsys.readouterr().err
 
 
-def test_limit_env_var_caps_enumeration(monkeypatch, capsys):
-    monkeypatch.setenv("SUBSPACE_LRC_LIMIT", "10")
-    assert cli.main(["construct", "all-subspaces", "-M", "4", "-b", "2"]) == 2
+def test_limit_caps_enumeration(capsys):
+    argv = ["construct", "all-subspaces", "-M", "4", "-b", "2"]
+    assert cli.main([*argv, "--limit", "10"]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.delenv("SUBSPACE_LRC_LIMIT")
-    assert cli.main(["construct", "all-subspaces", "-M", "4", "-b", "2"]) == 0
+    assert cli.main(argv) == 0
 
 
 # --- analyze -------------------------------------------------------------------
@@ -256,13 +255,45 @@ def test_analyze_corrupt_bundle_exits_3(tmp_path, capsys):
 
 
 def analyze_edited_bundle(tmp_path, capsys, old, new):
-    """Exit code and stderr of analyze on the spread bundle with one line replaced."""
+    """Exit code and stderr of analyze on the spread bundle with line `old`
+    replaced by `new`, or on the bundle text `new` alone when old is None."""
     text = Path(spread_bundle(tmp_path)).read_text()
-    assert old + "\n" in text
+    assert old is None or old + "\n" in text
     bad = tmp_path / "bad.bundle"
-    bad.write_text(text.replace(old + "\n", new + "\n", 1))
+    bad.write_text(new + "\n" if old is None else text.replace(old + "\n", new + "\n", 1))
     capsys.readouterr()
     return cli.main(["analyze", str(bad)]), capsys.readouterr().err
+
+
+# M=2 but a single thick column (1, 0): the generator spans only a line
+RANK_1_BUNDLE = """bundle array-code
+field gf(2)
+b 1
+n 1
+M 2
+provenance hand-written
+generator
+2 2 1
+1
+0
+subspaces 1
+2 1 2
+1 0"""
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("bundle array-code", "bundle code", "not a code bundle: first line 'bundle code'"),
+        ("generator", "generators", "bundle missing the generator section"),
+        ("subspaces 5", "subspaces x", "malformed code bundle: subspaces line 'subspaces x'"),
+        ("n 5", "n 6", "bundle shapes disagree: generator 4x10, declared M=4, b=2, n=6"),
+        (None, RANK_1_BUNDLE, "generator rank 1 differs from declared dimension 2"),
+    ],
+)
+def test_bundle_structure_errors_exit_3(tmp_path, capsys, old, new, message):
+    rc, err = analyze_edited_bundle(tmp_path, capsys, old, new)
+    assert (rc, err) == (3, f"error: {message}\n")
 
 
 def test_bundle_bare_header_names_the_field(tmp_path, capsys):
@@ -367,6 +398,15 @@ def test_verify_failing_suite_exits_1(monkeypatch, capsys):
     assert cli.main(["verify", *SPREAD_ARGS]) == 1
     out = capsys.readouterr().out
     assert "distance: FAIL" in out
+
+
+def test_dual_distance_cross_check_failure_exits_1(monkeypatch, capsys):
+    true = verification.dual_distance_by_supports
+    monkeypatch.setattr(verification, "dual_distance_by_supports", lambda code: true(code) + 1)
+    assert cli.main(["verify", "spread", "-M", "4", "-b", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  dual-distance-cross-check: FAIL (expected 4, measured 3)" in lines
+    assert "  dual-distance: FAIL (expected 3, measured 4) -- exhaustive dual scan disagrees: 3" in lines
 
 
 def test_verify_no_availability_skips(capsys):
@@ -624,7 +664,6 @@ def test_help_exits_0_and_states_tiebreak(capsys):
     assert cli.main(["construct", "--help"]) == 0
     out = capsys.readouterr().out
     assert "lexicographically" in out
-    assert "SUBSPACE_LRC_LIMIT" in out
 
 
 # --- byte-identical determinism across processes --------------------------------
@@ -635,8 +674,9 @@ def test_help_exits_0_and_states_tiebreak(capsys):
 PACKAGE_ROOT = str(Path(subspace_lrc.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd):
-    env = {k: v for k, v in os.environ.items() if k != "SUBSPACE_LRC_LIMIT"}
+def run_cli(args, cwd, **env_vars):
+    """Run the CLI in a child process; a None value removes that variable."""
+    env = {k: v for k, v in {**os.environ, **env_vars}.items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
@@ -673,6 +713,17 @@ def test_verify_bytes_identical(tmp_path):
     second = run_cli(args, tmp_path)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_environment_does_not_change_outputs(tmp_path):
+    # the enumeration limit comes from --limit alone; the retired
+    # SUBSPACE_LRC_LIMIT override must not skip a single check
+    bundle = spread_bundle(tmp_path)
+    for args in (["verify", *SPREAD_ARGS], ["analyze", bundle, "--availability"]):
+        clean = run_cli(args, tmp_path, SUBSPACE_LRC_LIMIT=None)
+        overridden = run_cli(args, tmp_path, SUBSPACE_LRC_LIMIT="8")
+        assert clean.returncode == overridden.returncode == 0
+        assert clean.stdout == overridden.stdout
 
 
 # --- from-blocks round trip ------------------------------------------------------

@@ -9,7 +9,7 @@ small, with the exhaustive dual scan.
 
 import pytest
 
-from subspace_lrc import arraycode
+from subspace_lrc import arraycode, limits
 from subspace_lrc.arraycode import (
     construction_all_subspaces,
     construction_from_blocks,
@@ -19,7 +19,6 @@ from subspace_lrc.arraycode import (
 )
 from subspace_lrc.cli import _read_blocks
 from subspace_lrc.gf import field_new
-from subspace_lrc.limits import ENV_VAR
 from subspace_lrc.linalg import Subspace
 from subspace_lrc.verification import _Measure
 from test_subset_walk import CODES, padded_code, reference_dual_distance
@@ -73,11 +72,6 @@ def count_walks(monkeypatch):
     return sizes
 
 
-@pytest.fixture(autouse=True)
-def default_limit(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-
-
 @pytest.mark.parametrize("code", CODES + GOLDEN_CODES, ids=lambda c: c.provenance)
 def test_rules_match_reference_and_exhaustive_scan(code):
     reference = reference_dual_distance(code)
@@ -89,10 +83,10 @@ def test_rules_match_reference_and_exhaustive_scan(code):
 
 def test_over_the_point_limit_walks_size_2(monkeypatch):
     for code in CODES[:6] + GOLDEN_CODES:
-        monkeypatch.setenv(ENV_VAR, "1")
-        sizes = count_walks(monkeypatch)
-        got = dual_distance_by_supports(code)
-        monkeypatch.delenv(ENV_VAR)
+        with monkeypatch.context() as m:
+            m.setattr(limits, "DEFAULT_ENUMERATION_LIMIT", 1)
+            sizes = count_walks(m)
+            got = dual_distance_by_supports(code)
         assert got == measured(code)[0] == reference_dual_distance(code)
         if all(s.dim == code.b for s in code.subspaces) and 2 * code.b <= code.M:
             assert sizes[0] == 2

@@ -203,7 +203,7 @@ def test_walk_reads_the_same_sums(code):
 @pytest.mark.parametrize("code", CODES, ids=ids)
 def test_witnesses_match_reference(code):
     targets = _targets(code)
-    got = [w.columns for w in _witnesses(code, targets, code.n - 1)]
+    got = [w.columns for w in _witnesses(code, targets)]
     assert got == reference_witness_sets(code, targets, code.n - 1)
 
 

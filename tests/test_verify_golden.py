@@ -1,10 +1,9 @@
 """Golden ladder for `verify`: stdout and exit codes, byte for byte.
 
-Each case runs `cli.main` in-process, with no SUBSPACE_LRC_LIMIT in the
-environment, and compares stdout, stderr and the exit code with the files
-under tests/golden/verify/: `<name>.txt` (or `<name>.json` for the JSON
-cases) holds stdout, `exits.json` the exit code and stderr of every case. After a
-deliberate output change, rewrite them with
+Each case runs `cli.main` in-process and compares stdout, stderr and the
+exit code with the files under tests/golden/verify/: `<name>.txt` (or
+`<name>.json` for the JSON cases) holds stdout, `exits.json` the exit code
+and stderr of every case. After a deliberate output change, rewrite them with
 
     PYTHONPATH=src python tests/test_verify_golden.py
 
@@ -13,14 +12,12 @@ and say in the change log which goldens changed and why.
 
 import io
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from subspace_lrc import cli
-from subspace_lrc.limits import ENV_VAR
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
 
@@ -71,8 +68,7 @@ def run_case(argv):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_verify_matches_golden(name, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_verify_matches_golden(name):
     code, out, err = run_case(CASES[name])
     exits = json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
     assert {"exit": code, "stderr": err} == exits[name]
@@ -80,7 +76,6 @@ def test_verify_matches_golden(name, monkeypatch):
 
 
 def regenerate() -> None:
-    os.environ.pop(ENV_VAR, None)
     exits = {}
     for name in sorted(CASES):
         code, out, err = run_case(CASES[name])
