@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
 )
 from .designs import build_spread, build_std, enumerate_grassmannian, point_incidence
-from .gf import FieldContext, parse_field
+from .gf import parse_field
 from .limits import guard
 from .linalg import (
     Mat,
@@ -92,6 +92,8 @@ def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> Ar
     subspaces = tuple(subspaces)
     if not subspaces:
         raise BadParams("need at least one associated subspace")
+    if M < 1:
+        raise BadParams(f"need M >= 1, got M={M}")
     for s in subspaces:
         if s.field != field or s.ambient != M:
             raise AmbientMismatch(
@@ -245,28 +247,23 @@ def _scan_range(G: _Generator, lo: int, hi: int):
     j * (b k s + 1): the spare bit above its data receives the carry of
     data + (2^(bks) - 1), which is set exactly when the column is nonzero,
     so the weight is one bit_count. Entries are range-checked once, while
-    the rows are packed; scaled rows are built on first use by packed
-    arithmetic, and the Gray steps call no field operation.
+    the rows are packed; the scaled rows are built by packed arithmetic
+    before the walk, and the Gray steps call no field operation.
     """
     field, n = G.field, G.guards.bit_count()  # one guard per node
     q, M = field.q, len(G.rows)
     S, packed, ones, guards = G.slots, G.rows, G.ones, G.guards
     odd, carry, high, shift, p = S.odd, S.carry, S.high, S.shift, S.p
-    # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row
+    # the Gray step from digit g to g + 1 (mod q) adds step[g] times the row;
+    # adds[g][r] is that multiple of row r, built once per distinct step value
     step = [field.sub((g + 1) % q, g) for g in range(q)]
-    scaled: list[int | None] = [None] * (M * q)
-
-    def times(r: int, c: int) -> int:
-        out = scaled[r * q + c]
-        if out is None:
-            out = scaled[r * q + c] = S.scale(packed[r], c)
-        return out
-
+    rows_of = {c: [S.scale(row, c) for row in packed] for c in set(step)}
+    adds = [rows_of[c] for c in step]
     digits = _gray_digits(lo, q, M)
     flat = 0
     for r, g in enumerate(digits):
         if g:
-            flat = S.add(flat, times(r, g))
+            flat = S.add(flat, S.scale(packed[r], g))
     counts = [0] * (n + 1)
     counts[((flat + ones) & guards).bit_count()] += 1
     for index in range(lo + 1, hi):
@@ -277,7 +274,7 @@ def _scan_range(G: _Generator, lo: int, hi: int):
             r += 1
         g = digits[r]
         digits[r] = g + 1 if g + 1 < q else 0
-        row = scaled[r * q + step[g]] or times(r, step[g])
+        row = adds[g][r]
         # S.add inlined: this loop runs q^M times
         if odd:
             t = flat + row
@@ -291,12 +288,6 @@ def _scan_range(G: _Generator, lo: int, hi: int):
     return hist, next((w for w, c in enumerate(counts) if c), None)
 
 
-def _scan_worker(args):
-    descriptor, rows, b, n, lo, hi = args
-    hist, _ = _scan_range(_Generator(parse_field(descriptor), rows, b, n), lo, hi)
-    return hist
-
-
 def weight_distribution(
     code: ArrayCode, *, limit: int | None = None, jobs: int = 1
 ) -> dict[int, int]:
@@ -304,22 +295,22 @@ def weight_distribution(
 
     jobs > 1 splits the Gray index space into that many independently
     scanned ranges (merged by addition; the result is partition-independent)
-    and fans them over a process pool.
+    and fans them over a process pool, each worker scanning the code's
+    packed generator.
     """
     total = code.field.q**code.M
     guard(total, f"scanning {total} codewords", limit)
     chunks = max(jobs, 1)
     bounds = [total * i // chunks for i in range(chunks + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    merged: dict[int, int] = {}
-    if jobs > 1 and isinstance(code.field, FieldContext) and len(ranges) > 1:
-        rows = code.generator.rows
-        tasks = [(code.field.descriptor(), rows, code.b, code.n, lo, hi) for lo, hi in ranges]
+    tasks = ([code._packed_generator] * len(ranges), *zip(*ranges))
+    if jobs > 1 and len(ranges) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_worker, tasks))
+            parts = list(pool.map(_scan_range, *tasks))
     else:
-        parts = [_scan_range(code._packed_generator, lo, hi)[0] for lo, hi in ranges]
-    for part in parts:
+        parts = list(map(_scan_range, *tasks))
+    merged: dict[int, int] = {}
+    for part, _ in parts:
         for w, c in part.items():
             merged[w] = merged.get(w, 0) + c
     return dict(sorted(merged.items()))
@@ -579,6 +570,8 @@ def parse_bundle(text: str) -> ArrayCode:
     b, n, M = (_header_int(header, key) for key in ("b", "n", "M"))
     if b < 1:
         raise Inconsistent(f"bundle header 'b' must be at least 1, got {b}")
+    if M < 1:
+        raise Inconsistent(f"bundle header 'M' must be at least 1, got {M}")
     provenance = header["provenance"]
 
     def matrix(pos: int, what: str) -> tuple[Mat, int]:

@@ -276,6 +276,10 @@ class FieldContext(_FieldOps):
     def __hash__(self) -> int:
         return hash(("FieldContext", self.p, self.m))
 
+    def __reduce__(self):
+        # a context unpickles as the cached context of the same field
+        return field_new, (self.p, self.m)
+
 
 class ExtensionContext(_FieldOps):
     """GF(q^s) built as degree-s polynomials over an existing field of order q.
@@ -353,6 +357,9 @@ class ExtensionContext(_FieldOps):
 
     def __hash__(self) -> int:
         return hash(("ExtensionContext", self.base, self.degree))
+
+    def __reduce__(self):
+        return extension_new, (self.base, self.degree)
 
 
 @functools.lru_cache(maxsize=None)

@@ -37,8 +37,8 @@ from subspace_lrc.errors import (
     OutOfRange,
     TooLarge,
 )
-from subspace_lrc.gf import extension_new, field_new
-from subspace_lrc.linalg import Mat, Subspace, rank, row_space
+from subspace_lrc.gf import extension_new, field_new, parse_field
+from subspace_lrc.linalg import Mat, Subspace, _Slots, rank, row_space
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -155,6 +155,27 @@ def test_weight_distribution_extension_context_field():
 def test_weight_distribution_parallel():
     for code in [construction_all_subspaces(F3, 3, 2), construction_std(F3, 1, 2, 4, "par")]:
         assert weight_distribution(code, jobs=2) == weight_distribution(code)
+    # pool workers scan the packed generator for every field, extensions included
+    for code in [
+        construction_std(extension_new(F3, 2), 1, 1, 2, "par"),
+        construction_spread(field_new(2, 2), 6, 3),
+    ]:
+        assert weight_distribution(code, jobs=3) == weight_distribution(code)
+
+
+def test_scan_scales_each_row_once_per_distinct_step(monkeypatch):
+    # gf(2^16) has 16 distinct Gray steps (g + 1) - g = 2^k - 1, and M = 1
+    code = construction_spread(parse_field("gf(2^16)"), 1, 1)
+    calls = []
+    scale = _Slots.scale
+
+    def counted(self, v, c):
+        calls.append(c)
+        return scale(self, v, c)
+
+    monkeypatch.setattr(_Slots, "scale", counted)
+    _scan_range(code._packed_generator, 0, code.field.q)
+    assert len(calls) == 16
 
 
 def test_min_distance():
@@ -460,6 +481,8 @@ def test_code_from_subspaces_validation():
         code_from_subspaces(F3, lines, 2, 4, "x")
     with pytest.raises(BadParams, match=r"^associated subspaces span a 0-dim space, code needs the full 3$"):
         code_from_subspaces(F2, [Subspace.zero(F2, 3)], 2, 3, "x")
+    with pytest.raises(BadParams, match=r"^need M >= 1, got M=0$"):
+        code_from_subspaces(F2, [Subspace.zero(F2, 0)], 1, 0, "x")
 
 
 def test_code_from_subspaces_pads_short_columns():

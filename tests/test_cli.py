@@ -371,6 +371,17 @@ def test_bundle_zero_b_header_is_named(tmp_path, capsys):
     assert (rc, err) == (3, "error: bundle header 'b' must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["--locality"], ["--availability"]])
+def test_bundle_zero_M_header_is_named(tmp_path, capsys, flags):
+    # a b 1 code of dimension 0: a 0 x 1 generator and one 0 x 0 subspace
+    text = "bundle array-code\nfield gf(2)\nb 1\nn 1\nM 0\nprovenance x\ngenerator\n2 0 1\nsubspaces 1\n2 0 0\n"
+    bad = tmp_path / "m0.bundle"
+    bad.write_text(text)
+    capsys.readouterr()
+    rc, err = cli.main(["analyze", str(bad), *flags]), capsys.readouterr().err
+    assert (rc, err) == (3, "error: bundle header 'M' must be at least 1, got 0\n")
+
+
 # --- verify --------------------------------------------------------------------
 
 
@@ -770,3 +781,27 @@ def test_from_blocks_file_error_names_block_and_row(tmp_path, capsys, command, s
     capsys.readouterr()
     assert cli.main([command, "from-blocks", "--field", "gf(2)", "--blocks", str(blocks)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_from_blocks_of_the_zero_space_is_refused(tmp_path, capsys, command):
+    # the zero subspace of GF(2)^0: a code of dimension 0
+    blocks = tmp_path / "zero.txt"
+    blocks.write_text("2 0 0\n")
+    capsys.readouterr()
+    assert cli.main([command, "from-blocks", "--blocks", str(blocks)]) == 2
+    assert capsys.readouterr() == ("", "error: need M >= 1, got M=0\n")
+
+
+def test_verify_from_blocks_of_whitespace_names_the_file(tmp_path, capsys):
+    blocks = tmp_path / "blank.txt"
+    blocks.write_text("  \n\n\t\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "from-blocks", "--blocks", str(blocks)]) == 2
+    assert capsys.readouterr().err == f"error: no matrix blocks found in {blocks}\n"
+
+
+def test_construct_all_subspaces_wider_than_the_space_is_refused(capsys):
+    capsys.readouterr()
+    assert cli.main(["construct", "all-subspaces", "-M", "2", "-b", "3"]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= b <= M, got b=3, M=2\n"

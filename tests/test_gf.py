@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -300,6 +301,11 @@ def test_frobenius():
     # fixed field is exactly the base copy
     fixed = [x for x in range(16) if ext.frobenius(x) == x]
     assert fixed == [ext.recombine((c, 0)) for c in range(4)]
+
+
+def test_contexts_unpickle_as_the_cached_context():
+    for F in [field_new(2), field_new(3), field_new(2, 2), extension_new(field_new(3), 2)]:
+        assert pickle.loads(pickle.dumps(F)) is F
 
 
 def test_contexts_cached_and_hashable():

@@ -217,6 +217,18 @@ def test_node_availability_rejects_a_column_out_of_range():
             node_availability(code, column, r=2)
 
 
+def test_node_availability_rejects_a_zero_dimensional_node():
+    spread = construction_spread(F2, 4, 2)
+    padded = code_from_subspaces(F2, [*spread.subspaces, Subspace.zero(F2, 4)], 2, 4, "padded")
+    with pytest.raises(BadParams, match=r"^availability of a zero-dimensional node is unbounded$"):
+        node_availability(padded, 5)
+
+
+def test_symbol_availability_defaults_r_to_the_symbol_locality():
+    code = construction_spread(F2, 4, 2)
+    assert symbol_availability(code, 0, 0) == symbol_availability(code, 0, 0, r=symbol_locality(code))
+
+
 @pytest.mark.parametrize(
     "row,column,message",
     [(2, 0, r"^symbol row 2 outside 0\.\.1$"), (-1, 0, r"^symbol row -1 outside 0\.\.1$"),

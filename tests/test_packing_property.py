@@ -38,13 +38,13 @@ def networkx_matching(edges) -> int:
     return len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graphs())
 def test_matching_size_equals_networkx(edges):
     assert _matching_value(edges) == networkx_matching(edges)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graphs(), st.lists(st.integers(0, VERTICES - 1), unique=True, max_size=4))
 def test_singletons_are_pendant_edges(edges, singles):
     # taking {a} is matching a to a fresh vertex of its own
