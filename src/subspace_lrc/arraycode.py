@@ -590,27 +590,39 @@ def parse_bundle(text: str) -> ArrayCode:
     if len(section) != 2 or not section[1].isdecimal():
         raise Inconsistent(f"malformed code bundle: subspaces line {lines[pos]!r}")
     count = int(section[1])
-    subs = []
+    mats = []
     pos += 1
     for k in range(count):
         if pos >= len(lines):
-            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(subs)}")
+            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(mats)}")
         mat, pos = matrix(pos, f"subspace {k + 1} of {count}")
-        subs.append(row_space(mat))
+        mats.append(mat)
 
     if gen.nrows != M or gen.cols != b * n or count != n:
         raise Inconsistent(
             f"bundle shapes disagree: generator {gen.nrows}x{gen.cols}, declared M={M}, b={b}, n={n}"
         )
+    if pos < len(lines):
+        raise Inconsistent(f"bundle declares {count} subspaces, then holds line {lines[pos]!r}")
+    # A thick column laid out as format_bundle writes it (the declared rows,
+    # then zero columns) spans exactly the declared subspace, so each subspace
+    # is reduced once; only a column in another layout is reduced on its own.
+    flat = list(zip(*gen.rows))
+    zero = (0,) * M
+    subs, spans = [], []
+    for j, mat in enumerate(mats):
+        subs.append(row_space(mat))
+        column = tuple(flat[j * b : (j + 1) * b])
+        written = mat.cols == M and column == mat.rows + (zero,) * (b - mat.nrows)
+        spans.append(subs[-1] if written else Subspace.from_span(field, M, column))
     # the rank is the dimension of the sum of the column spans, as in code_from_subspaces
-    spans = _thick_column_spans(gen, b)
     spanned = reduce(subspace_sum, spans, Subspace.zero(field, M)).dim
     if spanned != M:
         raise Inconsistent(f"generator rank {spanned} differs from declared dimension {M}")
     for j, (span, s) in enumerate(zip(spans, subs)):
         if span != s:
             raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
-    return ArrayCode(field, b, n, M, gen, spans, provenance)
+    return ArrayCode(field, b, n, M, gen, tuple(spans), provenance)
 
 
 def _header_int(header: dict[str, str], key: str) -> int:

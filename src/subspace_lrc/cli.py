@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -390,7 +391,9 @@ def _add_construction_args(p, *, verify: bool):
     p.add_argument("--limit", type=_count(1), default=None, help="enumeration cap override")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="subspace-lrc",
         description="Construct and verify array codes built from subspace families.",
@@ -448,9 +451,12 @@ def main(argv=None) -> int:
     p_rep.add_argument("--column", type=int, required=True, help="erased column, 1-based")
     p_rep.add_argument("-o", "--output", default=None, help="result path (default stdout)")
     p_rep.add_argument("--format", choices=["json", "text"], default="text")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(exc.code or 0)

@@ -183,9 +183,9 @@ class Mat:
             raise DimensionMismatch("column count required for a matrix with no rows")
         q = field.q
         for r in rows:
-            for x in r:
-                if not 0 <= x < q:
-                    raise OutOfRange(f"entry {x} outside field of order {q}")
+            if r and (min(r) < 0 or max(r) >= q):
+                bad = next(x for x in r if not 0 <= x < q)
+                raise OutOfRange(f"entry {bad} outside field of order {q}")
         return Mat(field, rows, cols)
 
     @property

@@ -536,18 +536,69 @@ def test_analyze_code_oversize_degrades_to_note():
     assert any("skipped" in note for note in rep.notes)
 
 
-def test_bundle_roundtrip():
-    for code in [
+def roundtrip_codes():
+    """Every construction, a code with a column of dim < b, and a dual code,
+    whose generator columns hold a kernel basis, not the declared rows."""
+    mixed = [
+        Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]),
+        Subspace.from_span(F2, 3, [(0, 0, 1)]),
+        Subspace.from_span(F2, 3, [(0, 1, 1)]),
+    ]
+    return [
         construction_spread(F2, 4, 2),
+        construction_spread(F4, 4, 2, "desarguesian"),
         construction_std(F3, 1, 2, 4, "par"),
+        construction_std(F2, 2, 2, 4, "full"),
         construction_all_subspaces(F4, 2, 1),
-    ]:
+        construction_from_blocks(F2, list(enumerate_grassmannian(F2, 3, 2))[:4]),
+        code_from_subspaces(F2, mixed, 2, 3, "padded"),
+        dual(construction_spread(F2, 4, 2)),
+    ]
+
+
+def test_bundle_roundtrip():
+    for code in roundtrip_codes():
         text = format_bundle(code)
         back = parse_bundle(text)
         assert back.generator.rows == code.generator.rows
         assert back.subspaces == code.subspaces
         assert back.provenance == code.provenance
         assert back.field == code.field
+
+
+def test_parse_bundle_reduces_only_columns_in_another_layout(monkeypatch):
+    """A thick column written as format_bundle writes it is not reduced
+    again: one from_span per declared subspace, plus one per other column."""
+    import subspace_lrc.arraycode as arraycode
+    from subspace_lrc import linalg
+
+    codes = roundtrip_codes()
+
+    def no_spans(*args):
+        raise AssertionError("parse_bundle compares the columns with the declared rows")
+
+    monkeypatch.setattr(arraycode, "_thick_column_spans", no_spans)
+    calls = []
+    from_span = linalg.Subspace.from_span
+
+    def counted(*args):
+        calls.append(args)
+        return from_span(*args)
+
+    monkeypatch.setattr(linalg.Subspace, "from_span", staticmethod(counted))
+    for code in codes:
+        text = format_bundle(code)
+        written = sum(
+            code.generator.transpose().rows[j * code.b : (j + 1) * code.b]
+            == s.basis + ((0,) * code.M,) * (code.b - s.dim)
+            for j, s in enumerate(code.subspaces)
+        )
+        # a construction writes every column in the declared layout; the dual's
+        # kernel basis leaves at least one column in another
+        assert (written == code.n) != code.provenance.startswith("dual(")
+        calls.clear()
+        assert parse_bundle(text).subspaces == code.subspaces
+        assert len(calls) == 2 * code.n - written
 
 
 def test_bundle_corruption_detected():

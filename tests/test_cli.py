@@ -15,7 +15,9 @@ import pytest
 import subspace_lrc
 from subspace_lrc import (
     Check,
+    Subspace,
     VerificationSuite,
+    code_from_subspaces,
     construction_spread,
     encode,
     field_new,
@@ -333,6 +335,63 @@ def test_bundle_field_of_5000_digits_is_named(tmp_path, capsys):
     nines = "9" * 5000
     rc, err = analyze_edited_bundle(tmp_path, capsys, "field gf(2)", f"field gf({nines})")
     assert (rc, err) == (3, f"error: bundle header 'field': field order {nines} exceeds table limit 65536\n")
+
+
+@pytest.mark.parametrize(
+    "extra,line",
+    [("junk line here\n", "junk line here"), ("2 2 4\n1 0 0 0\n0 1 0 0\n", "2 2 4")],
+    ids=["text", "matrix"],
+)
+def test_bundle_lines_after_the_subspaces_exit_3(tmp_path, capsys, extra, line):
+    text = Path(spread_bundle(tmp_path)).read_text()
+    rc, err = analyze_edited_bundle(tmp_path, capsys, None, text + extra.rstrip("\n"))
+    assert (rc, err) == (3, f"error: bundle declares 5 subspaces, then holds line {line!r}\n")
+
+
+def test_bundle_column_in_another_basis_reads_the_same(tmp_path, capsys):
+    """Thick column 1 written as (v1, v1 + v2) instead of the declared rows
+    (v1, v2): the code reduces it and reports the same bytes."""
+    bundle = spread_bundle(tmp_path)
+    text = Path(bundle).read_text()
+    other = tmp_path / "other.bundle"
+    other.write_text(text.replace("\n1 0 1 0 1 0 1 0 0 0\n", "\n1 1 1 0 1 0 1 0 0 0\n", 1))
+    assert read_bundle(str(other)).subspaces == read_bundle(bundle).subspaces
+    outputs = []
+    for path in (bundle, str(other)):
+        capsys.readouterr()
+        assert cli.main(["analyze", path, "--locality", "--availability"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_bundle_subspace_over_another_ambient_does_not_span(tmp_path, capsys):
+    old = "subspaces 5\n2 2 4\n1 0 0 0\n0 1 0 0"
+    rc, err = analyze_edited_bundle(tmp_path, capsys, old, "subspaces 5\n2 2 5\n1 0 0 0 0\n0 1 0 0 0")
+    assert (rc, err) == (3, "error: thick column 1 does not span its declared subspace\n")
+
+
+def test_bundle_zero_subspace_over_another_ambient_does_not_span(tmp_path, capsys):
+    # thick column 4 is zero, and so is its declared subspace, but of GF(2)^4
+    blocks = [
+        Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]),
+        Subspace.from_span(F2, 3, [(0, 0, 1)]),
+        Subspace.from_span(F2, 3, [(0, 1, 1)]),
+        Subspace.zero(F2, 3),
+    ]
+    text = format_bundle(code_from_subspaces(F2, blocks, 2, 3, "padded"))
+    assert text.endswith("\n2 0 3\n")
+    bad = tmp_path / "bad.bundle"
+    bad.write_text(text[: -len("2 0 3\n")] + "2 0 4\n")
+    assert cli.main(["analyze", str(bad)]) == 3
+    assert capsys.readouterr().err == "error: thick column 4 does not span its declared subspace\n"
+
+
+def test_bundle_rank_is_checked_before_the_spans(tmp_path, capsys):
+    # the declared line (0, 1) is not the generator's (1, 0), but the rank fails first
+    mismatched = RANK_1_BUNDLE.replace("2 1 2\n1 0", "2 1 2\n0 1")
+    assert mismatched != RANK_1_BUNDLE
+    rc, err = analyze_edited_bundle(tmp_path, capsys, None, mismatched)
+    assert (rc, err) == (3, "error: generator rank 1 differs from declared dimension 2\n")
 
 
 def analyze_truncated_bundle(tmp_path, capsys, keep):
@@ -698,6 +757,40 @@ def run_cli(args, cwd, **env_vars):
         capture_output=True,
         timeout=120,
     )
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; each call in a row prints
+    what a fresh process prints for the same argv."""
+    bundle = spread_bundle(tmp_path)
+    arrays = [
+        codeword_file(tmp_path, m, name=f"stripe{k}.txt")
+        for k, m in enumerate([(1, 0, 1, 1), (0, 1, 1, 0)])
+    ]
+    calls = [
+        ({}, ["repair", bundle, "--column", "2", "--array", arrays[0], "--array", arrays[1]]),
+        ({}, ["repair", bundle, "--column", "2", "--array", arrays[1]]),
+        ({}, ["analyze", bundle, "--format", "json"]),
+        ({}, ["analyze", bundle, "--format", "text"]),
+        ({}, ["analyze", bundle, "--format", "yaml"]),
+        ({}, ["analyze", bundle]),
+        ({"COLUMNS": "60"}, ["--help"]),
+        ({"COLUMNS": "140"}, ["--help"]),
+        ({"COLUMNS": "60"}, ["repair", "--help"]),
+        ({"COLUMNS": "140"}, ["repair", "--help"]),
+    ]
+    for env, argv in calls:
+        for key, value in {"COLUMNS": None, **env}.items():
+            if value is None:
+                monkeypatch.delenv(key, raising=False)
+            else:
+                monkeypatch.setenv(key, value)
+        capsys.readouterr()
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        fresh = run_cli(argv, tmp_path, **{"COLUMNS": None, **env})
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
+    assert cli._parser() is cli._parser()
 
 
 def test_construct_bytes_identical(tmp_path):

@@ -284,6 +284,24 @@ def test_parse_matrix_errors():
         parse_matrix("3 1 2\n1 0", field_new(2))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3 2 3\n0 1 2\n1 -1 0", "row 2: entry -1 outside field of order 3"),
+        ("3 2 3\n0 1 2\n1 3 0", "row 2: entry 3 outside field of order 3"),
+        # two bad entries in a row and a later bad row: the first entry of the first row
+        ("3 3 3\n0 1 2\n2 5 -1\n-2 0 0", "row 2: entry 5 outside field of order 3"),
+        ("3 3 3\n0 1 2\n-4 0 7\n0 3 0", "row 2: entry -4 outside field of order 3"),
+        # every row is parsed before any range is checked
+        ("3 2 3\n0 9 2\n1 x 0", "row 2: entry 'x' is not an integer"),
+    ],
+)
+def test_parse_matrix_names_the_first_bad_entry(text, message):
+    with pytest.raises(OutOfRange) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
 def residual(s, v):
     """The packed kernel's residual of v against s, unpacked."""
     L = _layout(s.field)
@@ -509,6 +527,9 @@ def test_out_of_range_entries_rejected_at_every_entry_point():
             call()
     with pytest.raises(OutOfRange, match=r"^entry -1 outside field of order 3$"):
         Subspace.from_span(F3, 2, [(1, -1)])
+    for rows, bad in [([(0, 2), (3, -1)], 3), ([(0, 2), (-1, 3)], -1), ([(2, 1, 0), (0, 2, 5)], 5)]:
+        with pytest.raises(OutOfRange, match=rf"^entry {bad} outside field of order 3$"):
+            Mat.from_rows(F3, rows)
 
 
 def test_subspace_sums_and_containment_make_no_field_call(monkeypatch):
