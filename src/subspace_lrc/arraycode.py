@@ -95,18 +95,14 @@ def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> Ar
     if M < 1:
         raise BadParams(f"need M >= 1, got M={M}")
     for s in subspaces:
-        if s.field != field or s.ambient != M:
+        if s.field is not field or s.ambient != M:
             raise AmbientMismatch(
                 f"subspace of gf({s.field.q})^{s.ambient} in a code over gf({field.q})^{M}"
             )
         if s.dim > b:
             raise DimensionTooLarge(f"subspace dimension {s.dim} exceeds column width b={b}")
-    rows = [[] for _ in range(M)]
-    for s in subspaces:
-        for col in s.basis + ((0,) * M,) * (b - s.dim):
-            for r in range(M):
-                rows[r].append(col[r])
-    generator = Mat(field, tuple(tuple(r) for r in rows), b * len(subspaces))
+    columns = [c for s in subspaces for c in s.basis + ((0,) * M,) * (b - s.dim)]
+    generator = Mat(field, tuple(zip(*columns)), b * len(subspaces))
     spanned = reduce(subspace_sum, subspaces).dim
     if spanned != M:
         raise BadParams(f"associated subspaces span a {spanned}-dim space, code needs the full {M}")
@@ -446,20 +442,10 @@ class CodeReport:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
+        wd = self.weight_distribution
         return {
-            "parameters": self.parameters,
-            "full_column_rank": self.full_column_rank,
-            "distance": self.distance,
-            "weight_distribution": (
-                None
-                if self.weight_distribution is None
-                else {str(k): v for k, v in sorted(self.weight_distribution.items())}
-            ),
-            "mds": self.mds,
-            "perfect": self.perfect,
-            "phi1": self.phi1,
-            "ratio_num": self.ratio_num,
-            "ratio_den": self.ratio_den,
+            **vars(self),
+            "weight_distribution": None if wd is None else {str(k): v for k, v in sorted(wd.items())},
             "notes": list(self.notes),
         }
 

@@ -186,24 +186,24 @@ def _report_csv(doc: dict) -> str:
         "ratio_den",
     ):
         w.writerow([k, rep[k]])
-    wd = rep.get("weight_distribution")
+    wd = rep["weight_distribution"]
     if wd:
         for weight in sorted(wd, key=int):
             w.writerow([f"weight.{weight}", wd[weight]])
     for note in rep["notes"]:
         w.writerow(["note", note])
-    loc = doc.get("locality")
-    if isinstance(loc, dict) and "node_locality" in loc:
+    loc = doc["locality"]
+    if loc is not None and "node_locality" in loc:
         w.writerow(["node_locality", loc["node_locality"]])
         w.writerow(["symbol_locality", loc["symbol_locality"]])
         for key in ("node_availability", "symbol_availability"):
-            entry = loc.get(key)
-            if isinstance(entry, dict) and "value" in entry:
+            entry = loc[key]
+            if "value" in entry:
                 w.writerow([key, entry["value"]])
                 w.writerow([f"{key}.quality", entry["quality"]])
-            elif isinstance(entry, dict):
+            else:
                 w.writerow([key, "skipped"])
-    elif isinstance(loc, dict):
+    elif loc is not None:
         w.writerow(["locality", "skipped"])
     return buf.getvalue()
 
@@ -212,34 +212,34 @@ def _report_text(doc: dict) -> str:
     rep = doc["report"]
     p = rep["parameters"]
     lines = [
-        f"[{p['b']}x{p['n']}, {p['M']}] over gf({p['q']})" if "q" in p else "code",
+        f"[{p['b']}x{p['n']}, {p['M']}] over gf({p['q']})",
         f"provenance: {p['provenance']}",
         f"full column rank: {rep['full_column_rank']}",
         f"distance: {rep['distance'] if rep['distance'] is not None else 'skipped'}",
         f"mds: {rep['mds']}",
         f"perfect: {rep['perfect']} (ball {rep['phi1']}, ratio {rep['ratio_num']}/{rep['ratio_den']})",
     ]
-    wd = rep.get("weight_distribution")
+    wd = rep["weight_distribution"]
     if wd:
         dist = ", ".join(f"{k}:{wd[k]}" for k in sorted(wd, key=int))
         lines.append(f"weights: {dist}")
     for note in rep["notes"]:
         lines.append(f"note: {note}")
-    loc = doc.get("locality")
-    if isinstance(loc, dict) and "node_locality" in loc:
+    loc = doc["locality"]
+    if loc is not None and "node_locality" in loc:
         lines.append(f"node locality: {loc['node_locality']}")
         lines.append(f"symbol locality: {loc['symbol_locality']}")
         for key, label in (
             ("node_availability", "node availability"),
             ("symbol_availability", "symbol availability"),
         ):
-            entry = loc.get(key)
-            if isinstance(entry, dict) and "value" in entry:
+            entry = loc[key]
+            if "value" in entry:
                 lines.append(f"{label}: {entry['value']} ({entry['quality']})")
-            elif isinstance(entry, dict):
-                lines.append(f"{label}: skipped ({entry.get('reason', '')})")
-    elif isinstance(loc, dict):
-        lines.append(f"locality: skipped ({loc.get('reason', '')})")
+            else:
+                lines.append(f"{label}: skipped ({entry['reason']})")
+    elif loc is not None:
+        lines.append(f"locality: skipped ({loc['reason']})")
     return "\n".join(lines) + "\n"
 
 

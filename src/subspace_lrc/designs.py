@@ -270,7 +270,7 @@ def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignRe
         )
     )
 
-    dims_ok = all(blk.dim == b and blk.ambient == M and blk.field == field for blk in design.blocks)
+    dims_ok = all(blk.dim == b and blk.ambient == M and blk.field is field for blk in design.blocks)
     checks.append(CheckOutcome("block-dimensions", dims_ok, f"all blocks {b}-dim in gf({q})^{M}"))
 
     # The blocks partition the nonzero vectors exactly when every point lies

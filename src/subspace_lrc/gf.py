@@ -82,8 +82,6 @@ def _poly_trim(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], cf) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -243,6 +241,10 @@ class FieldContext(_FieldOps):
     modulus is the defining polynomial as a coefficient tuple, constant
     term first (for m = 1 it is x itself, i.e. (0, 1)). For m > 1 the
     modulus and the tables are those of GF(p^m) as an extension of GF(p).
+
+    Contexts come from field_new (or parse_field, field_from_order), one per
+    field, so fields compare by identity. Calling the class directly makes a
+    separate field; mixing it with a cached one raises AmbientMismatch.
     """
 
     def __init__(self, p: int, m: int):
@@ -270,12 +272,6 @@ class FieldContext(_FieldOps):
     def __repr__(self) -> str:
         return f"FieldContext({self.descriptor()})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldContext) and (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self) -> int:
-        return hash(("FieldContext", self.p, self.m))
-
     def __reduce__(self):
         # a context unpickles as the cached context of the same field
         return field_new, (self.p, self.m)
@@ -290,6 +286,9 @@ class ExtensionContext(_FieldOps):
 
     The basis 1, y, ..., y^(s-1) makes expand/recombine GF(q)-linear: expand
     returns the base-q digit vector of an element, recombine inverts it.
+
+    Contexts come from extension_new, one per base and degree; like
+    FieldContext, a directly built one is a separate field.
     """
 
     def __init__(self, base, degree: int):
@@ -348,16 +347,6 @@ class ExtensionContext(_FieldOps):
     def __repr__(self) -> str:
         return f"ExtensionContext({self.descriptor()})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtensionContext)
-            and self.base == other.base
-            and self.degree == other.degree
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ExtensionContext", self.base, self.degree))
-
     def __reduce__(self):
         return extension_new, (self.base, self.degree)
 
@@ -373,7 +362,7 @@ def field_new(p: int, m: int = 1) -> FieldContext:
 
 
 @functools.lru_cache(maxsize=None)
-def extension_new(base: FieldContext, degree: int) -> ExtensionContext:
+def extension_new(base: FieldContext, degree: int, /) -> ExtensionContext:
     """GF(q^degree) over base; cached."""
     return ExtensionContext(base, degree)
 

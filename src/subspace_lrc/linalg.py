@@ -350,7 +350,7 @@ class Subspace:
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
-    if a.field is not b.field and a.field != b.field or a.ambient != b.ambient:
+    if a.field is not b.field or a.ambient != b.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
 
 

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import subspace_lrc
 from subspace_lrc.arraycode import (
     ArrayCode,
     _scan_range,
@@ -29,6 +34,7 @@ from subspace_lrc.designs import enumerate_grassmannian, gaussian
 from subspace_lrc.errors import (
     AmbientMismatch,
     BadParams,
+    DimensionMismatch,
     DimensionTooLarge,
     DuplicateBlock,
     Inconsistent,
@@ -145,6 +151,30 @@ def test_weight_distribution_matches_bruteforce():
         assert weight_distribution(code) == brute_weight_histogram(code)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: code_from_subspaces(F2, [], 2, 4, "x"), BadParams, "need at least one associated subspace"),
+        (lambda: encode(construction_spread(F2, 4, 2), (1, 0, 1)), DimensionMismatch, "message length 3, expected 4"),
+        (
+            lambda: is_codeword(construction_spread(F2, 4, 2), Mat(F2, ((0,) * 4,) * 2, 4)),
+            DimensionMismatch,
+            "array is 2x4, code is 2x5",
+        ),
+        (
+            lambda: dual(construction_spread(F2, 2, 2)),
+            BadParams,
+            "dual code is trivial (generator has full column count)",
+        ),
+    ],
+    ids=["no-subspaces", "encode", "is_codeword", "dual"],
+)
+def test_code_argument_messages(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_weight_distribution_extension_context_field():
     # same scan code must work when the field is a tower extension
     ext = extension_new(F2, 2)
@@ -161,6 +191,32 @@ def test_weight_distribution_parallel():
         construction_spread(field_new(2, 2), 6, 3),
     ]:
         assert weight_distribution(code, jobs=3) == weight_distribution(code)
+
+
+SPAWNED_SCAN = """
+import multiprocessing
+
+from subspace_lrc.arraycode import construction_spread, weight_distribution
+from subspace_lrc.gf import parse_field
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    for field, M, b in [("gf(2)", 8, 2), ("gf(3)", 4, 2), ("gf(4)", 4, 2)]:
+        code = construction_spread(parse_field(field), M, b)
+        assert weight_distribution(code, jobs=2) == weight_distribution(code, jobs=1), field
+    print("same")
+"""
+
+
+def test_weight_distribution_parallel_spawned_workers(tmp_path):
+    # spawned workers import the package afresh, so each field they unpickle
+    # is their own cached context
+    script = tmp_path / "scan.py"
+    script.write_text(SPAWNED_SCAN, encoding="utf-8")
+    src = str(Path(subspace_lrc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "same\n", "")
 
 
 def test_scan_scales_each_row_once_per_distinct_step(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import re
 
@@ -86,6 +87,20 @@ def test_gaussian_domain():
     assert gaussian_or_zero(3, 4, 2) == 0
     assert gaussian_or_zero(-1, 0, 2) == 0
     assert gaussian_or_zero(3, -1, 2) == 0
+
+
+def test_count_intersecting_rejects_i_past_both_dimensions():
+    with pytest.raises(OutOfRange) as exc:
+        count_intersecting(4, 2, 2, 3, 2)
+    assert str(exc.value) == "need 0 <= i <= min(k, k2), got i=3, k=2, k2=2"
+
+
+def test_verify_std_names_a_block_with_too_few_points():
+    design = build_std(F2, 1, 2, 2)
+    short = Subspace.from_span(F2, 4, [(1, 0, 0, 0)])
+    broken = dataclasses.replace(design, blocks=(short, *design.blocks[1:]))
+    checks = {c.name: (c.passed, c.detail) for c in verify_std(broken).checks}
+    assert checks["block-group-incidence"] == (False, "block 0 holds 1 points, expected 3")
 
 
 @pytest.mark.parametrize("q,field", [(2, F2), (3, F3)])

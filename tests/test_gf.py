@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -304,8 +305,39 @@ def test_frobenius():
 
 
 def test_contexts_unpickle_as_the_cached_context():
-    for F in [field_new(2), field_new(3), field_new(2, 2), extension_new(field_new(3), 2)]:
+    contexts = [field_from_order(q) for q in PRIME_POWERS_16] + [
+        extension_new(field_new(2), 3),
+        extension_new(field_new(3), 2),
+        extension_new(field_new(2, 2), 2),
+    ]
+    for F in contexts:
         assert pickle.loads(pickle.dumps(F)) is F
+        assert copy.copy(F) is F
+        assert copy.deepcopy(F) is F
+
+
+def test_each_field_has_one_context():
+    # contexts define no value equality: every way to name a field returns one object
+    two = [field_new(2), field_new(2, 1), parse_field("gf(2)"), parse_field("2"), field_from_order(2)]
+    four = [field_new(2, 2), parse_field("gf(4)"), parse_field("GF( 2 ^ 2 )"), parse_field("4"), field_from_order(4)]
+    for names in (two, four):
+        assert all(F is names[0] for F in names)
+    assert extension_new(field_new(2), 3) is extension_new(field_new(2), 3)
+
+
+def test_extension_new_is_positional_only():
+    # keyword calls would give its cache a second key for the same field
+    with pytest.raises(TypeError):
+        extension_new(base=field_new(2), degree=3)
+
+
+def test_extension_arguments_checked():
+    with pytest.raises(OutOfRange) as exc:
+        extension_new(field_new(2), 0)
+    assert str(exc.value) == "extension degree must be >= 1, got 0"
+    with pytest.raises(OutOfRange) as exc:
+        extension_new(field_new(2), 2).frobenius(1, -1)
+    assert str(exc.value) == "frobenius power must be nonnegative"
 
 
 def test_contexts_cached_and_hashable():

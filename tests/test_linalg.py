@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subspace_lrc.errors import AmbientMismatch, DimensionMismatch, OutOfRange, TooLarge
-from subspace_lrc.gf import extension_new, field_new
+from subspace_lrc.gf import FieldContext, extension_new, field_new
 from subspace_lrc.linalg import (
     Mat,
     Subspace,
@@ -184,6 +184,30 @@ def test_contains_subspace_vs_vectors():
         contains_subspace(a, Subspace.from_span(F3, 4, [(1, 0, 0, 0)]))
     with pytest.raises(AmbientMismatch):
         subspace_sum(a, Subspace.from_span(F2, 3, [(1, 0, 0)]))
+
+
+def test_fields_compare_by_identity():
+    # a context built outside the factories is a separate field
+    a = Subspace.from_span(F2, 3, [(1, 0, 0)])
+    with pytest.raises(AmbientMismatch):
+        subspace_sum(a, Subspace.from_span(FieldContext(2, 1), 3, [(0, 1, 0)]))
+    assert subspace_sum(a, Subspace.from_span(field_new(2, 1), 3, [(0, 1, 0)])).dim == 2
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Mat.from_rows(F2, [(1, 0)], cols=3), "declared 3 columns, rows have 2"),
+        (lambda: vec_mat((1,), Mat.from_rows(F2, [(1, 0), (0, 1)])), "vector length does not match row count"),
+        (lambda: Subspace.from_span(F2, 3, [(1, 0)]), "vector length 2 in ambient 3"),
+        (lambda: contains_vector(Subspace.from_span(F2, 4, [(1, 0, 0, 0)]), (1, 0)), "vector length 2 in ambient 4"),
+    ],
+    ids=["from_rows", "vec_mat", "from_span", "contains_vector"],
+)
+def test_length_mismatch_messages(call, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_null_space_orthogonality():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from subspace_lrc.arraycode import (
+    ArrayCode,
     code_from_subspaces,
     construction_all_subspaces,
     construction_from_blocks,
@@ -207,6 +208,14 @@ def test_symbol_availability_zero_symbol_rejected():
     code = code_from_subspaces(F2, blocks, 2, 3, "mixed")
     with pytest.raises(BadParams):
         symbol_availability(code, 1, 1)
+
+
+def test_code_availability_of_a_zero_code_is_rejected():
+    zero = ArrayCode(F2, 1, 1, 1, Mat(F2, ((0,),), 1), (Subspace.zero(F2, 1),), "zero")
+    for search, kind in ((code_symbol_availability, "symbol"), (code_node_availability, "node")):
+        with pytest.raises(BadParams) as exc:
+            search(zero)
+        assert str(exc.value) == f"code has no nonzero {kind}"
 
 
 def test_node_availability_rejects_a_column_out_of_range():
