@@ -42,6 +42,7 @@ from .designs import build_spread, build_std, enumerate_grassmannian, point_inci
 from .gf import parse_field
 from .limits import guard
 from .linalg import (
+    _ONE_CONTEXT,
     Mat,
     Subspace,
     _Generator,
@@ -96,9 +97,10 @@ def code_from_subspaces(field, subspaces, b: int, M: int, provenance: str) -> Ar
         raise BadParams(f"need M >= 1, got M={M}")
     for s in subspaces:
         if s.field is not field or s.ambient != M:
-            raise AmbientMismatch(
-                f"subspace of gf({s.field.q})^{s.ambient} in a code over gf({field.q})^{M}"
-            )
+            where = f"subspace of gf({s.field.q})^{s.ambient} in a code over gf({field.q})^{M}"
+            if s.field.q == field.q and s.ambient == M:
+                where = f"subspace and code over two different context objects for gf({field.q}); {_ONE_CONTEXT}"
+            raise AmbientMismatch(where)
         if s.dim > b:
             raise DimensionTooLarge(f"subspace dimension {s.dim} exceeds column width b={b}")
     columns = [c for s in subspaces for c in s.basis + ((0,) * M,) * (b - s.dim)]

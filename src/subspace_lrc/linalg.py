@@ -349,8 +349,14 @@ class Subspace:
         return Mat(self.field, self.basis, self.ambient)
 
 
+# the remedy named when two operands carry the same field in two contexts
+_ONE_CONTEXT = "field_new and parse_field return one context per field"
+
+
 def _check_same_space(a: Subspace, b: Subspace) -> None:
     if a.field is not b.field or a.ambient != b.ambient:
+        if a.field.q == b.field.q and a.ambient == b.ambient:
+            raise AmbientMismatch(f"subspaces over two different context objects for gf({a.field.q}); {_ONE_CONTEXT}")
         raise AmbientMismatch("subspaces live in different ambient spaces")
 
 

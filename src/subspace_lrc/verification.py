@@ -47,8 +47,7 @@ from .designs import (
     verify_std,
 )
 from .errors import BadParams, NoRecovery, TooLarge
-from .limits import DEFAULT_PACKING_CAP, enumeration_limit
-from .linalg import contains_subspace, subspace_sum
+from .limits import DEFAULT_PACKING_CAP, enumeration_limit, guard
 from .locality import (
     _candidate_count,
     _nonzero_targets,
@@ -287,27 +286,31 @@ def _availability_disabled() -> list[Check]:
     ]
 
 
-def _availability_check(m: _Measure, kind, r, expected, description, *, note="", skip_note="") -> Check:
+def _availability_check(m: _Measure, kind, r, expected, description, *, note="", skip_note="", proven=None) -> Check:
     """Worst packing of disjoint helper sets over every node or symbol.
 
     Skipped when r > 1 and the helper sets of size <= r outnumber the packing
     cap, or over the enumeration limit; so every packing measured is exact,
-    single columns being disjoint. With expected None the value is reported.
+    single columns being disjoint. A value proven by a certificate is taken
+    without the walk. With expected None the value is reported.
     """
     check_id, what, code = f"{kind}-availability", f"disjoint {kind} helper sets", m.code
     budget = _candidate_count(code.n, r)
     if r > 1 and budget > m.exact_cap:
         return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
-    group = _nonzero_targets(code, kind, r)
     try:
-        [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
+        guard(budget, f"enumerating {budget} candidate helper sets", m.limit)
+        if proven is None:
+            group = _nonzero_targets(code, kind, r)
+            [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
+            assert worst.exact, "single-column pools and pools within the cap pack exactly"
+            proven = worst.value
     except TooLarge as exc:
         return _skip(check_id, what, f"{exc}{skip_note}")
-    assert worst.exact, "single-column pools and pools within the cap pack exactly"
-    measured = f"{worst.value} (exact)"
+    measured = f"{proven} (exact)"
     if expected is None:
         return _info(check_id, measured, note)
-    return _cond(check_id, description, _meets(expected, worst.value), expected, measured, note)
+    return _cond(check_id, description, _meets(expected, proven), expected, measured, note)
 
 
 def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
@@ -415,13 +418,8 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
 
     # node availability via the explicit pair family when b = 2; the columns
     # are the Grassmannian in enumeration order, the order of the pairings
-    blocks = code.subspaces
     pairings = grassmann_pairing(code.field, M, limit=m.limit)
-    valid = all(
-        contains_subspace(subspace_sum(blocks[a], blocks[c]), s)
-        for s, pairing in zip(blocks, pairings)
-        for a, c in pairing.pairs
-    )
+    valid = _pairs_hold(code, pairings)
     covered = all(p.covered == p.total_others for p in pairings)
     smallest = min(len(p.pairs) for p in pairings)
     half = (gaussian(M, 2, q) - 1) // 2
@@ -450,9 +448,27 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
             )
         )
         expected, description = _Range(lb), "exact packing meets the pair-family lower bound"
+    # with no single helper holding a node, every helper set takes two of the
+    # other n - 1 columns: valid families of (n - 1) // 2 pairs pack maximally
+    alone = any(w.size < 2 for w in m.profile.node_witnesses)
+    proven = smallest if valid and not alone and smallest == (code.n - 1) // 2 else None
     skip_note = f"; pair family still proves >= {smallest}"
-    checks.append(_availability_check(m, "node", r_n, expected, description, skip_note=skip_note))
+    checks.append(_availability_check(m, "node", r_n, expected, description, skip_note=skip_note, proven=proven))
     return checks
+
+
+def _pairs_hold(code: ArrayCode, pairings) -> bool:
+    """Whether each pair's sum holds its target node: the generator reduced modulo
+    both helpers is zero there, the reduction modulo a first helper made once."""
+    gen, first = code._packed_generator, {}
+    for pairing in pairings:
+        target = gen.flag(pairing.target_index, None)
+        for a, c in pairing.pairs:
+            if a not in first:
+                first[a] = gen.eliminate(gen.rows, a)
+            if gen.unheld(gen.eliminate(first[a], c)) & target:
+                return False
+    return True
 
 
 # --- spread codes --------------------------------------------------------------

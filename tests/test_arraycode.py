@@ -43,7 +43,7 @@ from subspace_lrc.errors import (
     OutOfRange,
     TooLarge,
 )
-from subspace_lrc.gf import extension_new, field_new, parse_field
+from subspace_lrc.gf import FieldContext, extension_new, field_new, parse_field
 from subspace_lrc.linalg import Mat, Subspace, _Slots, rank, row_space
 
 F2 = field_new(2)
@@ -519,6 +519,25 @@ def test_is_mds():
     assert not is_mds(construction_spread(F2, 6, 2))  # d = 16 < 21 - 3 + 1
     with pytest.raises(NotDivisible):
         is_mds(construction_all_subspaces(F2, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "subspace,message",
+    [
+        (
+            lambda: Subspace.from_span(FieldContext(2, 1), 3, [(1, 0, 0)]),
+            "subspace and code over two different context objects for gf(2);"
+            " field_new and parse_field return one context per field",
+        ),
+        (lambda: Subspace.from_span(F3, 3, [(1, 0, 0)]), "subspace of gf(3)^3 in a code over gf(2)^3"),
+        (lambda: Subspace.from_span(F2, 4, [(1, 0, 0, 0)]), "subspace of gf(2)^4 in a code over gf(2)^3"),
+    ],
+    ids=["context", "order", "ambient"],
+)
+def test_code_from_subspaces_field_mismatch_messages(subspace, message):
+    with pytest.raises(AmbientMismatch) as exc:
+        code_from_subspaces(F2, [subspace()], 1, 3, "x")
+    assert str(exc.value) == message
 
 
 def test_code_from_subspaces_validation():

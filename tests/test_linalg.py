@@ -195,6 +195,27 @@ def test_fields_compare_by_identity():
 
 
 @pytest.mark.parametrize(
+    "other,message",
+    [
+        (
+            lambda: Subspace.from_span(FieldContext(2, 1), 3, [(0, 1, 0)]),
+            "subspaces over two different context objects for gf(2);"
+            " field_new and parse_field return one context per field",
+        ),
+        (lambda: Subspace.from_span(F3, 3, [(0, 1, 0)]), "subspaces live in different ambient spaces"),
+        (lambda: Subspace.from_span(F2, 4, [(0, 1, 0, 0)]), "subspaces live in different ambient spaces"),
+    ],
+    ids=["context", "order", "ambient"],
+)
+def test_field_mismatch_messages(other, message):
+    a = Subspace.from_span(F2, 3, [(1, 0, 0)])
+    for call in (subspace_sum, contains_subspace):
+        with pytest.raises(AmbientMismatch) as exc:
+            call(a, other())
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "call,message",
     [
         (lambda: Mat.from_rows(F2, [(1, 0)], cols=3), "declared 3 columns, rows have 2"),

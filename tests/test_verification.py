@@ -4,29 +4,45 @@ Each suite is run on a small instance where every quantity can be
 recomputed exhaustively, and selected check lines are pinned down.
 """
 
+import random
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from subspace_lrc import (
     BadParams,
     Check,
+    PairingResult,
     Subspace,
     VerificationSuite,
     code_from_subspaces,
+    construction_all_subspaces,
     construction_from_blocks,
+    contains_subspace,
     enumerate_grassmannian,
     field_new,
+    grassmann_pairing,
+    intersection_dim,
     run_verification,
+    subspace_sum,
     verify_all_subspaces,
     verify_blocks,
     verify_spread_code,
     verify_std_full,
     verify_std_par,
 )
+from subspace_lrc import locality
+from subspace_lrc.limits import DEFAULT_PACKING_CAP
+from subspace_lrc.verification import _pairs_hold
 
 F2 = field_new(2)
 F3 = field_new(3)
+F4 = field_new(2, 2)
+F5 = field_new(5)
+F7 = field_new(7)
+F8 = field_new(2, 3)
 
 
 def by_id(suite, check_id):
@@ -309,6 +325,122 @@ def test_all_subspaces_pairs_every_column_in_one_call(monkeypatch):
         suite = verify_all_subspaces(field, M, 2)
         assert by_id(suite, "pairing-family").status == "pass"
         assert calls == [(field, M)]
+
+
+# the b = 2 instances whose pair family reaches (n - 1) // 2 disjoint pairs
+CERTIFIED = [(F2, 3), (F2, 4), (F3, 3), (F4, 3), (F5, 3), (F7, 3), (F8, 3)]
+CERTIFIED_IDS = [f"q{f.q}-M{M}" for f, M in CERTIFIED]
+
+
+def counted_availability(monkeypatch):
+    """Record the targets of every _worst_availability call of a suite."""
+    from subspace_lrc import verification
+
+    walk, groups = verification._worst_availability, []
+
+    def counted(code, gs, **kwargs):
+        groups.extend(gs)
+        return walk(code, gs, **kwargs)
+
+    monkeypatch.setattr(verification, "_worst_availability", counted)
+    return groups
+
+
+@pytest.mark.parametrize("field,M", CERTIFIED, ids=CERTIFIED_IDS)
+def test_all_subspaces_node_availability_certificate_matches_walk(monkeypatch, field, M):
+    """The pair family settles node availability with the walk's value, and
+    the walk then runs for the symbol group only."""
+    groups = counted_availability(monkeypatch)
+    suite = verify_all_subspaces(field, M, 2)
+    assert suite.ok, "\n".join(suite.lines())
+    assert len(groups) == 1 and all(row is not None for _, row, _ in groups[0])
+
+    code = construction_all_subspaces(field, M, 2)
+    r_n = int(by_id(suite, "node-locality").measured)
+    [walk] = locality._worst_availability(
+        code, [locality._nonzero_targets(code, "node", r_n)], exact_cap=DEFAULT_PACKING_CAP, limit=None
+    )
+    assert walk.exact and walk.value == (code.n - 1) // 2
+    assert by_id(suite, "node-availability").measured == f"{walk.value} (exact)"
+
+
+def line_pair_missing(grass, t):
+    """Two subspaces other than grass[t] meeting in a line, with a sum that misses grass[t]."""
+    for a, c in combinations(range(len(grass)), 2):
+        if t not in (a, c) and intersection_dim(grass[a], grass[c]) == 1:
+            if not contains_subspace(subspace_sum(grass[a], grass[c]), grass[t]):
+                return a, c
+    raise AssertionError("no such pair")
+
+
+def drop_first_pair(field, M, pairings):
+    first = pairings[0]
+    return [replace(first, pairs=first.pairs[1:], covered=first.covered - 2), *pairings[1:]]
+
+
+def swap_first_pair(field, M, pairings):
+    bad = line_pair_missing(enumerate_grassmannian(field, M, 2), 0)
+    return [replace(pairings[0], pairs=(bad, *pairings[0].pairs[1:])), *pairings[1:]]
+
+
+@pytest.mark.parametrize(
+    "field,M,corrupt,value,family",
+    [
+        (F2, 4, drop_first_pair, 17, "min family 16, covering=False, valid=True"),
+        (F3, 3, drop_first_pair, 6, "min family 5, valid=True"),
+        (F2, 4, swap_first_pair, 17, "min family 17, covering=True, valid=False"),
+    ],
+    ids=["drop-q2-M4", "drop-q3-M3", "line-pair-q2-M4"],
+)
+def test_all_subspaces_short_or_invalid_family_runs_the_walk(monkeypatch, field, M, corrupt, value, family):
+    """A family below the counting bound or with a pair that misses its
+    target proves nothing exact: the walk runs and finds the same value."""
+    from subspace_lrc import verification
+
+    pairing = verification.grassmann_pairing
+    monkeypatch.setattr(
+        verification, "grassmann_pairing", lambda f, m, **kw: corrupt(f, m, pairing(f, m, **kw))
+    )
+    groups = counted_availability(monkeypatch)
+    suite = verify_all_subspaces(field, M, 2)
+    assert len(groups) == 2 and all(row is None for _, row, _ in groups[1])
+    assert by_id(suite, "pairing-family").measured == family
+    assert by_id(suite, "node-availability").measured == f"{value} (exact)"
+    assert by_id(suite, "node-availability").status == "pass"
+
+
+def sums_hold(grass, pairing):
+    return all(
+        contains_subspace(subspace_sum(grass[a], grass[c]), grass[pairing.target_index])
+        for a, c in pairing.pairs
+    )
+
+
+@pytest.mark.parametrize("field,M", CERTIFIED, ids=CERTIFIED_IDS)
+def test_pairs_hold_matches_subspace_sums(field, M):
+    """_pairs_hold on the packed generator agrees with contains_subspace of
+    subspace_sum, on the pair family and on random pairs one target at a
+    time; half of those repeat one column, so some miss their target at M = 3."""
+    code = construction_all_subspaces(field, M, 2)
+    pairings = grassmann_pairing(field, M)
+    assert _pairs_hold(code, pairings)
+    assert all(sums_hold(code.subspaces, p) for p in pairings)
+    rng, n, seen = random.Random(M * field.q), code.n, Counter()
+    for _ in range(150):
+        t, a, c = (rng.randrange(n) for _ in range(3))
+        pairing = PairingResult(t, ((a, a if rng.random() < 0.5 else c),), 2, n - 1)
+        seen[sums_hold(code.subspaces, pairing)] += 1
+        assert _pairs_hold(code, [pairing]) == sums_hold(code.subspaces, pairing)
+    assert seen[True] and seen[False]
+
+
+def test_pairs_hold_rejects_a_line_pair():
+    code = construction_all_subspaces(F2, 4, 2)
+    swapped = swap_first_pair(F2, 4, grassmann_pairing(F2, 4))
+    assert not sums_hold(code.subspaces, swapped[0])
+    assert all(sums_hold(code.subspaces, p) for p in swapped[1:])
+    assert not _pairs_hold(code, swapped)
+    assert _pairs_hold(code, swapped[1:])
 
 
 # --- dispatcher ----------------------------------------------------------------
