@@ -41,13 +41,9 @@ from .gf import (
 from .linalg import (
     Mat,
     Subspace,
-    contains_subspace,
-    contains_vector,
     format_matrix,
-    intersection_dim,
     null_space,
     parse_matrix,
-    rref,
     solve,
     subspace_sum,
 )
@@ -56,7 +52,6 @@ from .designs import (
     TransversalDesign,
     build_spread,
     build_std,
-    count_intersecting,
     enumerate_grassmannian,
     gaussian,
     gaussian_or_zero,
@@ -77,7 +72,6 @@ from .arraycode import (
     dual_distance_by_supports,
     encode,
     format_bundle,
-    is_codeword,
     is_mds,
     min_distance,
     parse_bundle,
@@ -93,20 +87,12 @@ from .locality import (
     PairingResult,
     RecoverySet,
     RepairResult,
-    code_node_availability,
-    code_symbol_availability,
     evaluate_recovery,
     grassmann_pairing,
     locality_profile,
     max_disjoint_packing,
     min_node_recovery,
-    min_symbol_recovery,
-    node_availability,
-    node_locality,
     repair,
-    symbol_availability,
-    symbol_locality,
-    validate_recovery,
 )
 from .verification import (
     Check,

@@ -51,7 +51,6 @@ from .linalg import (
     null_space,
     parse_matrix,
     row_space,
-    solve,
     subspace_sum,
     vec_mat,
 )
@@ -209,17 +208,6 @@ def encode(code: ArrayCode, message) -> Mat:
 def weight(codeword: Mat) -> int:
     """Number of nonzero columns of a codeword array."""
     return sum(1 for j in range(codeword.cols) if any(r[j] for r in codeword.rows))
-
-
-def is_codeword(code: ArrayCode, codeword: Mat) -> bool:
-    if codeword.nrows != code.b or codeword.cols != code.n:
-        raise DimensionMismatch(
-            f"array is {codeword.nrows}x{codeword.cols}, code is {code.b}x{code.n}"
-        )
-    flat = tuple(
-        codeword.rows[i][j] for j in range(code.n) for i in range(code.b)
-    )
-    return solve(code.generator.transpose(), flat) is not None
 
 
 def _gray_digits(s: int, q: int, M: int) -> list[int]:

@@ -47,15 +47,6 @@ def gaussian_or_zero(n: int, k: int, q: int) -> int:
     return gaussian(n, k, q)
 
 
-def count_intersecting(n: int, k: int, k2: int, i: int, q: int) -> int:
-    """Number of k2-dim subspaces meeting a fixed k-dim subspace of GF(q)^n in dimension i."""
-    if not 0 <= i <= min(k, k2):
-        raise OutOfRange(f"need 0 <= i <= min(k, k2), got i={i}, k={k}, k2={k2}")
-    if k2 - i > n - k:
-        raise OutOfRange(f"k2 - i = {k2 - i} exceeds codimension {n - k}")
-    return q ** ((k2 - i) * (k - i)) * gaussian(n - k, k2 - i, q) * gaussian(k, i, q)
-
-
 def enumerate_grassmannian(field, ambient: int, k: int, *, limit: int | None = None) -> tuple[Subspace, ...]:
     """All k-dim subspaces of GF(q)^ambient, sorted by their canonical basis.
 

@@ -26,7 +26,6 @@ from itertools import combinations
 from operator import or_
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
-from .limits import guard
 
 
 class _Layout:
@@ -285,18 +284,6 @@ def _packed_rows(m: Mat) -> list[int]:
     return [pack(r) for r in m.rows]
 
 
-def rref(m: Mat) -> tuple[Mat, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank and pivot columns."""
-    basis, pivots = _rref_rows(m.field, m.cols, _packed_rows(m))
-    unpack = _layout(m.field).unpack
-    out = tuple(unpack(r, m.cols) for r in basis) + ((0,) * m.cols,) * (m.nrows - len(basis))
-    return Mat(m.field, out, m.cols), len(pivots), tuple(pivots)
-
-
-def rank(m: Mat) -> int:
-    return len(_rref_rows(m.field, m.cols, _packed_rows(m))[1])
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(q)^ambient in canonical form.
@@ -389,13 +376,6 @@ def null_space(m: Mat) -> Subspace:
     return Subspace(m.field, m.cols, tuple(kernel[f] for f in free), tuple(free))
 
 
-def contains_vector(s: Subspace, v) -> bool:
-    v = tuple(v)
-    if len(v) != s.ambient:
-        raise DimensionMismatch(f"vector length {len(v)} in ambient {s.ambient}")
-    return not _residual(s.field, s.ambient, s.rows, s.pivots, _layout(s.field).pack(v))
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """The canonical sum; the smaller basis is inserted into the larger, and
     a summand that already spans the ambient space is returned as it is."""
@@ -406,25 +386,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return a
     rows, pivots = _rref_rows(a.field, a.ambient, b.rows, a.rows, a.pivots)
     return Subspace(a.field, a.ambient, tuple(rows), tuple(pivots))
-
-
-def contains_subspace(s: Subspace, t: Subspace) -> bool:
-    """Whether t lies in s. Every vector's leading entry sits on a pivot of its
-    subspace, so t's pivots must be among s's before any row is reduced."""
-    _check_same_space(s, t)
-    if len(s.rows) == s.ambient:
-        return True
-    if not set(t.pivots).issubset(s.pivots):
-        return False
-    for v in t.rows:
-        if _residual(s.field, s.ambient, s.rows, s.pivots, v):
-            return False
-    return True
-
-
-def intersection_dim(a: Subspace, b: Subspace) -> int:
-    _check_same_space(a, b)
-    return a.dim + b.dim - subspace_sum(a, b).dim
 
 
 def solve(m: Mat, rhs: tuple[int, ...]):
@@ -481,14 +442,6 @@ def _combinations(s: Subspace, rows):
     return out
 
 
-def enumerate_vectors(s: Subspace, *, limit: int | None = None) -> list[tuple[int, ...]]:
-    """All q^dim vectors of s in coefficient-lexicographic order."""
-    q = s.field.q
-    guard(q**s.dim, f"enumerating a subspace of dimension {s.dim}", limit)
-    unpack = _layout(s.field).unpack
-    return [unpack(x, s.ambient) for x in _combinations(s, s.rows)]
-
-
 def _points(s: Subspace) -> list[int]:
     """The points of s packed: its nonzero vectors whose first nonzero entry is 1.
 
@@ -505,12 +458,6 @@ def _points(s: Subspace) -> list[int]:
     for i in reversed(range(len(s.rows))):
         out += [V.add(s.rows[i], x) for x in _combinations(s, s.rows[i + 1 :])]
     return out
-
-
-def projective_points(s: Subspace) -> list[tuple[int, ...]]:
-    """The points of s (see _points), unpacked, in ascending order."""
-    unpack = _layout(s.field).unpack
-    return [unpack(x, s.ambient) for x in _points(s)]
 
 
 class _Generator:

@@ -37,7 +37,6 @@ from .linalg import (
     _rref_rows,
     _subset_quotients,
     vec_dot,
-    vec_mat,
 )
 
 
@@ -98,23 +97,16 @@ def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int
     return tuple(tuple(L.entry(at[c], t) if c in at else 0 for c in range(k)) for t in range(k, len(bits)))
 
 
+def _check_shape(code: ArrayCode, array: Mat) -> None:
+    if array.nrows != code.b or array.cols != code.n:
+        raise BadParams(f"array is {array.nrows}x{array.cols}, code is {code.b}x{code.n}")
+
+
 def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[int, ...]:
-    """Rebuild the target symbols from the helper entries of a codeword array."""
+    """Rebuild the target symbols from the helper entries of a b x n codeword array."""
+    _check_shape(code, array)
     vals = [array.rows[i][m] for m in rset.columns for i in range(code.b)]
     return tuple(vec_dot(code.field, coeff, vals) for coeff in rset.coefficients)
-
-
-def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
-    """Check the functionals algebraically: they must hold for every codeword."""
-    if rset.column in rset.columns:
-        return False
-    cols = tuple(code.column_vector(i, m) for m in rset.columns for i in range(code.b))
-    helpers = Mat(code.field, cols, code.M)
-    rows = range(code.b) if rset.kind == "node" else (rset.row,)
-    targets = [code.column_vector(i, rset.column) for i in rows]
-    if len(rset.coefficients) != len(targets) or any(len(c) != helpers.nrows for c in rset.coefficients):
-        return False
-    return all(vec_mat(coeff, helpers) == target for coeff, target in zip(rset.coefficients, targets))
 
 
 # --- recovery-set engine ----------------------------------------------------------
@@ -138,7 +130,9 @@ def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
     """First helper set in (size, lex) order whose sum holds each distinct target.
 
     One walk per size serves every pending target, and zero targets need no
-    helpers. NoRecovery names the first target with no set of size <= n - 1.
+    helpers. NoRecovery names the first target with no set of size <= n - 1;
+    callers list nodes before symbols, and a node's set recovers each of its
+    symbols, so that target is a node.
     """
     gen = code._packed_generator
     nonzero = gen.unheld(gen.rows)
@@ -169,9 +163,8 @@ def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
                 break
     out = []
     for (column, row), subset in zip(targets, found):
-        what = f"node {column + 1}" if row is None else f"symbol ({row + 1},{column + 1})"
         if subset is None:
-            raise NoRecovery(f"{what} has no recovery set of size <= {code.n - 1}")
+            raise NoRecovery(f"node {column + 1} has no recovery set of size <= {code.n - 1}")
         # verify and analyze print no coefficients: they are solved on first read
         out.append(RecoverySet._unsolved(code, column, row, subset))
     return out
@@ -215,16 +208,6 @@ def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list
     return pools
 
 
-def min_symbol_recovery(code: ArrayCode, row: int, column: int) -> RecoverySet:
-    """Smallest helper set whose subspace sum contains the symbol's column.
-
-    Ties break lexicographically on the helper index tuple. A zero generator
-    column needs no helpers and yields the empty set.
-    """
-    code.column_vector(row, column)  # OutOfRange for a bad row or column
-    return _witnesses(code, [(column, row)])[0]
-
-
 def min_node_recovery(code: ArrayCode, column: int) -> RecoverySet:
     """Smallest helper set whose subspace sum contains the node's subspace."""
     code.column_vector(0, column)  # OutOfRange for a bad column
@@ -245,17 +228,6 @@ class LocalityProfile:
     symbol_witnesses: tuple[tuple[RecoverySet, ...], ...]  # [row][column]
     node_t: "AvailabilityResult | None" = None
     symbol_t: "AvailabilityResult | None" = None
-
-
-def node_locality(code: ArrayCode) -> int:
-    wits = _witnesses(code, [(j, None) for j in range(code.n)])
-    return max(w.size for w in wits)
-
-
-def symbol_locality(code: ArrayCode) -> int:
-    """Worst-case over symbols with nonzero generator columns."""
-    targets = [(j, i) for j in range(code.n) for i in range(code.b)]
-    return max(w.size for w in _witnesses(code, targets))
 
 
 def locality_profile(
@@ -489,60 +461,6 @@ def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
     return out
 
 
-def symbol_availability(
-    code: ArrayCode,
-    row: int,
-    column: int,
-    *,
-    r: int | None = None,
-    exact_cap: int = DEFAULT_PACKING_CAP,
-    limit: int | None = None,
-) -> AvailabilityResult:
-    """Maximum number of pairwise disjoint size-<=r helper sets for a symbol."""
-    if not any(code.column_vector(row, column)):
-        raise BadParams("availability of an identically zero symbol is unbounded")
-    if r is None:
-        r = symbol_locality(code)
-    return _worst_availability(code, [[(column, row, r)]], exact_cap=exact_cap, limit=limit)[0]
-
-
-def node_availability(
-    code: ArrayCode,
-    column: int,
-    *,
-    r: int | None = None,
-    exact_cap: int = DEFAULT_PACKING_CAP,
-    limit: int | None = None,
-) -> AvailabilityResult:
-    """Maximum number of pairwise disjoint size-<=r helper sets for a node."""
-    code.column_vector(0, column)  # OutOfRange for a bad column
-    if code.subspaces[column].dim == 0:
-        raise BadParams("availability of a zero-dimensional node is unbounded")
-    if r is None:
-        r = node_locality(code)
-    return _worst_availability(code, [[(column, None, r)]], exact_cap=exact_cap, limit=limit)[0]
-
-
-def code_symbol_availability(
-    code: ArrayCode, *, r: int | None = None, exact_cap: int = DEFAULT_PACKING_CAP, limit: int | None = None
-) -> AvailabilityResult:
-    """Worst symbol availability over all nonzero symbols."""
-    if r is None:
-        r = symbol_locality(code)
-    group = _nonzero_targets(code, "symbol", r)
-    return _worst_availability(code, [group], exact_cap=exact_cap, limit=limit)[0]
-
-
-def code_node_availability(
-    code: ArrayCode, *, r: int | None = None, exact_cap: int = DEFAULT_PACKING_CAP, limit: int | None = None
-) -> AvailabilityResult:
-    """Worst node availability over all nonzero nodes."""
-    if r is None:
-        r = node_locality(code)
-    group = _nonzero_targets(code, "node", r)
-    return _worst_availability(code, [group], exact_cap=exact_cap, limit=limit)[0]
-
-
 # --- disjoint pair system on the full width-2 subspace family -------------------
 
 
@@ -684,10 +602,7 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
     recovery set and the decoder depend only on (code, column), so each code
     keeps them per column for the requests that follow.
     """
-    if array.nrows != code.b or array.cols != code.n:
-        raise BadParams(
-            f"array is {array.nrows}x{array.cols}, code is {code.b}x{code.n}"
-        )
+    _check_shape(code, array)
     if not 0 <= column < code.n:
         raise OutOfRange(f"column {column} outside 0..{code.n - 1}")
     plans = code._repair_plans

@@ -24,12 +24,9 @@ from subspace_lrc import (
     Subspace,
     build_spread,
     build_std,
-    code_node_availability,
-    code_symbol_availability,
     construction_all_subspaces,
     construction_spread,
     construction_std,
-    contains_subspace,
     dual,
     dual_distance_by_supports,
     encode,
@@ -41,17 +38,17 @@ from subspace_lrc import (
     is_mds,
     locality_profile,
     min_distance,
-    min_symbol_recovery,
-    node_availability,
     perfectness,
     solve,
     subspace_sum,
-    symbol_availability,
     verify_spread,
     verify_std,
     weight_distribution,
 )
+from subspace_lrc.limits import DEFAULT_PACKING_CAP
 from subspace_lrc.linalg import vec_mat
+from subspace_lrc.locality import _worst_availability
+from reference import contains_subspace
 
 # instance sets exercised below; criterion 8 covers the union of them
 C1_DISTANCE = ((2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2), (2, 5, 2))
@@ -111,33 +108,29 @@ def arrays_of(kind, q, M, b):
     )
 
 
-def worst_symbol_size(code):
-    return max(
-        min_symbol_recovery(code, i, j).size
-        for j in range(code.n)
-        for i in range(code.b)
-        if any(code.column_vector(i, j))
-    )
+def availability(code, column, row, r):
+    """Disjoint recovery family of one node (row None) or symbol at helper-set size r."""
+    return _worst_availability(code, [[(column, row, r)]], exact_cap=DEFAULT_PACKING_CAP, limit=None)[0]
 
 
 @lru_cache(maxsize=None)
 def symbol_availability_map(kind, q, M, b):
     """Per-symbol disjoint recovery families at the measured symbol locality."""
     code = code_of(kind, q, M, b)
-    r = worst_symbol_size(code)
+    r = profile_of(kind, q, M, b).symbol_locality
     out = []
     for j in range(code.n):
         for i in range(code.b):
             if not any(code.column_vector(i, j)):
                 continue
-            out.append((i, j, symbol_availability(code, i, j, r=r)))
+            out.append((i, j, availability(code, j, i, r)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def node_availability_map(q, M, b):
     code = code_of("c1", q, M, b)
-    return tuple((j, node_availability(code, j, r=2)) for j in range(code.n))
+    return tuple((j, availability(code, j, None, 2)) for j in range(code.n))
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +260,11 @@ def test_criterion_05_stacked_classes():
     d = min_distance(code)
     if d != 12:
         failures.append(f"distance {d}, wanted 12")
-    r_s = worst_symbol_size(code)
+    profile = locality_profile(code, with_availability=True)
+    r_s = profile.symbol_locality
     if r_s != 1:
         failures.append(f"symbol locality {r_s}, wanted 1")
-    t_s = code_symbol_availability(code, r=1)
+    t_s = profile.symbol_t
     if not (t_s.value == 3 and t_s.exact):
         failures.append(f"symbol availability {t_s.value} (exact={t_s.exact}), wanted exact 3")
     record(5, "stacked-classes", failures, t0, budget=60)
@@ -350,8 +344,7 @@ def test_criterion_07_availability():
     t0 = time.monotonic()
     failures, details = [], []
     for (q, M, b), want in (((2, 4, 2), 6), ((2, 5, 2), 14)):
-        code = code_of("c1", q, M, b)
-        r_s = worst_symbol_size(code)
+        r_s = profile_of("c1", q, M, b).symbol_locality
         if r_s != 1:
             failures.append(f"q={q} M={M} b={b}: symbol locality {r_s}, wanted 1")
         closed = gaussian(M - 1, b - 1, q) - 1
@@ -420,7 +413,7 @@ def test_criterion_08_duality_and_perfectness():
              "std-par": "cpar", "std-full": "std-full"}
     for name, q, M, b in all_verified_codes():
         code = code_of(kinds[name], q, M, b)
-        r_s = worst_symbol_size(code)
+        r_s = profile_of(kinds[name], q, M, b).symbol_locality
         d_dual = dual_distance_by_supports(code)
         if d_dual != r_s + 1:
             failures.append(f"{name} q={q} M={M} b={b}: dual distance {d_dual}, locality+1 {r_s + 1}")

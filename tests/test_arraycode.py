@@ -22,7 +22,6 @@ from subspace_lrc.arraycode import (
     dual_distance_by_supports,
     encode,
     format_bundle,
-    is_codeword,
     is_mds,
     min_distance,
     parse_bundle,
@@ -44,7 +43,8 @@ from subspace_lrc.errors import (
     TooLarge,
 )
 from subspace_lrc.gf import FieldContext, extension_new, field_new, parse_field
-from subspace_lrc.linalg import Mat, Subspace, _Slots, rank, row_space
+from subspace_lrc.linalg import Mat, Subspace, _Slots, row_space
+from reference import is_codeword, rank
 
 F2 = field_new(2)
 F3 = field_new(3)

@@ -31,7 +31,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from subspace_lrc import cli  # noqa: E402
 from subspace_lrc.arraycode import construction_from_blocks  # noqa: E402
-from subspace_lrc.linalg import Subspace, contains_vector, format_matrix, subspace_sum  # noqa: E402
+from subspace_lrc.linalg import Subspace, format_matrix, subspace_sum  # noqa: E402
+from reference import contains_vector  # noqa: E402
 from test_arraycode import reference_scan_range  # noqa: E402
 from test_subset_walk import FIELDS, reference_dual_distance, reference_witness_sets  # noqa: E402
 

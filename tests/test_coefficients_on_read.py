@@ -17,7 +17,8 @@ from subspace_lrc import cli, locality
 from subspace_lrc.arraycode import construction_spread, construction_std, format_bundle
 from subspace_lrc.gf import field_new
 from subspace_lrc.linalg import Mat, vec_mat
-from subspace_lrc.locality import RecoverySet, locality_profile, repair, validate_recovery
+from subspace_lrc.locality import RecoverySet, locality_profile, repair
+from reference import validate_recovery
 from test_arraycode import acceptance_codes
 from test_build_once import VERIFY
 

@@ -11,21 +11,23 @@ from subspace_lrc.linalg import (
     _Combiner,
     _layout,
     _residual,
-    contains_subspace,
-    contains_vector,
-    enumerate_vectors,
     format_matrix,
-    intersection_dim,
     null_space,
     parse_matrix,
-    projective_points,
-    rank,
     row_space,
-    rref,
     solve,
     subspace_sum,
     vec_dot,
     vec_mat,
+)
+from reference import (
+    contains_subspace,
+    contains_vector,
+    enumerate_vectors,
+    intersection_dim,
+    projective_points,
+    rank,
+    rref,
 )
 
 F2 = field_new(2)

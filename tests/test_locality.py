@@ -23,38 +23,31 @@ from subspace_lrc.errors import (
     TooLarge,
 )
 from subspace_lrc.gf import field_new
-from subspace_lrc.linalg import (
-    Mat,
-    Subspace,
-    contains_subspace,
-    contains_vector,
-    solve,
-    subspace_sum,
-    vec_dot,
-)
+from subspace_lrc.limits import DEFAULT_PACKING_CAP
+from subspace_lrc.linalg import Mat, Subspace, solve, subspace_sum, vec_dot
 from subspace_lrc.locality import (
     RecoverySet,
     RepairResult,
     _minimal_recovery_sets,
-    code_node_availability,
-    code_symbol_availability,
+    _witnesses,
+    _worst_availability,
     evaluate_recovery,
     grassmann_pairing,
     locality_profile,
     max_disjoint_packing,
     min_node_recovery,
-    min_symbol_recovery,
-    node_availability,
-    node_locality,
     repair,
-    symbol_availability,
-    symbol_locality,
-    validate_recovery,
 )
+from reference import contains_subspace, contains_vector, validate_recovery
 
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+
+
+def probe(code, column, row, r, limit=None):
+    """Availability of one node (row None) or symbol at helper-set size r."""
+    return _worst_availability(code, [[(column, row, r)]], exact_cap=DEFAULT_PACKING_CAP, limit=limit)[0]
 
 
 def all_codewords(code):
@@ -79,8 +72,8 @@ LOCALITY_CASES = [
 
 @pytest.mark.parametrize("code,r_s,r_n", LOCALITY_CASES)
 def test_locality_values(code, r_s, r_n):
-    assert symbol_locality(code) == r_s
-    assert node_locality(code) == r_n
+    profile = locality_profile(code)
+    assert (profile.symbol_locality, profile.node_locality) == (r_s, r_n)
 
 
 def test_symbol_before_node():
@@ -90,7 +83,8 @@ def test_symbol_before_node():
         construction_std(F2, 1, 2, 5, "par"),
         construction_all_subspaces(F3, 3, 2),
     ]:
-        assert symbol_locality(code) <= node_locality(code)
+        profile = locality_profile(code)
+        assert profile.symbol_locality <= profile.node_locality
 
 
 def test_profile_witnesses_reconstruct_everywhere():
@@ -152,7 +146,7 @@ def test_min_symbol_recovery_zero_symbol():
     from subspace_lrc.arraycode import code_from_subspaces
 
     code = code_from_subspaces(F2, blocks, 2, 3, "mixed")
-    rset = min_symbol_recovery(code, 1, 1)  # second symbol of padded column
+    rset = locality_profile(code).symbol_witnesses[1][1]  # second symbol of padded column
     assert rset.size == 0
     for cw in all_codewords(code):
         assert evaluate_recovery(code, rset, cw) == (0,)
@@ -163,29 +157,29 @@ def test_no_recovery_when_columns_independent():
         F2, [Subspace.from_span(F2, 2, [(1, 0)]), Subspace.from_span(F2, 2, [(0, 1)])]
     )
     with pytest.raises(NoRecovery):
-        min_symbol_recovery(code, 0, 0)
+        locality_profile(code)
     with pytest.raises(NoRecovery):
         min_node_recovery(code, 1)
 
 
 def test_availability_frozen_values():
-    c1 = construction_all_subspaces(F2, 4, 2)
-    res = code_symbol_availability(c1)
+    c1 = locality_profile(construction_all_subspaces(F2, 4, 2), with_availability=True)
+    res = c1.symbol_t
     assert res.value == 6 and res.exact  # gaussian(3,1,2) - 1
-    node = code_node_availability(c1)
+    node = c1.node_t
     assert node.value == 17 and node.exact
 
-    c1_small = construction_all_subspaces(F2, 3, 2)
-    assert code_symbol_availability(c1_small).value == 2
-    assert code_node_availability(c1_small).value == 3
+    c1_small = locality_profile(construction_all_subspaces(F2, 3, 2), with_availability=True)
+    assert c1_small.symbol_t.value == 2
+    assert c1_small.node_t.value == 3
 
     odd = construction_all_subspaces(F3, 3, 2)
-    assert code_node_availability(odd).value == 6
+    assert locality_profile(odd, with_availability=True).node_t.value == 6
 
 
 def test_availability_sets_are_disjoint_and_valid():
     code = construction_all_subspaces(F2, 4, 2)
-    res = node_availability(code, 0)
+    res = probe(code, 0, None, 2)
     used = set()
     for s in res.sets:
         assert not (s & used)
@@ -197,65 +191,19 @@ def test_availability_sets_are_disjoint_and_valid():
         assert 0 not in s
 
 
-def test_symbol_availability_zero_symbol_rejected():
-    from subspace_lrc.arraycode import code_from_subspaces
-
-    blocks = [
-        Subspace.from_span(F2, 3, [(1, 0, 0), (0, 1, 0)]),
-        Subspace.from_span(F2, 3, [(0, 0, 1)]),
-        Subspace.from_span(F2, 3, [(0, 1, 1), (1, 0, 1)]),
-    ]
-    code = code_from_subspaces(F2, blocks, 2, 3, "mixed")
-    with pytest.raises(BadParams):
-        symbol_availability(code, 1, 1)
-
-
 def test_code_availability_of_a_zero_code_is_rejected():
     zero = ArrayCode(F2, 1, 1, 1, Mat(F2, ((0,),), 1), (Subspace.zero(F2, 1),), "zero")
-    for search, kind in ((code_symbol_availability, "symbol"), (code_node_availability, "node")):
+    with pytest.raises(BadParams, match="^code has no nonzero node$"):
+        locality_profile(zero, with_availability=True)
+    for kind in ("symbol", "node"):
         with pytest.raises(BadParams) as exc:
-            search(zero)
+            locality._nonzero_targets(zero, kind, 1)
         assert str(exc.value) == f"code has no nonzero {kind}"
-
-
-def test_node_availability_rejects_a_column_out_of_range():
-    # -1 used to index the last node and count it among its own helpers
-    code = construction_spread(F2, 4, 2)  # n = 5
-    for column in (-1, 5):
-        with pytest.raises(OutOfRange, match=rf"^column {column} outside 0\.\.4$"):
-            node_availability(code, column, r=2)
-
-
-def test_node_availability_rejects_a_zero_dimensional_node():
-    spread = construction_spread(F2, 4, 2)
-    padded = code_from_subspaces(F2, [*spread.subspaces, Subspace.zero(F2, 4)], 2, 4, "padded")
-    with pytest.raises(BadParams, match=r"^availability of a zero-dimensional node is unbounded$"):
-        node_availability(padded, 5)
-
-
-def test_symbol_availability_defaults_r_to_the_symbol_locality():
-    code = construction_spread(F2, 4, 2)
-    assert symbol_availability(code, 0, 0) == symbol_availability(code, 0, 0, r=symbol_locality(code))
-
-
-@pytest.mark.parametrize(
-    "row,column,message",
-    [(2, 0, r"^symbol row 2 outside 0\.\.1$"), (-1, 0, r"^symbol row -1 outside 0\.\.1$"),
-     (0, 5, r"^column 5 outside 0\.\.4$"), (0, -1, r"^column -1 outside 0\.\.4$")],
-)
-def test_symbol_searches_reject_a_row_or_column_out_of_range(row, column, message):
-    code = construction_spread(F2, 4, 2)
-    for call in (
-        lambda: min_symbol_recovery(code, row, column),
-        lambda: symbol_availability(code, row, column, r=2),
-    ):
-        with pytest.raises(OutOfRange, match=message):
-            call()
 
 
 def test_std_full_symbol_availability():
     code = construction_std(F2, 2, 2, 4, "full")
-    res = code_symbol_availability(code)
+    res = locality_profile(code, with_availability=True).symbol_t
     assert res.value == 3 and res.exact  # q^(m(t-1)) - 1
 
 
@@ -414,6 +362,18 @@ def test_repair_argument_checks():
         repair(code, Mat.from_rows(F2, [(0, 0), (0, 0)]), 0)
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 5), (2, 2), (2, 6)])
+def test_evaluate_recovery_and_repair_check_the_array_shape(rows, cols):
+    # any shape but b x n is rejected before an entry is read, with repair's message
+    code = construction_spread(F2, 4, 2)  # 2 x 5
+    rset = min_node_recovery(code, 0)
+    array = Mat(F2, ((0,) * cols,) * rows, cols)
+    for call in (lambda: evaluate_recovery(code, rset, array), lambda: repair(code, array, 0)):
+        with pytest.raises(BadParams) as exc:
+            call()
+        assert str(exc.value) == f"array is {rows}x{cols}, code is 2x5"
+
+
 def test_profile_with_availability():
     code = construction_all_subspaces(F2, 3, 2)
     profile = locality_profile(code, with_availability=True)
@@ -513,14 +473,15 @@ def test_engine_witnesses_match_bruteforce(code):
         if row is None:
             assert min_node_recovery(code, column) == got
         else:
-            assert min_symbol_recovery(code, row, column) == got
+            assert _witnesses(code, [(column, row)])[0] == got
 
 
 @pytest.mark.parametrize(
     "code", [c for c in ORACLE_CODES if c.field.q**c.M <= 64], ids=lambda c: c.provenance
 )
 def test_engine_pools_and_availability_match_bruteforce(code):
-    r_s, r_n = symbol_locality(code), node_locality(code)
+    profile = locality_profile(code, with_availability=True)
+    r_s, r_n = profile.symbol_locality, profile.node_locality
     keys = [(j, i) for j in range(code.n) for i in (None, *range(code.b))]
     targets = [(j, i, r_n if i is None else r_s) for j, i in keys]
     pools = _minimal_recovery_sets(code, targets)
@@ -529,12 +490,9 @@ def test_engine_pools_and_availability_match_bruteforce(code):
         want = _brute_minimal(code, column, _target_vectors(code, column, row), r)
         assert [frozenset(s) for s in pool] == want
         brute.append(((column, row), want))
-    node_t = code_node_availability(code)
-    symbol_t = code_symbol_availability(code)
+    node_t, symbol_t = profile.node_t, profile.symbol_t
     assert (node_t.value, node_t.exact, node_t.sets) == _brute_worst(code, brute, "node")
     assert (symbol_t.value, symbol_t.exact, symbol_t.sets) == _brute_worst(code, brute, "symbol")
-    profile = locality_profile(code, with_availability=True)
-    assert (profile.node_t, profile.symbol_t) == (node_t, symbol_t)
 
 
 def test_availability_guard_runs_before_any_walk(monkeypatch):
@@ -547,11 +505,13 @@ def test_availability_guard_runs_before_any_walk(monkeypatch):
         raise AssertionError("walked before the size guard")
 
     monkeypatch.setattr(locality, "_subset_quotients", no_walk)
+    nodes = [(j, None, 2) for j in range(code.n)]
+    symbols = [(j, i, 2) for j in range(code.n) for i in range(code.b)]
     for call in (
-        lambda: code_node_availability(code, r=2, limit=9),
-        lambda: code_symbol_availability(code, r=2, limit=9),
-        lambda: node_availability(code, 0, r=2, limit=9),
-        lambda: symbol_availability(code, 1, 0, r=2, limit=9),
+        lambda: _worst_availability(code, [nodes], exact_cap=DEFAULT_PACKING_CAP, limit=9),
+        lambda: _worst_availability(code, [symbols], exact_cap=DEFAULT_PACKING_CAP, limit=9),
+        lambda: probe(code, 0, None, 2, limit=9),
+        lambda: probe(code, 0, 1, 2, limit=9),
     ):
         with pytest.raises(TooLarge, match=message):
             call()
@@ -561,11 +521,8 @@ def test_no_recovery_names_first_unrecoverable_target():
     # nodes 1-3 recover one another; nodes 4 and 5 are independent of the rest
     vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     code = construction_from_blocks(F2, [Subspace.from_span(F2, 4, [v]) for v in vecs])
-    for call in (lambda: locality_profile(code), lambda: node_locality(code)):
-        with pytest.raises(NoRecovery, match=r"^node 4 has no recovery set of size <= 4$"):
-            call()
-    with pytest.raises(NoRecovery, match=r"^symbol \(1,4\) has no recovery set of size <= 4$"):
-        symbol_locality(code)
+    with pytest.raises(NoRecovery, match=r"^node 4 has no recovery set of size <= 4$"):
+        locality_profile(code)
     with pytest.raises(NoRecovery, match=r"^node 5 has no recovery set of size <= 4$"):
         min_node_recovery(code, 4)
 
@@ -720,3 +677,34 @@ def test_repeated_repair_makes_no_search_and_no_elimination(monkeypatch):
         assert calls == {"_witnesses": 0, "_rref_rows": 0}
     repair(code, _received(code, (1, 2, 0, 1), 0, rng), 0)
     assert calls["_witnesses"] == 1 and calls["_rref_rows"] > 0
+
+
+# --- spread node locality at M > 2b ---------------------------------------------
+# A Desarguesian spread is normal: the span of any two of its blocks is a union
+# of blocks (Lunardon, Normal spreads, 1999), q^b + 1 of them in the 2b-space.
+# So for node j and any other block a, U_j + U_a holds a third block c, and
+# U_a + U_c = U_j + U_a recovers node j: two helpers suffice, and one never
+# does, since blocks meet trivially.
+
+
+def blocks_in_pair_sums(code):
+    """For each pair of blocks, how many blocks their sum holds."""
+    blocks = code.subspaces
+    counts = []
+    for a, c in itertools.combinations(range(len(blocks)), 2):
+        total = subspace_sum(blocks[a], blocks[c])
+        counts.append(sum(contains_subspace(total, u) for u in blocks))
+    return counts
+
+
+@pytest.mark.parametrize("M,b", [(6, 2), (8, 2), (9, 3)])
+def test_desarguesian_spread_pair_sums_are_unions_of_blocks(M, b):
+    code = construction_spread(F2, M, b, "desarguesian")
+    assert set(blocks_in_pair_sums(code)) == {2**b + 1}
+    assert locality_profile(code).node_locality == 2
+
+
+def test_gabidulin_spread_pair_sums_are_not_all_unions_of_blocks():
+    # the union count tells the two methods apart: this spread is not normal
+    code = construction_spread(F2, 6, 2, "gabidulin-echelon")
+    assert set(blocks_in_pair_sums(code)) != {2**2 + 1}

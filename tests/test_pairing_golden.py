@@ -19,7 +19,8 @@ import pytest
 
 from subspace_lrc.designs import enumerate_grassmannian, point_incidence
 from subspace_lrc.gf import parse_field
-from subspace_lrc.linalg import _layout, projective_points
+from subspace_lrc.linalg import _layout
+from reference import projective_points
 from subspace_lrc.locality import _pairing, grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"

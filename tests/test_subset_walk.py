@@ -24,20 +24,9 @@ from subspace_lrc.arraycode import (
     dual_distance_by_supports,
 )
 from subspace_lrc.gf import field_new
-from subspace_lrc.linalg import (
-    Subspace,
-    _subset_quotients,
-    contains_subspace,
-    contains_vector,
-    subspace_sum,
-)
-from subspace_lrc.locality import (
-    _minimal_recovery_sets,
-    _witnesses,
-    locality_profile,
-    min_node_recovery,
-    validate_recovery,
-)
+from subspace_lrc.linalg import Subspace, _subset_quotients, subspace_sum
+from subspace_lrc.locality import _minimal_recovery_sets, _witnesses, locality_profile, min_node_recovery
+from reference import contains_subspace, contains_vector, validate_recovery
 from test_arraycode import acceptance_codes
 
 FIELDS = {q: field_new(p, k) for q, p, k in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (9, 3, 2))}

@@ -20,11 +20,9 @@ from subspace_lrc import (
     code_from_subspaces,
     construction_all_subspaces,
     construction_from_blocks,
-    contains_subspace,
     enumerate_grassmannian,
     field_new,
     grassmann_pairing,
-    intersection_dim,
     run_verification,
     subspace_sum,
     verify_all_subspaces,
@@ -36,6 +34,7 @@ from subspace_lrc import (
 from subspace_lrc import locality
 from subspace_lrc.limits import DEFAULT_PACKING_CAP
 from subspace_lrc.verification import _pairs_hold
+from reference import contains_subspace, intersection_dim
 
 F2 = field_new(2)
 F3 = field_new(3)
