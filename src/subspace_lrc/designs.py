@@ -205,24 +205,6 @@ class CheckOutcome:
     passed: bool | None
     detail: str = ""
 
-    @property
-    def status(self) -> str:
-        if self.passed is None:
-            return "skipped"
-        return "pass" if self.passed else "fail"
-
-
-@dataclass(frozen=True)
-class DesignReport:
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
-
-    def lines(self) -> list[str]:
-        return [f"{c.status:7s} {c.name}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
-
 
 def point_incidence(blocks) -> dict[int, list[int]]:
     """Each packed projective point of the blocks -> the ascending indices of
@@ -246,7 +228,7 @@ def _holders(incidence, w: Subspace) -> list[int]:
     return sorted(set(first).intersection(*rest))
 
 
-def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignReport:
+def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> tuple[CheckOutcome, ...]:
     """Re-check every defining spread property exhaustively."""
     field, M, b = design.field, design.M, design.b
     q = field.q
@@ -293,7 +275,7 @@ def verify_spread(design: SpreadDesign, *, limit: int | None = None) -> DesignRe
         for level, idx in enumerate(design.unit_indices)
     )
     checks.append(CheckOutcome("unit-blocks", units_ok, "declared unit indices match"))
-    return DesignReport(tuple(checks))
+    return tuple(checks)
 
 
 # --- subspace transversal designs --------------------------------------------
@@ -364,7 +346,7 @@ def build_std(field, t: int, b: int, m: int) -> TransversalDesign:
     )
 
 
-def verify_std(design: TransversalDesign, *, limit: int | None = None) -> DesignReport:
+def verify_std(design: TransversalDesign, *, limit: int | None = None) -> tuple[CheckOutcome, ...]:
     """Exhaustively re-check the transversal design axioms and resolvability."""
     field = design.field
     q = field.q
@@ -461,7 +443,7 @@ def verify_std(design: TransversalDesign, *, limit: int | None = None) -> Design
                 detail = f"class {ci} does not cover every point exactly once"
                 break
     checks.append(CheckOutcome("resolvability", resolvable_ok, detail))
-    return DesignReport(tuple(checks))
+    return tuple(checks)
 
 
 # --- q-Steiner detection ------------------------------------------------------

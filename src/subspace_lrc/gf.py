@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^m) and in extensions GF(q^s) of an existing field.
+"""Exact arithmetic in GF(p) and in its extensions GF(q^s).
 
 Elements are plain Python ints in range(q), read as base-p digit vectors:
 the integer sum(d_i * p**i) stands for the polynomial sum(d_i * x**i) in
@@ -8,12 +8,13 @@ the smallest integer encoding (digits read from the constant term up), so
 a context is fully reproducible from its parameters alone. No Conway
 polynomial tables and no randomness are involved.
 
-ExtensionContext is the one engine that builds a field from polynomials:
-elements of GF(q^s) are base-q digit vectors over the base field, reduced
-modulo the smallest irreducible monic degree-s polynomial over GF(q).
-FieldContext(p, m) for m > 1 takes its modulus and tables from the
-extension of GF(p) of degree m. Every field multiplies through its
-exp/log tables and adds digit by digit.
+FieldContext is a prime field GF(p). ExtensionContext is the one engine
+that builds a field from polynomials: elements of GF(q^s) are base-q digit
+vectors over the base field, reduced modulo the smallest irreducible monic
+degree-s polynomial over GF(q). GF(p^m) for m > 1 is the degree-m extension
+of GF(p): field_new(p, m) is extension_new(field_new(p), m), so each field
+has one context. Every field multiplies through its exp/log tables and adds
+digit by digit.
 """
 
 from __future__ import annotations
@@ -236,45 +237,33 @@ class _FieldOps:
 
 
 class FieldContext(_FieldOps):
-    """GF(p^m) with integer-encoded elements.
+    """The prime field GF(p), elements 0..p-1 added and multiplied mod p.
 
-    modulus is the defining polynomial as a coefficient tuple, constant
-    term first (for m = 1 it is x itself, i.e. (0, 1)). For m > 1 the
-    modulus and the tables are those of GF(p^m) as an extension of GF(p).
-
-    Contexts come from field_new (or parse_field, field_from_order), one per
-    field, so fields compare by identity. Calling the class directly makes a
-    separate field; mixing it with a cached one raises AmbientMismatch.
+    modulus is x itself, (0, 1), constant term first. Contexts come from
+    field_new (or parse_field, field_from_order), which checks that p is a
+    prime within the table limit; there is one per field, so fields compare
+    by identity. Calling the class directly makes a separate field; mixing
+    it with a cached one raises AmbientMismatch.
     """
 
-    def __init__(self, p: int, m: int):
-        _refuse_order(p, m, f"{p}^{m}")
-        if not is_prime(p):
-            raise NotPrime(f"characteristic {p} is not prime")
-        if m < 1:
-            raise OutOfRange(f"extension degree must be >= 1, got {m}")
-        self.p = p
-        self.m = m
-        self.q = p**m
-        if m == 1:
-            self.modulus = (0, 1)
-            self._add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
-            self._neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
-            self._exp, self._log = _power_tables(p, lambda a, b: a * b % p)
-        else:
-            ext = extension_new(field_new(p), m)
-            self.modulus = ext.modulus
-            self._add, self._neg, self._exp, self._log = ext._add, ext._neg, ext._exp, ext._log
+    m = 1
+    modulus = (0, 1)
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self._add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
+        self._neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
+        self._exp, self._log = _power_tables(p, lambda a, b: a * b % p)
 
     def descriptor(self) -> str:
-        return f"gf({self.p})" if self.m == 1 else f"gf({self.p}^{self.m})"
+        return f"gf({self.p})"
 
     def __repr__(self) -> str:
         return f"FieldContext({self.descriptor()})"
 
     def __reduce__(self):
         # a context unpickles as the cached context of the same field
-        return field_new, (self.p, self.m)
+        return field_new, (self.p,)
 
 
 class ExtensionContext(_FieldOps):
@@ -287,6 +276,10 @@ class ExtensionContext(_FieldOps):
     The basis 1, y, ..., y^(s-1) makes expand/recombine GF(q)-linear: expand
     returns the base-q digit vector of an element, recombine inverts it.
 
+    m is the degree over the prime field. Over a prime base the context is
+    GF(p^m) itself, which field_new returns and which describes itself as
+    gf(p^m); over GF(p^k) it describes itself with its base.
+
     Contexts come from extension_new, one per base and degree; like
     FieldContext, a directly built one is a separate field.
     """
@@ -297,6 +290,7 @@ class ExtensionContext(_FieldOps):
         _refuse_order(base.q, degree, f"{base.q}^{degree}")
         self.base = base
         self.degree = degree
+        self.m = base.m * degree
         self.p = p = base.p
         self.q = base.q**degree
         self.modulus = _smallest_irreducible(degree, base)
@@ -342,6 +336,8 @@ class ExtensionContext(_FieldOps):
         return self.pow(x, self.base.q**i)
 
     def descriptor(self) -> str:
+        if self.base.m == 1:
+            return f"gf({self.p}^{self.m})"
         return f"gf({self.base.q}^{self.degree} over {self.base.descriptor()})"
 
     def __repr__(self) -> str:
@@ -352,17 +348,23 @@ class ExtensionContext(_FieldOps):
 
 
 @functools.lru_cache(maxsize=None)
-def _field_cached(p: int, m: int) -> FieldContext:
-    return FieldContext(p, m)
+def _field_cached(p: int, m: int) -> FieldContext | ExtensionContext:
+    # the order is refused before p is factored, and p is checked before m
+    _refuse_order(p, m, f"{p}^{m}")
+    if not is_prime(p):
+        raise NotPrime(f"characteristic {p} is not prime")
+    if m < 1:
+        raise OutOfRange(f"extension degree must be >= 1, got {m}")
+    return FieldContext(p) if m == 1 else extension_new(_field_cached(p, 1), m)
 
 
-def field_new(p: int, m: int = 1) -> FieldContext:
-    """GF(p^m) context; cached, contexts are immutable."""
+def field_new(p: int, m: int = 1) -> FieldContext | ExtensionContext:
+    """GF(p^m): GF(p) for m = 1, else its degree-m extension; cached, contexts are immutable."""
     return _field_cached(p, m)
 
 
 @functools.lru_cache(maxsize=None)
-def extension_new(base: FieldContext, degree: int, /) -> ExtensionContext:
+def extension_new(base: FieldContext | ExtensionContext, degree: int, /) -> ExtensionContext:
     """GF(q^degree) over base; cached."""
     return ExtensionContext(base, degree)
 
@@ -370,7 +372,7 @@ def extension_new(base: FieldContext, degree: int, /) -> ExtensionContext:
 _DESCRIPTOR_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)$")
 
 
-def parse_field(descriptor: str) -> FieldContext:
+def parse_field(descriptor: str) -> FieldContext | ExtensionContext:
     """Parse a field descriptor: gf(q), gf(p^m) or a bare prime power q.
 
     Case and whitespace are ignored, so gf(4), GF( 2 ^ 2 ) and 4 all give
@@ -391,7 +393,7 @@ def parse_field(descriptor: str) -> FieldContext:
     return field_new(p, m)
 
 
-def field_from_order(q: int) -> FieldContext:
+def field_from_order(q: int) -> FieldContext | ExtensionContext:
     """GF(q) for a prime power q, decomposed into (p, m)."""
     if q < 2:
         raise OutOfRange(f"field order must be >= 2, got {q}")

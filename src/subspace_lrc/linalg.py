@@ -191,9 +191,6 @@ class Mat:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 

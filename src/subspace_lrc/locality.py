@@ -105,6 +105,9 @@ def _check_shape(code: ArrayCode, array: Mat) -> None:
 def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[int, ...]:
     """Rebuild the target symbols from the helper entries of a b x n codeword array."""
     _check_shape(code, array)
+    for m in rset.columns:
+        if not 0 <= m < code.n:
+            raise OutOfRange(f"column {m} outside 0..{code.n - 1}")
     vals = [array.rows[i][m] for m in rset.columns for i in range(code.b)]
     return tuple(vec_dot(code.field, coeff, vals) for coeff in rset.coefficients)
 

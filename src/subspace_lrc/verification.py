@@ -47,7 +47,7 @@ from .designs import (
     verify_std,
 )
 from .errors import BadParams, NoRecovery, TooLarge
-from .limits import DEFAULT_PACKING_CAP, enumeration_limit, guard
+from .limits import DEFAULT_PACKING_CAP, enumeration_limit
 from .locality import (
     _candidate_count,
     _nonzero_targets,
@@ -159,10 +159,10 @@ def _expect(check_id, description, expected, measured, note="") -> Check:
     return _cond(check_id, description, _meets(expected, measured), expected, measured, note)
 
 
-def _design_check(report, what) -> Check:
-    fails = [c for c in report.checks if c.passed is False]
-    skips = [c for c in report.checks if c.passed is None]
-    measured = f"{len(report.checks) - len(fails) - len(skips)}/{len(report.checks)} properties hold"
+def _design_check(outcomes, what) -> Check:
+    fails = [c for c in outcomes if c.passed is False]
+    skips = [c for c in outcomes if c.passed is None]
+    measured = f"{len(outcomes) - len(fails) - len(skips)}/{len(outcomes)} properties hold"
     note = "; ".join(c.detail for c in fails) if fails else ""
     if skips and not fails:
         note = "skipped: " + "; ".join(c.name for c in skips)
@@ -289,24 +289,24 @@ def _availability_disabled() -> list[Check]:
 def _availability_check(m: _Measure, kind, r, expected, description, *, note="", skip_note="", proven=None) -> Check:
     """Worst packing of disjoint helper sets over every node or symbol.
 
-    Skipped when r > 1 and the helper sets of size <= r outnumber the packing
+    A value proven by a certificate is taken as it is: it enumerates nothing,
+    so neither the packing cap nor the enumeration limit applies. Otherwise
+    skipped when r > 1 and the helper sets of size <= r outnumber the packing
     cap, or over the enumeration limit; so every packing measured is exact,
-    single columns being disjoint. A value proven by a certificate is taken
-    without the walk. With expected None the value is reported.
+    single columns being disjoint. With expected None the value is reported.
     """
     check_id, what, code = f"{kind}-availability", f"disjoint {kind} helper sets", m.code
-    budget = _candidate_count(code.n, r)
-    if r > 1 and budget > m.exact_cap:
-        return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
-    try:
-        guard(budget, f"enumerating {budget} candidate helper sets", m.limit)
-        if proven is None:
+    if proven is None:
+        budget = _candidate_count(code.n, r)
+        if r > 1 and budget > m.exact_cap:
+            return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
+        try:
             group = _nonzero_targets(code, kind, r)
             [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
-            assert worst.exact, "single-column pools and pools within the cap pack exactly"
-            proven = worst.value
-    except TooLarge as exc:
-        return _skip(check_id, what, f"{exc}{skip_note}")
+        except TooLarge as exc:
+            return _skip(check_id, what, f"{exc}{skip_note}")
+        assert worst.exact, "single-column pools and pools within the cap pack exactly"
+        proven = worst.value
     measured = f"{proven} (exact)"
     if expected is None:
         return _info(check_id, measured, note)

@@ -448,20 +448,22 @@ def test_criterion_09_design_validity():
     t0 = time.monotonic()
     failures, details = [], []
     for q, M, b in SPREAD_WEIGHT:
-        report = verify_spread(build_spread(F(q), M, b, "gabidulin-echelon"))
-        if not report.ok:
-            failures.append(f"spread q={q} M={M} b={b}: {'; '.join(report.lines())}")
+        outcomes = verify_spread(build_spread(F(q), M, b, "gabidulin-echelon"))
+        failed = [f"{c.name} ({c.detail})" for c in outcomes if c.passed is False]
+        if failed:
+            failures.append(f"spread q={q} M={M} b={b}: {'; '.join(failed)}")
     for q, t, b, m in ((2, 1, 3, 3), (2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2)):
-        report = verify_std(build_std(F(q), t, b, m))
-        if not report.ok:
-            failures.append(f"std q={q} t={t} b={b} m={m}: {'; '.join(report.lines())}")
+        outcomes = verify_std(build_std(F(q), t, b, m))
+        failed = [f"{c.name} ({c.detail})" for c in outcomes if c.passed is False]
+        if failed:
+            failures.append(f"std q={q} t={t} b={b} m={m}: {'; '.join(failed)}")
         if (q, t, b, m) == (2, 2, 2, 2):
-            skipped = [c.name for c in report.checks if c.passed is None]
+            skipped = [c.name for c in outcomes if c.passed is None]
             if skipped:
                 failures.append(f"std q=2 t=2 b=2 m=2: properties not scanned exhaustively: {skipped}")
             else:
                 details.append(
-                    f"std q=2 t=2 b=2 m=2: all {len(report.checks)} defining properties "
+                    f"std q=2 t=2 b=2 m=2: all {len(outcomes)} defining properties "
                     f"scanned exhaustively"
                 )
     record(9, "design-validity", failures, t0, details)

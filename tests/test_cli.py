@@ -498,12 +498,14 @@ def test_verify_no_availability_skips(capsys):
 
 def test_verify_availability_over_limit_is_skipped(capsys):
     # the pools are over --limit: the availability check reports the guard's
-    # text and the rest of the suite still runs
-    assert cli.main(["verify", "all-subspaces", "-M", "3", "-b", "2", "--limit", "10"]) == 0
+    # text and the rest of the suite still runs. gf(3) M=4 has no node
+    # certificate, and its raised cap leaves the limit as the bound it meets
+    argv = ["all-subspaces", "--field", "gf(3)", "-M", "4", "-b", "2", "--limit", "200", "--packing-cap", "10000"]
+    assert cli.main(["verify", *argv]) == 0
     out = capsys.readouterr().out
     assert (
-        "node-availability: SKIPPED (expected -, measured -) -- enumerating 21 candidate"
-        " helper sets needs 21 objects, limit is 10; pair family still proves >= 3"
+        "node-availability: SKIPPED (expected -, measured -) -- enumerating 8385 candidate"
+        " helper sets needs 8385 objects, limit is 200; pair family still proves >= 48"
     ) in out
     assert "symbol-availability: PASS" in out
     assert "dual-distance: PASS" in out
@@ -538,6 +540,15 @@ def test_verify_over_packing_cap_skips_symbol_and_node_alike(capsys):
     for kind in ("symbol", "node"):
         assert f"{kind}-availability: SKIPPED (expected -, measured -) -- candidate enumeration 21 over cap" in out
     assert "(bound)" not in out
+
+
+@pytest.mark.parametrize("flags", [["--limit", "40"], ["--packing-cap", "0"]], ids=["limit-40", "packing-cap-0"])
+def test_verify_certified_node_availability_ignores_cap_and_limit(flags, capsys):
+    # the b = 2 pair family proves (n - 1) // 2 = 17 without enumerating the
+    # 595 candidate helper sets, so neither bound on that walk applies
+    assert cli.main(["verify", "all-subspaces", "-M", "4", "-b", "2", *flags]) == 0
+    out = capsys.readouterr().out
+    assert "  node-availability: PASS (expected 17, measured 17 (exact))\n" in out
 
 
 def test_analyze_single_column_pool_is_exact_at_packing_cap_0(tmp_path, capsys):

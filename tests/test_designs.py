@@ -85,7 +85,7 @@ def test_verify_std_names_a_block_with_too_few_points():
     design = build_std(F2, 1, 2, 2)
     short = Subspace.from_span(F2, 4, [(1, 0, 0, 0)])
     broken = dataclasses.replace(design, blocks=(short, *design.blocks[1:]))
-    checks = {c.name: (c.passed, c.detail) for c in verify_std(broken).checks}
+    checks = {c.name: (c.passed, c.detail) for c in verify_std(broken)}
     assert checks["block-group-incidence"] == (False, "block 0 holds 1 points, expected 3")
 
 
@@ -154,8 +154,8 @@ def test_spread_grid(field, M, b, method):
     design = build_spread(field, M, b, method)
     q = field.q
     assert len(design.blocks) == (q**M - 1) // (q**b - 1)
-    report = verify_spread(design)
-    assert report.ok, "\n".join(report.lines())
+    failed = [c for c in verify_spread(design) if c.passed is False]
+    assert not failed, failed
     # partition re-checked here independently of the verifier
     seen = set()
     for blk in design.blocks:
@@ -188,10 +188,10 @@ def test_verify_spread_flags_broken_design():
     bad_blocks = list(design.blocks)
     bad_blocks[0] = bad_blocks[1]
     broken = SpreadDesign(F2, 4, 2, design.method, tuple(bad_blocks), design.unit_indices)
-    report = verify_spread(broken)
-    assert not report.ok
+    outcomes = verify_spread(broken)
+    assert any(c.passed is False for c in outcomes)
     # the partition detail names a vector that both named blocks hold
-    detail = next(c.detail for c in report.checks if c.name == "partition")
+    detail = next(c.detail for c in outcomes if c.name == "partition")
     match = re.search(r"; vector (\(.*\)) in blocks (\d+) and (\d+)$", detail)
     vector, i, j = ast.literal_eval(match[1]), int(match[2]), int(match[3])
     assert i != j
@@ -216,8 +216,8 @@ def test_std_grid(field, t, b, m):
     assert len(design.blocks) == q ** (m * t)
     assert len(design.groups) == gaussian(b, 1, q)
     assert len(design.points) == sum(len(g) for g in design.groups)
-    report = verify_std(design)
-    assert report.ok, "\n".join(report.lines())
+    failed = [c for c in verify_std(design) if c.passed is False]
+    assert not failed, failed
 
 
 def test_std_block_group_incidence_by_hand():
@@ -285,12 +285,12 @@ def test_steiner_parameters_spread_and_std():
 def test_design_verifiers_skip_over_limit_and_reject_invalid_limits():
     spread = build_spread(F2, 4, 2)
     std = build_std(F2, 1, 2, 2)
-    skipped = {c.name: c.detail for c in verify_spread(spread, limit=8).checks if c.passed is None}
+    skipped = {c.name: c.detail for c in verify_spread(spread, limit=8) if c.passed is None}
     assert skipped == {
         "partition": "spread partition check needs 16 objects, limit is 8",
         "pairwise-trivial-intersection": "skipped with partition",
     }
-    skipped = {c.name: c.detail for c in verify_std(std, limit=10).checks if c.passed is None}
+    skipped = {c.name: c.detail for c in verify_std(std, limit=10) if c.passed is None}
     assert skipped == {"t-coverage": "t-subspace coverage scan needs 15 objects, limit is 10"}
     # t = 1 scans 15 lines: at limit 14 it is not checked, at 15 it holds
     assert steiner_parameters(F2, spread.blocks, limit=14) == []

@@ -36,7 +36,7 @@ def _is_prime_power(q: int) -> bool:
 
 
 ORDERS = [q for q in range(2, 1025) if _is_prime_power(q)]
-# (p, k, s): GF(p^(k*s)) presented over GF(p^k)
+# (p, k, s): GF(p^(k*s)) presented over GF(p^k); over GF(p) it is field_new(p, s)
 EXTENSIONS = [(2, 1, s) for s in range(2, 9)] + [(3, 1, s) for s in range(2, 6)] + [(2, 2, 2), (2, 2, 3)]
 
 
@@ -59,8 +59,10 @@ def pins(F) -> dict:
 
 
 def all_fields():
-    yield from (field_from_order(q) for q in ORDERS)
-    yield from (extension_new(field_new(p, k), s) for p, k, s in EXTENSIONS)
+    """Each field once: an extension of GF(p) is also one of the ORDERS."""
+    fields = [field_from_order(q) for q in ORDERS]
+    fields += [extension_new(field_new(p, k), s) for p, k, s in EXTENSIONS]
+    return dict.fromkeys(fields)
 
 
 @pytest.fixture(scope="module")

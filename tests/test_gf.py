@@ -325,6 +325,16 @@ def test_each_field_has_one_context():
     assert extension_new(field_new(2), 3) is extension_new(field_new(2), 3)
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p in range(2, 65) if is_prime(p) for m in range(1, 7) if p**m <= 64])
+def test_every_order_has_one_context(p, m):
+    F = field_from_order(p**m)
+    assert F is field_new(p, m) and (F.p, F.m) == (p, m)
+    if m > 1:
+        assert F is extension_new(field_new(p), m)
+        assert F.descriptor() == f"gf({p}^{m})"
+    assert pickle.loads(pickle.dumps(F)) is F
+
+
 def test_extension_new_is_positional_only():
     # keyword calls would give its cache a second key for the same field
     with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -372,6 +373,17 @@ def test_evaluate_recovery_and_repair_check_the_array_shape(rows, cols):
         with pytest.raises(BadParams) as exc:
             call()
         assert str(exc.value) == f"array is {rows}x{cols}, code is 2x5"
+
+
+@pytest.mark.parametrize("column", [7, -1])
+def test_evaluate_recovery_checks_helper_columns(column):
+    # a helper column outside the code is named with repair's message before the array is read
+    code = construction_spread(F2, 4, 2)  # 2 x 5
+    rset = min_node_recovery(code, 0)
+    bad = dataclasses.replace(rset, columns=(column, *rset.columns[1:]))
+    with pytest.raises(OutOfRange) as exc:
+        evaluate_recovery(code, bad, encode(code, (1, 0, 1, 1)))
+    assert str(exc.value) == f"column {column} outside 0..4"
 
 
 def test_profile_with_availability():

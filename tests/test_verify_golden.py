@@ -31,7 +31,7 @@ CASES = {
     "all-subspaces-q2-M3-b2-packing-cap-5": (*AS, "gf(2)", "-M", "3", "-b", "2", "--packing-cap", "5"),
     "all-subspaces-q2-M3-b2-no-availability": (*AS, "gf(2)", "-M", "3", "-b", "2", "--no-availability"),
     "all-subspaces-q2-M3-b2-limit-10": (*AS, "gf(2)", "-M", "3", "-b", "2", "--limit", "10"),
-    # node availability over the candidate cap: SKIPPED, with the pair family's lower bound
+    # node availability over the candidate cap, exact from the pair family's counting bound
     "all-subspaces-q2-M5-b2": (*AS, "gf(2)", "-M", "5", "-b", "2"),
     "spread-q2-M4-b2": ("spread", "-M", "4", "-b", "2"),
     "spread-q2-M4-b2-desarguesian": ("spread", "-M", "4", "-b", "2", "--method", "desarguesian"),
