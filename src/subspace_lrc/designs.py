@@ -11,7 +11,7 @@ a subspace through one table, point_incidence, instead of containment tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 from .errors import (
@@ -214,7 +214,17 @@ def point_incidence(blocks) -> dict[int, list[int]]:
     echelon basis does, and each such row has leading entry 1, so it is a
     key: the subspace's holders are the intersection of its rows' lists
     (_holders).
+
+    The table of the last block tuple is kept and returned again for an
+    equal tuple, so a design check, the dual-distance rule and the pair
+    family of one run share it: it is shared and read-only, and no caller
+    may change it or its lists.
     """
+    return _point_incidence(tuple(blocks))
+
+
+@lru_cache(maxsize=1)
+def _point_incidence(blocks: tuple[Subspace, ...]) -> dict[int, list[int]]:
     table: dict[int, list[int]] = {}
     for idx, blk in enumerate(blocks):
         for p in _points(blk):
@@ -470,7 +480,7 @@ def steiner_parameters(field, blocks, *, limit: int | None = None) -> list[int]:
         except TooLarge:  # an over-limit t simply is not checked
             continue
         if t < ambient and not incidence:
-            incidence = point_incidence([blk for blk in blocks if blk.dim < ambient])
+            incidence = point_incidence(tuple(blk for blk in blocks if blk.dim < ambient))
         scan = enumerate_grassmannian(field, ambient, t, limit=limit)
         if all(whole + len(_holders(incidence, w)) == 1 for w in scan):
             out.append(t)

@@ -510,23 +510,9 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
     through the target's i-th point, the target among them."""
     target, q, M = grass[t_idx], field.q, grass[t_idx].ambient
     L = _layout(field)
-    top = M * L.sym
-    low = (1 << top) - 1
     meet_classes = [[i for i in cls if i != t_idx] for cls in lines]
     met = {i for cls in lines for i in cls}
-    disjoint_classes: dict[tuple, dict[tuple, int]] = {}
-    for idx, s in enumerate(grass):
-        if idx in met:
-            continue
-        # w = graph of a map from its projection ubar (off the target's
-        # pivots) into the target: reduce the packed rows [u | w] to read
-        # ubar's canonical basis and, at the target's pivots, the map's
-        # coordinates
-        split = [_residual(field, M, target.rows, target.pivots, r) | r << top for r in s.rows]
-        split, pivots = _rref_rows(field, 2 * M, split)
-        assert pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
-        key = tuple(tuple(L.entry(row, M + p) for p in target.pivots) for row in split)
-        disjoint_classes.setdefault(tuple(row & low for row in split), {})[key] = idx
+    disjoint_classes = _disjoint_classes(field, grass, target, met)
 
     pairs: list[tuple[int, int]] = []
 
@@ -553,7 +539,7 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
                 continue
             (x1, x2) = key
             if q % 2 == 0:
-                partner = ((field.add(x1[0], 1), x1[1]), (x2[0], field.add(x2[1], 1)))
+                partner = ((x1[0] ^ 1, x1[1]), (x2[0], x2[1] ^ 1))
             elif field.sub(field.mul(x1[0], x2[1]), field.mul(x1[1], x2[0])) == 0:
                 continue
             else:
@@ -564,6 +550,61 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
     used = [i for p in pairs for i in p]
     assert len(used) == len(set(used)) and t_idx not in used
     return PairingResult(t_idx, tuple(pairs), len(used), len(grass) - 1)
+
+
+def _disjoint_classes(field, grass, target, met) -> dict[tuple, dict[tuple, int]]:
+    """The subspaces of grass outside met, those disjoint from the 2-dim
+    target, as classes[ubar][key] = index.
+
+    Such a subspace w is the graph of a map from its projection ubar (off the
+    target's pivots) into the target: reducing the packed rows [u | w] reads
+    ubar's canonical basis and, at the target's pivots, the map's
+    coordinates, the key. Over GF(2) the two rows are reduced in line."""
+    M = target.ambient
+    L = _layout(field)
+    top = M * L.sym
+    low = (1 << top) - 1
+    classes: dict[tuple, dict[tuple, int]] = {}
+    if field.q != 2:
+        for idx, s in enumerate(grass):
+            if idx in met:
+                continue
+            split = [_residual(field, M, target.rows, target.pivots, r) | r << top for r in s.rows]
+            split, pivots = _rref_rows(field, 2 * M, split)
+            assert pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
+            key = tuple(tuple(L.entry(row, M + p) for p in target.pivots) for row in split)
+            classes.setdefault(tuple(row & low for row in split), {})[key] = idx
+        return classes
+    (t0, t1), (p0, p1) = target.rows, target.pivots
+    k0, k1 = top + p0, top + p1
+    for idx, s in enumerate(grass):
+        if idx in met:
+            continue
+        r0, r1 = s.rows
+        # [_residual(row) | row] for each row: the residual against the
+        # target in the low M bits, the row itself above them
+        u, w = r0 << top | r0, r1 << top | r1
+        if r0 >> p0 & 1:
+            u ^= t0
+        if r0 >> p1 & 1:
+            u ^= t1
+        if r1 >> p0 & 1:
+            w ^= t0
+        if r1 >> p1 & 1:
+            w ^= t1
+        # _rref_rows of [u, w]: pivots at the lowest set bits, rows by pivot
+        c0 = (u & -u).bit_length() - 1
+        if w >> c0 & 1:
+            w ^= u
+        c1 = (w & -w).bit_length() - 1
+        assert c0 < M and c1 < M, "a subspace disjoint from the target projects onto a plane"
+        if u >> c1 & 1:
+            u ^= w
+        if c1 < c0:
+            u, w = w, u
+        key = ((u >> k0 & 1, u >> k1 & 1), (w >> k0 & 1, w >> k1 & 1))
+        classes.setdefault((u & low, w & low), {})[key] = idx
+    return classes
 
 
 # --- repair ----------------------------------------------------------------------

@@ -458,16 +458,21 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
 
 
 def _pairs_hold(code: ArrayCode, pairings) -> bool:
-    """Whether each pair's sum holds its target node: the generator reduced modulo
-    both helpers is zero there, the reduction modulo a first helper made once."""
-    gen, first = code._packed_generator, {}
+    """Whether each pair's sum holds its target nodes: the generator reduced modulo
+    both helpers is zero there. Each unordered pair is reduced once, smaller
+    index first, for the flags of every target it is listed for, and the
+    reduction modulo a first helper is made once."""
+    gen, targets, first = code._packed_generator, {}, {}
     for pairing in pairings:
-        target = gen.flag(pairing.target_index, None)
+        flag = gen.flag(pairing.target_index, None)
         for a, c in pairing.pairs:
-            if a not in first:
-                first[a] = gen.eliminate(gen.rows, a)
-            if gen.unheld(gen.eliminate(first[a], c)) & target:
-                return False
+            pair = (a, c) if a < c else (c, a)
+            targets[pair] = targets.get(pair, 0) | flag
+    for (a, c), flags in targets.items():
+        if a not in first:
+            first[a] = gen.eliminate(gen.rows, a)
+        if gen.unheld(gen.eliminate(first[a], c)) & flags:
+            return False
     return True
 
 

@@ -2,8 +2,9 @@
 
 They give the reduced row echelon form and rank of a matrix, membership and
 containment in a subspace, the vectors and points of a subspace, codeword
-membership by solving against the generator, and the algebraic check of a
-recovery set's functionals. They run on the package's packed kernel
+membership by solving against the generator, the algebraic check of a
+recovery set's functionals, and the general classification of the subspaces
+disjoint from a pair-family target. They run on the package's packed kernel
 (`linalg._rref_rows`, `_residual`), not through its subset walk, weight
 scan or verifiers, so a test can check those against them.
 """
@@ -104,3 +105,27 @@ def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:
     if len(rset.coefficients) != len(targets) or any(len(c) != helpers.nrows for c in rset.coefficients):
         return False
     return all(vec_mat(coeff, helpers) == target for coeff, target in zip(rset.coefficients, targets))
+
+
+def disjoint_classes(field, grass, target, met) -> dict[tuple, dict[tuple, int]]:
+    """locality._disjoint_classes by the general _residual and _rref_rows,
+    over every field: classes[ubar][key] = index for the subspaces of grass
+    outside met."""
+    M = target.ambient
+    L = _layout(field)
+    top = M * L.sym
+    low = (1 << top) - 1
+    disjoint_classes: dict[tuple, dict[tuple, int]] = {}
+    for idx, s in enumerate(grass):
+        if idx in met:
+            continue
+        # w = graph of a map from its projection ubar (off the target's
+        # pivots) into the target: reduce the packed rows [u | w] to read
+        # ubar's canonical basis and, at the target's pivots, the map's
+        # coordinates
+        split = [_residual(field, M, target.rows, target.pivots, r) | r << top for r in s.rows]
+        split, pivots = _rref_rows(field, 2 * M, split)
+        assert pivots[-1] < M, "a subspace disjoint from the target projects onto a plane"
+        key = tuple(tuple(L.entry(row, M + p) for p in target.pivots) for row in split)
+        disjoint_classes.setdefault(tuple(row & low for row in split), {})[key] = idx
+    return disjoint_classes

@@ -128,3 +128,50 @@ def test_verify_std_unpacks_no_point(field, t, b, m, monkeypatch):
         "t-coverage",
         "resolvability",
     ]
+
+
+INCIDENCE = {
+    "spread": ("spread", "-M", "6", "-b", "2"),
+    "std-full": ("std-full", "-t", "2", "-M", "4", "-b", "2"),
+    "all-subspaces": ("all-subspaces", "-M", "4", "-b", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCIDENCE))
+def test_verify_builds_one_point_incidence_per_block_set(case):
+    """The design check, the dual-distance rule and the b = 2 pair family of
+    one run read one shared point-to-blocks table."""
+    designs._point_incidence.cache_clear()
+    assert run(["verify", *INCIDENCE[case]])[0] == 0
+    info = designs._point_incidence.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_point_incidence_is_kept_for_equal_blocks_only():
+    grass = designs.enumerate_grassmannian(F2, 4, 2)
+    table = designs.point_incidence(grass)
+    again = designs.enumerate_grassmannian(F2, 4, 2)
+    assert again is not grass and again[0] is not grass[0]
+    assert designs.point_incidence(again) is table
+    assert designs.point_incidence(list(grass)) is table
+    spread = designs.build_spread(F2, 4, 2).blocks
+    assert designs.point_incidence(spread) is not table
+    rebuilt = designs.point_incidence(grass)
+    assert rebuilt is not table and rebuilt == table
+
+
+@pytest.mark.parametrize(
+    "argv,blocks",
+    [
+        (INCIDENCE["all-subspaces"], lambda: designs.enumerate_grassmannian(F2, 4, 2)),
+        (INCIDENCE["spread"], lambda: designs.build_spread(F2, 6, 2).blocks),
+        (INCIDENCE["std-full"], lambda: build_std(F2, 2, 2, 2).blocks),
+    ],
+    ids=["all-subspaces", "spread", "std-full"],
+)
+def test_verify_leaves_the_shared_incidence_unchanged(argv, blocks):
+    table = designs.point_incidence(blocks())
+    before = {p: list(h) for p, h in table.items()}
+    assert run(["verify", *argv])[0] == 0
+    assert designs.point_incidence(blocks()) is table
+    assert table == before

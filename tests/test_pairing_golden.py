@@ -19,9 +19,9 @@ import pytest
 
 from subspace_lrc.designs import enumerate_grassmannian, point_incidence
 from subspace_lrc.gf import parse_field
-from subspace_lrc.linalg import _layout
-from reference import projective_points
-from subspace_lrc.locality import _pairing, grassmann_pairing
+from subspace_lrc.linalg import _layout, _points
+from reference import disjoint_classes, projective_points
+from subspace_lrc.locality import _disjoint_classes, _pairing, grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
 
@@ -80,6 +80,22 @@ def test_odd_pairing_targets_match_golden():
 def test_target_rows_agree_with_the_whole_family():
     rows = pairing_rows(3, 4)
     assert target_rows(3, 4, (0, 7, 129)) == [rows[0], rows[7], rows[129]]
+
+
+@pytest.mark.parametrize("M,step", [(3, 1), (4, 1), (5, 1), (6, 50)])
+def test_gf2_disjoint_classes_match_the_general_reduction(M, step):
+    """The in-line two-row reduction over GF(2) gives every subspace disjoint
+    from a target the (ubar, key) of the general _residual + _rref_rows path."""
+    field = parse_field("gf(2)")
+    grass = enumerate_grassmannian(field, M, 2)
+    through = point_incidence(grass)
+    for t in range(0, len(grass), step):
+        met = {i for p in _points(grass[t]) for i in through[p]}
+        fast = _disjoint_classes(field, grass, grass[t], met)
+        assert fast == disjoint_classes(field, grass, grass[t], met)
+        assert sorted(i for members in fast.values() for i in members.values()) == [
+            i for i in range(len(grass)) if i not in met
+        ]
 
 
 def regenerate() -> None:

@@ -442,6 +442,43 @@ def test_pairs_hold_rejects_a_line_pair():
     assert _pairs_hold(code, swapped[1:])
 
 
+def test_pairs_hold_ors_the_targets_of_a_shared_pair():
+    """A pair listed for two targets, valid for only one, fails in either
+    order and either orientation: the targets' flags are OR-ed, not overwritten."""
+    code = construction_all_subspaces(F2, 4, 2)
+    good = grassmann_pairing(F2, 4)[0]
+    a, c = good.pairs[0]
+    holds = PairingResult(0, ((a, c),), 2, 34)
+    misses = next(
+        PairingResult(t, ((c, a),), 2, 34)
+        for t in range(1, code.n)
+        if not sums_hold(code.subspaces, PairingResult(t, ((a, c),), 2, 34))
+    )
+    assert _pairs_hold(code, [holds]) and not _pairs_hold(code, [misses])
+    assert not _pairs_hold(code, [holds, misses])
+    assert not _pairs_hold(code, [misses, holds])
+
+
+def test_pairs_hold_reduces_each_unordered_pair_once(monkeypatch):
+    """q=2 M=4: 595 listed pairs, 325 of them distinct unordered pairs, and
+    34 distinct smaller helpers; one elimination for each helper and each pair."""
+    from subspace_lrc import linalg
+
+    code = construction_all_subspaces(F2, 4, 2)
+    pairings = grassmann_pairing(F2, 4)
+    listed = [tuple(sorted(pair)) for p in pairings for pair in p.pairs]
+    assert (len(listed), len(set(listed)), len({a for a, _ in listed})) == (595, 325, 34)
+    eliminate, calls = linalg._Generator.eliminate, []
+
+    def counted(self, rows, j):
+        calls.append(j)
+        return eliminate(self, rows, j)
+
+    monkeypatch.setattr(linalg._Generator, "eliminate", counted)
+    assert _pairs_hold(code, pairings)
+    assert len(calls) == 34 + 325
+
+
 # --- dispatcher ----------------------------------------------------------------
 
 

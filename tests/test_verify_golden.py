@@ -8,6 +8,11 @@ and stderr of every case. After a deliberate output change, rewrite them with
     PYTHONPATH=src python tests/test_verify_golden.py
 
 and say in the change log which goldens changed and why.
+
+`all-subspaces-q2-M6-b2.txt` is not a case here: its run takes seconds, so
+CI's "Source size" step compares it instead. Rewrite it with the stdout of
+
+    PYTHONPATH=src python -m subspace_lrc.cli verify all-subspaces -M 6 -b 2
 """
 
 import io
