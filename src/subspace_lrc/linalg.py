@@ -389,36 +389,33 @@ def solve(m: Mat, rhs: tuple[int, ...]):
     """One solution x of m @ x = rhs, or None if inconsistent (free vars -> 0)."""
     if len(rhs) != m.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    L = _layout(m.field)
-    augmented = [L.pack(tuple(r) + (y,)) for r, y in zip(m.rows, rhs)]
-    rows, pivots = _rref_rows(m.field, m.cols + 1, augmented)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [0] * m.cols
-    for row, p in zip(rows, pivots):
-        x[p] = L.entry(row, m.cols)
-    return tuple(x)
+    return _Combiner(m.field, m.nrows, m.transpose().rows).solve(rhs)
 
 
 class _Combiner:
     """Coefficients x with sum_r x_r * vectors[r] = y, for many y and fixed vectors.
 
-    Each length-n vectors[r] is packed with the unit vector e_r appended, and
-    the rows are reduced once. Reducing [y | 0] by them leaves [y - x G | -x]
-    with x G the part of y in the span of the vectors: its first n entries
-    are zero exactly when y lies in that span, and the tail is then -x for
-    one solution x, the only one when the vectors are independent.
+    The package's one linear solver. Each length-n vectors[r] is packed with
+    the unit vector e_(count-1-r) appended, so the tail lists the vectors in
+    reverse, and the rows are reduced once. Reducing [y | 0] by them leaves
+    [y - x G | -x reversed] with x G the part of y in the span of the
+    vectors: its first n entries are zero exactly when y lies in that span.
+    A relation among the vectors has its lowest tail entry at its last
+    vector, so the reduced relations pivot there and x is 0 at every vector
+    that depends on earlier ones: x is the free-variables-0 solution of the
+    reduced echelon form of [vectors as columns | y], the one solve returns.
     """
 
     def __init__(self, field, n: int, vectors):
         self.field, self.n, self.count = field, n, len(vectors)
         L = _layout(field)
         self.low = (1 << (n * L.sym)) - 1
-        packed = [L.pack(v) | 1 << ((n + r) * L.sym) for r, v in enumerate(vectors)]
+        top = n + self.count - 1
+        packed = [L.pack(v) | 1 << ((top - r) * L.sym) for r, v in enumerate(vectors)]
         self.rows, self.pivots = _rref_rows(field, n + self.count, packed)
 
     def solve(self, y) -> tuple[int, ...] | None:
-        """One solution for the length-n y, or None when y is outside the span."""
+        """The solution for the length-n y, or None when y is outside the span."""
         L = _layout(self.field)
         v = _residual(self.field, self.n + self.count, self.rows, self.pivots, L.pack(y))
         if v & self.low:
@@ -426,7 +423,7 @@ class _Combiner:
         tail = v >> (self.n * L.sym)
         if L.odd:
             tail = _vectors(self.field, self.count).scale(tail, -1)
-        return L.unpack(tail, self.count)
+        return L.unpack(tail, self.count)[::-1]
 
 
 def _combinations(s: Subspace, rows):

@@ -83,18 +83,12 @@ class RecoverySet:
 
 def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int, ...], ...]:
     """For each symbol row of column, the x with (helper generator columns) x
-    = (the symbol's generator column) and free variables 0, as solve gives:
-    the helper part of one reduction, targets appended, is the reduced
-    echelon form of the helper columns alone."""
-    gen, L = code._packed_generator, _layout(code.field)
-    bits = [m * gen.width + i * L.sym for m in columns for i in range(code.b)]
-    bits += [column * gen.width + i * L.sym for i in rows]
-    k = len(bits) - len(rows)
-    packed = [sum((g >> c & L.mask) << (x * L.sym) for x, c in enumerate(bits)) for g in gen.rows]
-    basis, pivots = _rref_rows(code.field, len(bits), packed)
-    assert not pivots or pivots[-1] < k, "recovery set accepted but no functional exists"
-    at = dict(zip(pivots, basis))
-    return tuple(tuple(L.entry(at[c], t) if c in at else 0 for c in range(k)) for t in range(k, len(bits)))
+    = (the symbol's generator column) and free variables 0, as solve gives."""
+    helpers = [code.column_vector(i, m) for m in columns for i in range(code.b)]
+    combiner = _Combiner(code.field, code.M, helpers)
+    out = tuple(combiner.solve(code.column_vector(i, column)) for i in rows)
+    assert None not in out, "recovery set accepted but no functional exists"
+    return out
 
 
 def _check_shape(code: ArrayCode, array: Mat) -> None:

@@ -7,6 +7,11 @@ recovery set's functionals, and the general classification of the subspaces
 disjoint from a pair-family target. They run on the package's packed kernel
 (`linalg._rref_rows`, `_residual`), not through its subset walk, weight
 scan or verifiers, so a test can check those against them.
+
+Solving is the exception: `linalg.solve`, the repair decoder and the
+recovery functionals are one routine (`linalg._Combiner`), so the oracles
+for them, `reference_rref_rows` and `reference_solve`, are Gauss-Jordan on
+tuples with one field call per entry, and `is_codeword` solves with them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from subspace_lrc.linalg import (
     _points,
     _residual,
     _rref_rows,
-    solve,
     subspace_sum,
     vec_mat,
 )
@@ -83,6 +87,39 @@ def projective_points(s: Subspace) -> list[tuple[int, ...]]:
     return [unpack(x, s.ambient) for x in _points(s)]
 
 
+def reference_rref_rows(field, rows, cols):
+    """Gauss-Jordan on tuples; returns (all rows, zero rows last; pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        pv = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
+        if pv is None:
+            continue
+        rows[pr], rows[pv] = rows[pv], rows[pr]
+        inv = field.inv(rows[pr][c])
+        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
+        prow = rows[pr]
+        for r in range(len(rows)):
+            f = rows[r][c]
+            if f and r != pr:
+                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], prow)]
+        pivots.append(c)
+        pr += 1
+    return [tuple(r) for r in rows], pivots
+
+
+def reference_solve(field, rows, cols, rhs):
+    """One x with (the matrix with these rows) @ x = rhs, free variables 0; None if inconsistent."""
+    reduced, pivots = reference_rref_rows(field, [tuple(r) + (y,) for r, y in zip(rows, rhs)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[cols]
+    return tuple(x)
+
+
 def is_codeword(code: ArrayCode, codeword: Mat) -> bool:
     if codeword.nrows != code.b or codeword.cols != code.n:
         raise DimensionMismatch(
@@ -91,7 +128,8 @@ def is_codeword(code: ArrayCode, codeword: Mat) -> bool:
     flat = tuple(
         codeword.rows[i][j] for j in range(code.n) for i in range(code.b)
     )
-    return solve(code.generator.transpose(), flat) is not None
+    g = code.generator.transpose()
+    return reference_solve(code.field, g.rows, g.cols, flat) is not None
 
 
 def validate_recovery(code: ArrayCode, rset: RecoverySet) -> bool:

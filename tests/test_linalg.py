@@ -27,6 +27,8 @@ from reference import (
     intersection_dim,
     projective_points,
     rank,
+    reference_rref_rows,
+    reference_solve,
     rref,
 )
 
@@ -364,29 +366,9 @@ def residual(s, v):
 
 # --- reference path ----------------------------------------------------------------
 # The tuple kernel, one field call per entry, kept as the oracle for the
-# packed kernel in linalg (the way test_arraycode keeps reference_scan_range).
-
-
-def reference_rref_rows(field, rows, cols):
-    """Gauss-Jordan on tuples; returns (all rows, zero rows last; pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    pr = 0
-    for c in range(cols):
-        pv = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
-        if pv is None:
-            continue
-        rows[pr], rows[pv] = rows[pv], rows[pr]
-        inv = field.inv(rows[pr][c])
-        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
-        prow = rows[pr]
-        for r in range(len(rows)):
-            f = rows[r][c]
-            if f and r != pr:
-                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], prow)]
-        pivots.append(c)
-        pr += 1
-    return [tuple(r) for r in rows], pivots
+# packed kernel in linalg (the way test_arraycode keeps reference_scan_range);
+# its Gauss-Jordan and solve are reference.reference_rref_rows and
+# reference_solve, which test_locality and is_codeword share.
 
 
 def reference_mat_vec(m, v):
@@ -421,16 +403,6 @@ def reference_null_space(field, rows, cols):
             x[p] = field.neg(reduced[i][f])
         vectors.append(x)
     return reference_span(field, vectors, cols)
-
-
-def reference_solve(field, rows, cols, rhs):
-    reduced, pivots = reference_rref_rows(field, [tuple(r) + (y,) for r, y in zip(rows, rhs)], cols + 1)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[cols]
-    return tuple(x)
 
 
 def check_matrix_against_reference(field, rows, cols, rng):
@@ -502,25 +474,39 @@ def test_kernel_matches_reference_on_random_matrices(field):
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_combiner_matches_reference_solve(field):
     """_Combiner writes y as a combination of fixed vectors; the reference
-    solves the transposed system from scratch for each y."""
+    solves the transposed system from scratch for each y. Dependent vectors
+    included, both give the solution with free variables 0."""
     rng = random.Random(field.q * 7 + len(repr(field)))
     for _ in range(30):
         count, n = rng.randrange(1, 6), rng.randrange(1, 9)
         vectors = random_rows(field, count, n, rng)
         m = Mat(field, tuple(vectors), n)
         combiner = _Combiner(field, n, vectors)
-        independent = len(reference_rref_rows(field, vectors, n)[1]) == count
         x = tuple(rng.randrange(field.q) for _ in range(count))
         ys = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
         for y in [vec_mat(x, m)] + ys:
             got = combiner.solve(y)
-            want = reference_solve(field, m.transpose().rows, count, y)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert vec_mat(got, m) == y
-                assert got == want or not independent
+            assert got == reference_solve(field, m.transpose().rows, count, y)
+            assert got is None or vec_mat(got, m) == y
     with pytest.raises(OutOfRange, match=f"^entry {field.q} outside field of order {field.q}$"):
         _Combiner(field, 2, [(1, 0)]).solve((0, field.q))
+
+
+@pytest.mark.parametrize(
+    "field,vectors,y,x",
+    [
+        (F2, [(1,), (1,)], (1,), (1, 0)),
+        (F3, [(1, 0), (0, 1), (1, 1)], (1, 1), (1, 1, 0)),
+        (F3, [(0, 0), (2, 1), (1, 2), (1, 0)], (0, 1), (0, 1, 0, 1)),
+        (F4, [(1, 2), (2, 3), (3, 1)], (2, 3), (2, 0, 0)),
+    ],
+    ids=["gf2-repeated", "gf3-sum", "gf3-zero-and-multiple", "gf4-collinear"],
+)
+def test_combiner_sets_dependent_vectors_to_zero(field, vectors, y, x):
+    """A vector in the span of the ones before it gets coefficient 0, as a
+    free variable of the reduced [vectors as columns | y] does in solve."""
+    assert _Combiner(field, len(y), vectors).solve(y) == x
+    assert solve(Mat(field, tuple(vectors), len(y)).transpose(), y) == x
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)

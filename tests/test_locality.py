@@ -25,7 +25,7 @@ from subspace_lrc.errors import (
 )
 from subspace_lrc.gf import field_new
 from subspace_lrc.limits import DEFAULT_PACKING_CAP
-from subspace_lrc.linalg import Mat, Subspace, solve, subspace_sum, vec_dot
+from subspace_lrc.linalg import Mat, Subspace, subspace_sum, vec_dot
 from subspace_lrc.locality import (
     RecoverySet,
     RepairResult,
@@ -39,7 +39,7 @@ from subspace_lrc.locality import (
     min_node_recovery,
     repair,
 )
-from reference import contains_subspace, contains_vector, validate_recovery
+from reference import contains_subspace, contains_vector, reference_solve, validate_recovery
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -441,7 +441,7 @@ def _brute_coefficients(code, subset, vectors):
         return tuple(() for _ in vectors)
     cols = tuple(code.column_vector(i, m) for m in subset for i in range(code.b))
     helper = Mat(code.field, cols, code.M).transpose()
-    return tuple(solve(helper, v) for v in vectors)
+    return tuple(reference_solve(code.field, helper.rows, helper.cols, v) for v in vectors)
 
 
 def _brute_minimal(code, column, vectors, r):
@@ -542,7 +542,8 @@ def test_no_recovery_names_first_unrecoverable_target():
 # --- repair plans against the per-request path ----------------------------------
 # reference_repair is repair as it was before a code kept a plan per column:
 # every request solves all surviving equations and walks for the node's
-# recovery set afresh.
+# recovery set afresh. It solves by the tuple reference_solve, since the plan's
+# decoder is linalg.solve's own routine.
 
 
 def reference_repair(code, array, column):
@@ -557,7 +558,10 @@ def reference_repair(code, array, column):
         for i in range(code.b):
             rows.append(code.column_vector(i, m))
             rhs.append(array.rows[i][m])
-    message = solve(Mat(code.field, tuple(rows), code.M), tuple(rhs))
+    for x in rhs:
+        if not 0 <= x < code.field.q:
+            raise OutOfRange(f"entry {x} outside field of order {code.field.q}")
+    message = reference_solve(code.field, rows, code.M, rhs)
     if message is None:
         raise Inconsistent("surviving columns do not agree with any codeword")
     rset = min_node_recovery(code, column)
