@@ -346,14 +346,10 @@ def dual_distance_by_supports(code: ArrayCode) -> int:
     b, n, M = code.b, code.n, code.M
     if any(s.dim < b for s in code.subspaces):
         return 1
-    start = 3
-    try:
-        guard(n * (code.field.q**b - 1) // (code.field.q - 1), "listing the points of every block")
-    except TooLarge:
-        start = 2
-    else:
-        if any(len(h) > 1 for h in point_incidence(code.subspaces).values()):
-            return 2
+    table = _block_points(code)
+    if table is not None and any(len(h) > 1 for h in table.values()):
+        return 2
+    start = 2 if table is None else 3
     gen = code._packed_generator
     for w in range(start, n + 1):
         if w * b > M:
@@ -362,6 +358,16 @@ def dual_distance_by_supports(code: ArrayCode) -> int:
         if any(len(rows) > M - w * b for _, rows in _subset_quotients(gen, range(n), w)):
             return w
     raise TooLarge(f"no dual codeword of weight <= {n} found")
+
+
+def _block_points(code: ArrayCode) -> dict[int, list[int]] | None:
+    """point_incidence of the code's blocks, or None when listing the points
+    of every block is over the default enumeration limit."""
+    try:
+        guard(code.n * (code.field.q**code.b - 1) // (code.field.q - 1), "listing the points of every block")
+    except TooLarge:
+        return None
+    return point_incidence(code.subspaces)
 
 
 def is_mds(code: ArrayCode, *, distance: int | None = None, limit: int | None = None) -> bool:

@@ -416,6 +416,8 @@ class _Combiner:
 
     def solve(self, y) -> tuple[int, ...] | None:
         """The solution for the length-n y, or None when y is outside the span."""
+        if len(y) != self.n:
+            raise DimensionMismatch(f"vector length {len(y)}, expected {self.n}")
         L = _layout(self.field)
         v = _residual(self.field, self.n + self.count, self.rows, self.pivots, L.pack(y))
         if v & self.low:

@@ -21,6 +21,7 @@ pool only, stopped once it reaches that optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 
@@ -503,7 +504,6 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
     """The pair family of target grass[t_idx]; lines[i] lists the subspaces
     through the target's i-th point, the target among them."""
     target, q, M = grass[t_idx], field.q, grass[t_idx].ambient
-    L = _layout(field)
     meet_classes = [[i for i in cls if i != t_idx] for cls in lines]
     met = {i for cls in lines for i in cls}
     disjoint_classes = _disjoint_classes(field, grass, target, met)
@@ -524,8 +524,7 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
             pairs.extend(zip(parts[(i, j)], parts[(j, i)]))
 
     # within-class pairs for subspaces disjoint from the target
-    # in the order of the unpacked ubar, which packed ints do not keep
-    for ubar in sorted(disjoint_classes, key=lambda u: [L.unpack(row, M) for row in u]):
+    for ubar in sorted(disjoint_classes, key=_class_order(field, M)):
         members = disjoint_classes[ubar]
         done = set()
         for key in sorted(members):
@@ -544,6 +543,19 @@ def _pairing(field, grass, t_idx: int, lines) -> PairingResult:
     used = [i for p in pairs for i in p]
     assert len(used) == len(set(used)) and t_idx not in used
     return PairingResult(t_idx, tuple(pairs), len(used), len(grass) - 1)
+
+
+@lru_cache(maxsize=1)
+def _class_order(field, M: int):
+    """Sort key of a disjoint class's packed ubar rows, in the order of the
+    unpacked rows, which packed ints do not keep. Over GF(2) entry i is bit
+    i, so that is the order of the bit-reversed rows: a table of the 2^M
+    reversals, and nothing is unpacked."""
+    if field.q == 2:
+        reverse = [int(f"{row:0{M}b}"[::-1], 2) for row in range(1 << M)]
+        return lambda u: [reverse[row] for row in u]
+    L = _layout(field)
+    return lambda u: [L.unpack(row, M) for row in u]
 
 
 def _disjoint_classes(field, grass, target, met) -> dict[tuple, dict[tuple, int]]:

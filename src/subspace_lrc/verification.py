@@ -5,10 +5,24 @@ per construction: the closed forms it claims in its parameters (column
 count, distance and weight support, symbol and node locality, availability,
 dual distance and covering ratio), each with its note. The measurement is
 shared: a `_Measure` computes each expensive quantity of one code at most
-once (the weight distribution and d, the locality profile, the dual distance
+once (the weight distribution and d, the locality values, the dual distance
 by supports and the guarded exhaustive dual scan). One builder per check
-kind pairs a claim with its measurement; availability comes from the one
-locality entry that the library and `analyze` use too.
+kind pairs a claim with its measurement.
+
+Where the values come from. A suite prints locality values, never their
+witnesses, so when every block has dim b they come from a certificate
+(route "certificate"): the blocks' point table settles helper sets of one
+column, and pair sums of the packed generator give every other node an
+exact witness of two. The node and symbol locality, the smallest symbol
+helper count and whether some node needs fewer than two helpers are read
+from it. When the table is over its limit, a block is narrower than b or
+some node finds no pair, the lex-first witness walk of `locality_profile`
+measures them instead (route "walk"). Symbol availability at symbol
+locality 1 is the least holder count of a symbol's point minus one, read
+from the same table; other availability values come from a family's
+certificate or from the pool walk that the library and `analyze` use too.
+The dual distance is always measured by `dual_distance_by_supports`, apart
+from these values, so the dual-distance checks compare two measurements.
 
 Every check carries the measured value even when it passes. A quantity over
 an enumeration limit or the packing cap, or not claimed for the parameters,
@@ -26,6 +40,7 @@ from functools import cached_property
 
 from .arraycode import (
     ArrayCode,
+    _block_points,
     _spread_code,
     _std_code,
     _std_design,
@@ -39,6 +54,7 @@ from .arraycode import (
     weight_distribution,
 )
 from .designs import (
+    _holders,
     build_spread,
     gaussian,
     gaussian_or_zero,
@@ -47,7 +63,7 @@ from .designs import (
     verify_std,
 )
 from .errors import BadParams, NoRecovery, TooLarge
-from .limits import DEFAULT_PACKING_CAP, enumeration_limit
+from .limits import DEFAULT_PACKING_CAP, enumeration_limit, guard
 from .locality import (
     _candidate_count,
     _nonzero_targets,
@@ -173,6 +189,59 @@ def _design_check(outcomes, what) -> Check:
 # --- measurement ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Locality:
+    """The locality values a suite prints, and the route that measured them:
+    "certificate" (point table and pair sums) or "walk" (locality_profile)."""
+
+    node: int
+    symbol: int
+    min_symbol: int  # smallest helper count of a nonzero symbol
+    lone_node: bool  # some node needs fewer than two helpers
+    route: str
+
+
+def _certificate(code: ArrayCode, table) -> _Locality | None:
+    """Locality from the point table of blocks that all have dim b, or None
+    when some node finds no pair.
+
+    Size 1: column a recovers node j exactly when block a holds U_j, and
+    symbol (j, i) when it holds the symbol's point, row i of U_j's basis.
+    Size 2, for each node j that no single column recovers: helpers a
+    nearest to j first (j + 1, j - 1, j + 2, .. mod n), and the candidates c
+    that U_j + U_a holds. Every node that U_a + U_c holds, other than a and
+    c, has the exact witness {a, c}, so one sum settles each pending node it
+    holds.
+    """
+    gen, n = code._packed_generator, code.n
+    alone = [_holders(table, s) == [j] for j, s in enumerate(code.subspaces)]
+    pending = sum(gen.flag(j, None) for j in range(n) if alone[j])
+
+    def held(rows, a, c):
+        # the node flags, other than a's and c's, whose blocks lie in the rows' sum
+        return gen.guards & ~gen.unheld(rows) & ~gen.flag(a, None) & ~gen.flag(c, None)
+
+    for j in range(n):
+        flag, ring = gen.flag(j, None), ((j + s * d) % n for d in range(1, n // 2 + 1) for s in (1, -1))
+        if pending & flag:
+            rows = gen.eliminate(gen.rows, j)
+        while pending & flag:
+            a = next(ring, None)
+            if a is None:
+                return None
+            candidates = held(gen.eliminate(rows, a), j, a)
+            if candidates:
+                rest = gen.eliminate(gen.rows, a)
+            while candidates and pending & flag:
+                c = (candidates & -candidates).bit_length() // gen.width - 1
+                candidates &= candidates - 1
+                pending &= ~held(gen.eliminate(rest, c), a, c)
+    # each symbol's single-column helpers: the other holders of its point
+    others = [len(table[p]) - 1 for s in code.subspaces for p in s.rows]
+    symbol, smallest = (1 if k else 2 for k in (min(others), max(others)))
+    return _Locality(2 if any(alone) else 1, symbol, smallest, not all(alone), "certificate")
+
+
 class _Measure:
     """The measured quantities of one code, each computed at most once.
 
@@ -194,15 +263,34 @@ class _Measure:
         return None if self.weights is None else min(w for w in self.weights if w > 0)
 
     @cached_property
+    def table(self) -> dict[int, list[int]] | None:
+        """The blocks' point table when every block has dim b and listing
+        their points fits the limit dual_distance_by_supports uses, else None."""
+        code = self.code
+        return None if any(s.dim < code.b for s in code.subspaces) else _block_points(code)
+
+    @cached_property
     def profile(self):
         return locality_profile(self.code)
 
     @cached_property
+    def locality(self) -> _Locality:
+        """From the certificate when it settles every node, else from the walk."""
+        found = None if self.table is None else _certificate(self.code, self.table)
+        if found is not None:
+            return found
+        p = self.profile
+        # a nonzero symbol needs a helper and a zero symbol's witness is empty
+        smallest = min(w.size for row in p.symbol_witnesses for w in row if w.size)
+        lone = any(w.size < 2 for w in p.node_witnesses)
+        return _Locality(p.node_locality, p.symbol_locality, smallest, lone, "walk")
+
+    @cached_property
     def locality_skip(self) -> str:
-        """Why the code has no locality profile: the first node with no
+        """Why the code has no locality values: the first node with no
         recovery set, named by NoRecovery; empty when it has one."""
         try:
-            self.profile
+            self.locality
         except NoRecovery as exc:
             return str(exc)
         return ""
@@ -260,10 +348,10 @@ def _locality_checks(
             _skip("symbol-locality", "smallest symbol recovery", skip, "-" if symbol is None else symbol),
             _skip("node-locality", "smallest node recovery", skip),
         ]
-    p = m.profile
+    loc = m.locality
     return [
-        _expect("symbol-locality", "worst-case smallest symbol recovery set", symbol, p.symbol_locality),
-        _expect("node-locality", node_description, node, p.node_locality, note),
+        _expect("symbol-locality", "worst-case smallest symbol recovery set", symbol, loc.symbol),
+        _expect("node-locality", node_description, node, loc.node, note),
     ]
 
 
@@ -293,7 +381,10 @@ def _availability_check(m: _Measure, kind, r, expected, description, *, note="",
     so neither the packing cap nor the enumeration limit applies. Otherwise
     skipped when r > 1 and the helper sets of size <= r outnumber the packing
     cap, or over the enumeration limit; so every packing measured is exact,
-    single columns being disjoint. With expected None the value is reported.
+    single columns being disjoint. Symbols at r = 1 read their singleton
+    helpers, the other holders of their point, off the point table when
+    there is one, under the same limit. With expected None the value is
+    reported.
     """
     check_id, what, code = f"{kind}-availability", f"disjoint {kind} helper sets", m.code
     if proven is None:
@@ -301,12 +392,16 @@ def _availability_check(m: _Measure, kind, r, expected, description, *, note="",
         if r > 1 and budget > m.exact_cap:
             return _skip(check_id, what, f"candidate enumeration {budget} over cap{skip_note}")
         try:
-            group = _nonzero_targets(code, kind, r)
-            [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
+            if kind == "symbol" and r == 1 and m.table is not None:
+                guard(budget, f"enumerating {budget} candidate helper sets", m.limit)
+                proven = min(len(m.table[p]) for s in code.subspaces for p in s.rows) - 1
+            else:
+                group = _nonzero_targets(code, kind, r)
+                [worst] = _worst_availability(code, [group], exact_cap=m.exact_cap, limit=m.limit)
+                assert worst.exact, "single-column pools and pools within the cap pack exactly"
+                proven = worst.value
         except TooLarge as exc:
             return _skip(check_id, what, f"{exc}{skip_note}")
-        assert worst.exact, "single-column pools and pools within the cap pack exactly"
-        proven = worst.value
     measured = f"{proven} (exact)"
     if expected is None:
         return _info(check_id, measured, note)
@@ -331,15 +426,14 @@ def _dual_distance_checks(m: _Measure, skip="", *, claimed=True) -> list[Check]:
     d_dual, exhaustive = m.dual_distance, m.dual_scan
     verdict = "agrees" if exhaustive == d_dual else "disagrees"
     note = "" if exhaustive is None else f"exhaustive dual scan {verdict}: {exhaustive}"
-    by_worst_claim = m.profile.symbol_locality + 1 if claimed else None
+    by_worst_claim = m.locality.symbol + 1 if claimed else None
     checks = [_expect("dual-distance", by_worst, by_worst_claim, d_dual, note)]
     if exhaustive is not None and exhaustive != d_dual:
         description = "support search agrees with exhaustive dual scan"
         checks.append(_cond("dual-distance-cross-check", description, False, d_dual, exhaustive))
     if m.locality_skip:
         return checks + [_skip("dual-distance-min-symbol", by_min, m.locality_skip)]
-    # a nonzero symbol needs a helper and a zero symbol's witness is empty
-    min_sym = min(w.size for row in m.profile.symbol_witnesses for w in row if w.size)
+    min_sym = m.locality.min_symbol
     by_min_claim = min_sym + 1 if claimed else _Range(1, min_sym + 1)
     checks.append(_expect("dual-distance-min-symbol", by_min, by_min_claim, d_dual))
     return checks
@@ -401,7 +495,7 @@ def verify_all_subspaces(
 
 def _all_subspaces_availability(m: _Measure) -> list[Check]:
     code, M, b, q = m.code, m.code.M, m.code.b, m.code.field.q
-    r_s, r_n = m.profile.symbol_locality, m.profile.node_locality
+    r_s, r_n = m.locality.symbol, m.locality.node
 
     # symbol availability: worst over symbols, helper sets of size <= r_s
     description = "disjoint symbol helper sets within the symbol locality"
@@ -450,8 +544,7 @@ def _all_subspaces_availability(m: _Measure) -> list[Check]:
         expected, description = _Range(lb), "exact packing meets the pair-family lower bound"
     # with no single helper holding a node, every helper set takes two of the
     # other n - 1 columns: valid families of (n - 1) // 2 pairs pack maximally
-    alone = any(w.size < 2 for w in m.profile.node_witnesses)
-    proven = smallest if valid and not alone and smallest == (code.n - 1) // 2 else None
+    proven = smallest if valid and not m.locality.lone_node and smallest == (code.n - 1) // 2 else None
     skip_note = f"; pair family still proves >= {smallest}"
     checks.append(_availability_check(m, "node", r_n, expected, description, skip_note=skip_note, proven=proven))
     return checks
@@ -612,7 +705,7 @@ def verify_std_full(
     if not availability:
         avail = _availability_disabled()
     elif t >= 2:
-        r_s, expected = m.profile.symbol_locality, q ** (m_dim * (t - 1)) - 1
+        r_s, expected = m.locality.symbol, q ** (m_dim * (t - 1)) - 1
         avail = [_availability_check(m, "symbol", r_s, expected, "disjoint singleton helpers per symbol")]
     else:
         avail = [_skip("symbol-availability", "disjoint helpers per symbol", "claimed only for t >= 2")]
@@ -654,9 +747,9 @@ def verify_blocks(code: ArrayCode, *, limit: int | None = None) -> VerificationS
         else _cond(
             "locality-order",
             "symbol locality never exceeds node locality",
-            m.profile.symbol_locality <= m.profile.node_locality,
+            m.locality.symbol <= m.locality.node,
             "r_s <= r_n",
-            f"r_s={m.profile.symbol_locality}, r_n={m.profile.node_locality}",
+            f"r_s={m.locality.symbol}, r_n={m.locality.node}",
         ),
         *_dual_distance_checks(m, claimed=False),
         _covering_check("ball-ratio", "", perfectness(code)),

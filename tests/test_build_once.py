@@ -139,12 +139,13 @@ INCIDENCE = {
 
 @pytest.mark.parametrize("case", sorted(INCIDENCE))
 def test_verify_builds_one_point_incidence_per_block_set(case):
-    """The design check, the dual-distance rule and the b = 2 pair family of
-    one run read one shared point-to-blocks table."""
+    """The design check, the locality certificate, the dual-distance rule and
+    the b = 2 pair family of one run read one shared point-to-blocks table:
+    built by the first of them, read again by the two that follow."""
     designs._point_incidence.cache_clear()
     assert run(["verify", *INCIDENCE[case]])[0] == 0
     info = designs._point_incidence.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_point_incidence_is_kept_for_equal_blocks_only():

@@ -492,6 +492,16 @@ def test_combiner_matches_reference_solve(field):
         _Combiner(field, 2, [(1, 0)]).solve((0, field.q))
 
 
+@pytest.mark.parametrize("y", [(0, 1), (), (1, 0, 0)], ids=["long", "empty", "longer"])
+def test_combiner_refuses_a_y_of_another_length(y):
+    """A y longer than n would spill into the coefficient tail and be
+    answered; any length other than n is refused."""
+    combiner = _Combiner(F2, 1, [(1,), (0,)])
+    with pytest.raises(DimensionMismatch, match=f"^vector length {len(y)}, expected 1$"):
+        combiner.solve(y)
+    assert combiner.solve((1,)) == (1, 0)
+
+
 @pytest.mark.parametrize(
     "field,vectors,y,x",
     [

@@ -21,7 +21,7 @@ from subspace_lrc.designs import enumerate_grassmannian, point_incidence
 from subspace_lrc.gf import parse_field
 from subspace_lrc.linalg import _layout, _points
 from reference import disjoint_classes, projective_points
-from subspace_lrc.locality import _disjoint_classes, _pairing, grassmann_pairing
+from subspace_lrc.locality import _class_order, _disjoint_classes, _pairing, grassmann_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pairing.json"
 
@@ -96,6 +96,25 @@ def test_gf2_disjoint_classes_match_the_general_reduction(M, step):
         assert sorted(i for members in fast.values() for i in members.values()) == [
             i for i in range(len(grass)) if i not in met
         ]
+
+
+@pytest.mark.parametrize("M", [3, 4, 5, 6])
+def test_gf2_class_order_is_the_unpacked_order(M):
+    """Over GF(2) the disjoint classes sort on their bit-reversed packed rows,
+    which orders them as the unpacked rows that the other fields sort on do."""
+    field = parse_field("gf(2)")
+    L = _layout(field)
+    grass = enumerate_grassmannian(field, M, 2)
+    through = point_incidence(grass)
+    sizes = set()
+    for t in range(len(grass)):
+        met = {i for p in _points(grass[t]) for i in through[p]}
+        classes = list(_disjoint_classes(field, grass, grass[t], met))
+        sizes.add(len(classes))
+        unpacked = sorted(classes, key=lambda u: [L.unpack(row, M) for row in u])
+        assert sorted(classes, key=_class_order(field, M)) == unpacked
+    # from M = 5 on some target has several classes, whose order is pinned
+    assert M < 5 or max(sizes) > 1
 
 
 def regenerate() -> None:

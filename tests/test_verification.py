@@ -348,19 +348,21 @@ def counted_availability(monkeypatch):
 @pytest.mark.parametrize("field,M", CERTIFIED, ids=CERTIFIED_IDS)
 def test_all_subspaces_node_availability_certificate_matches_walk(monkeypatch, field, M):
     """The pair family settles node availability with the walk's value, and
-    the walk then runs for the symbol group only."""
+    the point table symbol availability at r_s = 1: no pool walk runs."""
     groups = counted_availability(monkeypatch)
     suite = verify_all_subspaces(field, M, 2)
     assert suite.ok, "\n".join(suite.lines())
-    assert len(groups) == 1 and all(row is not None for _, row, _ in groups[0])
+    assert groups == []
 
     code = construction_all_subspaces(field, M, 2)
     r_n = int(by_id(suite, "node-locality").measured)
-    [walk] = locality._worst_availability(
-        code, [locality._nonzero_targets(code, "node", r_n)], exact_cap=DEFAULT_PACKING_CAP, limit=None
-    )
-    assert walk.exact and walk.value == (code.n - 1) // 2
-    assert by_id(suite, "node-availability").measured == f"{walk.value} (exact)"
+    r_s = int(by_id(suite, "symbol-locality").measured)
+    targets = [locality._nonzero_targets(code, "node", r_n), locality._nonzero_targets(code, "symbol", r_s)]
+    node, symbol = locality._worst_availability(code, targets, exact_cap=DEFAULT_PACKING_CAP, limit=None)
+    assert node.exact and node.value == (code.n - 1) // 2
+    assert by_id(suite, "node-availability").measured == f"{node.value} (exact)"
+    assert r_s == 1 and symbol.exact
+    assert by_id(suite, "symbol-availability").measured == f"{symbol.value} (exact)"
 
 
 def line_pair_missing(grass, t):
@@ -393,7 +395,8 @@ def swap_first_pair(field, M, pairings):
 )
 def test_all_subspaces_short_or_invalid_family_runs_the_walk(monkeypatch, field, M, corrupt, value, family):
     """A family below the counting bound or with a pair that misses its
-    target proves nothing exact: the walk runs and finds the same value."""
+    target proves nothing exact: the walk runs for the node group (symbol
+    availability comes from the point table) and finds the same value."""
     from subspace_lrc import verification
 
     pairing = verification.grassmann_pairing
@@ -402,7 +405,7 @@ def test_all_subspaces_short_or_invalid_family_runs_the_walk(monkeypatch, field,
     )
     groups = counted_availability(monkeypatch)
     suite = verify_all_subspaces(field, M, 2)
-    assert len(groups) == 2 and all(row is None for _, row, _ in groups[1])
+    assert len(groups) == 1 and all(row is None for _, row, _ in groups[0])
     assert by_id(suite, "pairing-family").measured == family
     assert by_id(suite, "node-availability").measured == f"{value} (exact)"
     assert by_id(suite, "node-availability").status == "pass"

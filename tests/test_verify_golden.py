@@ -9,8 +9,10 @@ and stderr of every case. After a deliberate output change, rewrite them with
 
 and say in the change log which goldens changed and why.
 
-`all-subspaces-q2-M6-b2.txt` is not a case here: its run takes seconds, so
-CI's "Source size" step compares it instead. Rewrite it with the stdout of
+`all-subspaces-q2-M6-b2.txt`, `all-subspaces-q2-M6-b3.txt`,
+`spread-q2-M15-b5.txt` and `spread-q2-M16-b4.txt` are not cases here: their runs take seconds, so CI's
+"Source size" step compares them instead. Rewrite each with the stdout of
+its command, for example
 
     PYTHONPATH=src python -m subspace_lrc.cli verify all-subspaces -M 6 -b 2
 """
