@@ -10,19 +10,25 @@ single target admits.
 All searches are exact and deterministic: subsets are tried in size order,
 then lexicographically, and the first valid set wins. While one node j is
 the only pending target, a prefix whose sum S misses b dimensions of U_j
-tries as its last helper only the nodes inside S + U_j. Availability packs the
-minimal valid helper sets: exactly when the pool is within the packing cap or
-pairwise disjoint, else as a flagged greedy lower bound. At r <= 2 within the
-cap a pool's value is its singleton count plus a maximum matching; the family
-shown for a group comes from branch-and-bound on the group's first worst
-pool only, stopped once it reaches that optimum.
+tries as its last helper only the nodes inside S + U_j.
+
+Availability packs the minimal valid helper sets, which one walk records once
+each with the flags of every target they serve: exactly when the pool is
+within the packing cap or pairwise disjoint, else as a flagged greedy lower
+bound. When a group's candidate sets are within the cap, a target needs no
+pool when a greedy over the recorded pairs, run for all targets at once,
+reaches the counting bound, or when the pairs shared by the whole group form
+a factor-critical graph on its pool's columns. The rest are packed, at r <= 2
+by their singleton count plus a maximum matching. The family shown for a
+group comes from branch-and-bound on the group's first worst pool only,
+stopped once it reaches that optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .arraycode import ArrayCode
@@ -114,14 +120,27 @@ def evaluate_recovery(code: ArrayCode, rset: RecoverySet, array: Mat) -> tuple[i
 # test tells every target the sum holds: its flag is clear in gen.unheld.
 
 
-def _held(gen, subset, rows, wanted: int):
-    """Each flag in wanted, outside the subset's own columns, that the sum holds."""
+def _own_flags(gen, n: int, targets) -> list[int]:
+    """own[m]: the flags of the targets in column m, which its helper sets never hold."""
+    own = [0] * n
+    for column, row, *_ in targets:
+        own[column] |= gen.flag(column, row)
+    return own
+
+
+def _held_flags(gen, own, subset, rows, wanted: int) -> int:
+    """The flags in wanted, outside the subset's own columns, that its sum holds."""
     for m in subset:
-        wanted &= ~(((1 << gen.width) - 1) << m * gen.width)
-    held = wanted & ~gen.unheld(rows)
-    while held:
-        yield held & -held
-        held &= held - 1
+        wanted &= ~own[m]
+    return wanted & ~gen.unheld(rows)
+
+
+def _indices(flags: int, index):
+    """index[bit] for each set bit of flags, lowest first."""
+    while flags:
+        bit = flags & -flags
+        yield index[bit]
+        flags ^= bit
 
 
 def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
@@ -138,6 +157,7 @@ def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
     waiting = {gen.flag(*targets[k]): k for k, f in enumerate(found) if f is None}
     assert len(waiting) == found.count(None), "targets must be distinct"
     pending = sum(waiting)
+    own = _own_flags(gen, code.n, targets)
     columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
 
     def leaves(rows):
@@ -154,11 +174,13 @@ def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
         if not pending:
             break
         for subset, rows in _subset_quotients(gen, columns, size, leaves):
-            for bit in _held(gen, subset, rows, pending):
-                found[waiting[bit]] = subset
-                pending ^= bit
-            if not pending:
-                break
+            held = _held_flags(gen, own, subset, rows, pending)
+            if held:
+                pending ^= held
+                for k in _indices(held, waiting):
+                    found[k] = subset
+                if not pending:
+                    break
     out = []
     for (column, row), subset in zip(targets, found):
         if subset is None:
@@ -173,37 +195,64 @@ def _candidate_count(n: int, r: int) -> int:
     return sum(comb(n - 1, s) for s in range(1, r + 1))
 
 
-def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list[tuple]]:
-    """Each target's minimal valid helper sets, in (size, lex) order.
+def _minimal_record(code: ArrayCode, targets, *, limit=None) -> list[tuple[tuple, int]]:
+    """Every helper set minimal for some target, once, in (size, lex) order,
+    with the flags of the targets it is minimal for.
 
-    targets are distinct (column, row, r) triples; a helper set is valid when
-    its size is at most r and its sum holds the target. Sums only grow, so a
-    valid set is minimal unless one of its subsets one element smaller was
-    valid too.
+    targets are distinct (column, row, r) triples; a helper set is valid for
+    one when its size is at most r and its sum holds the target. Sums only
+    grow, so a valid set is minimal unless one of its faces, the subsets one
+    element smaller, was valid too: it is minimal for the flags it holds
+    that no face's valid flags (prev[face]) carry.
     """
     for r in dict.fromkeys(r for _, _, r in targets):
         total = _candidate_count(code.n, r)
         guard(total, f"enumerating {total} candidate helper sets", limit)
     gen = code._packed_generator
-    pools: list[list[tuple]] = [[] for _ in targets]
-    valid: list[set] = [set() for _ in targets]  # valid sets one size smaller
+    assert len({gen.flag(c, i) for c, i, _ in targets}) == len(targets), "targets must be distinct"
+    own = _own_flags(gen, code.n, targets)
+    record: list[tuple[tuple, int]] = []
+    prev: dict[tuple, int] = {}
     for size in range(1, max((r for _, _, r in targets), default=0) + 1):
-        active = [k for k, t in enumerate(targets) if t[2] >= size]
-        waiting = {gen.flag(*targets[k][:2]): k for k in active}
-        assert len(waiting) == len(active), "targets must be distinct"
-        wanted = sum(waiting)
-        grown: list[set] = [set() for _ in targets]
-        columns = [m for m in range(code.n) if any(targets[k][0] != m for k in active)]
+        active = [t for t in targets if t[2] >= size]
+        wanted = sum(gen.flag(c, i) for c, i, _ in active)
+        grow = sum(gen.flag(c, i) for c, i, r in active if r > size)
+        columns = [m for m in range(code.n) if any(t[0] != m for t in active)]
+        valid: dict[tuple, int] = {}
         for subset, rows in _subset_quotients(gen, columns, size):
-            faces = [subset[:i] + subset[i + 1 :] for i in range(size)]
-            for bit in _held(gen, subset, rows, wanted):
-                k = waiting[bit]
-                if not (valid[k] and any(f in valid[k] for f in faces)):
-                    pools[k].append(subset)
-                if size < targets[k][2]:
-                    grown[k].add(subset)
-        valid = grown
+            held = _held_flags(gen, own, subset, rows, wanted)
+            if not held:
+                continue
+            fresh = held
+            if prev:
+                for i in range(size):
+                    fresh &= ~prev.get(subset[:i] + subset[i + 1 :], 0)
+            if fresh:
+                record.append((subset, fresh))
+            if held & grow:
+                valid[subset] = held & grow
+        prev = valid
+    return record
+
+
+def _pools(record, flags) -> dict[int, list[tuple]]:
+    """pools[f]: the record's sets minimal for the target of flag f, in record order."""
+    pools: dict[int, list[tuple]] = {f: [] for f in flags}
+    wanted = sum(pools)
+    for subset, held in record:
+        held &= wanted
+        while held:
+            bit = held & -held
+            pools[bit].append(subset)
+            held ^= bit
     return pools
+
+
+def _minimal_recovery_sets(code: ArrayCode, targets, *, limit=None) -> list[list[tuple]]:
+    """Each target's minimal valid helper sets, in (size, lex) order."""
+    flags = [code._packed_generator.flag(c, i) for c, i, _ in targets]
+    pools = _pools(_minimal_record(code, targets, limit=limit), flags)
+    return [pools[f] for f in flags]
 
 
 def min_node_recovery(code: ArrayCode, column: int) -> RecoverySet:
@@ -322,28 +371,37 @@ def _matching_value(sets) -> int:
 
     A set of size < 2 is always worth taking, since it meets at most one
     pair of a packing; the pairs clear of those sets are the edges of a
-    graph, packed by a maximum matching: Edmonds' blossom search, started
-    from a greedy matching, with one augmenting-path search per free vertex.
+    graph, packed by a maximum matching.
     """
     loose = [s for s in sets if len(s) < 2]
     taken = set().union(*loose)
     edges = [s for s in sets if len(s) == 2 and taken.isdisjoint(s)] if loose else sets
-    mate: dict = {}
-    for a, c in edges:
-        if a not in mate and c not in mate:
-            mate[a], mate[c] = c, a
-    vertices = set().union(*edges)
-    n, size = len(vertices), len(mate) // 2
-    if 2 * (size + 1) > n:  # the greedy start already covers all but one vertex
-        return len(loose) + size
-    ids = {x: i for i, x in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, c in edges:
-        adj[ids[a]].append(ids[c])
-        adj[ids[c]].append(ids[a])
-    match = [ids[mate[x]] if x in mate else -1 for x in ids]
+    return len(loose) + _maximum_matching(set().union(*edges), edges)[0]
 
-    def augment(root) -> bool:
+
+def _maximum_matching(vertices, edges):
+    """A maximum matching of a graph: Edmonds' blossom search, started from a
+    greedy matching, with one augmenting-path search per free vertex.
+
+    Returns (size, match, augment), the vertices numbered in the order
+    given: match[i] is the mate of vertex i, or -1. augment(root) searches
+    the alternating paths from the free vertex root. It flips an augmenting
+    path into match and returns None, or returns seen, where seen[i] says
+    whether an even alternating path from root reaches i, blossoms included.
+    """
+    ids = {x: i for i, x in enumerate(vertices)}
+    n = len(ids)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    match = [-1] * n
+    for a, c in edges:
+        a, c = ids[a], ids[c]
+        adj[a].append(c)
+        adj[c].append(a)
+        if match[a] < 0 and match[c] < 0:
+            match[a], match[c] = c, a
+    size = (n - match.count(-1)) // 2
+
+    def augment(root):
         # BFS over alternating paths from root; an odd cycle (blossom) is
         # shrunk onto its base, so the path found is augmenting in the graph
         parent, base = [-1] * n, list(range(n))
@@ -385,17 +443,29 @@ def _matching_value(sets) -> int:
                             v, nxt = parent[w], match[parent[w]]
                             match[w], match[v] = v, w
                             w = nxt
-                        return True
+                        return None
                     seen[match[w]] = True
                     queue.append(match[w])
-        return False
+        return seen
 
     for root in range(n):
-        if 2 * (size + 1) > n:
+        if 2 * (size + 1) > n:  # all but at most one vertex covered
             break
-        if match[root] < 0 and augment(root):
+        if match[root] < 0 and augment(root) is None:
             size += 1
-    return len(loose) + size
+    return size, match, augment
+
+
+def _factor_critical(vertices, edges) -> bool:
+    """Whether the graph less any one vertex has a perfect matching.
+
+    It does exactly when a maximum matching leaves one vertex u free and an
+    even alternating path from u reaches every vertex (Gallai-Edmonds): each
+    such path, flipped, is a maximum matching that leaves its end free.
+    """
+    _, match, augment = _maximum_matching(vertices, edges)
+    free = [i for i, m in enumerate(match) if m < 0]
+    return len(free) == 1 and all(augment(free[0]))
 
 
 def _packing_value(pool, exact_cap) -> int:
@@ -442,20 +512,94 @@ def _nonzero_targets(code: ArrayCode, kind: str, r: int) -> list[tuple]:
     return group
 
 
+def _settle(n: int, record, flags, own, within: bool) -> tuple[list[int], int]:
+    """Each target's greedy packing count, a lower bound on its pool's value,
+    and the flags of the targets where that count is the value.
+
+    The greedy takes every singleton, then the pairs in record order, for all
+    targets at once: used[m] flags the targets whose packing holds column m.
+    Within the cap a target is settled when its count reaches the counting
+    bound, singletons plus half the columns U of its other sets (a minimal
+    set holds no singleton), that is when it leaves at most one column of U
+    free. So is each target with U = V(H) less its own column when H, the
+    pairs minimal for every target of the group outside their own columns,
+    is factor-critical: H less that column has a matching that leaves at
+    most one column of U free, and H's pairs clear of it are in the pool.
+    """
+    group = sum(flags)
+    index = {f: k for k, f in enumerate(flags)}
+    singles, taken = [0] * len(flags), [0] * len(flags)
+    cover, used = [0] * n, [0] * n
+    shared = []
+    for subset, held in record:
+        held &= group
+        if not held:
+            continue
+        if len(subset) == 1:
+            for k in _indices(held, index):
+                singles[k] += 1
+            continue
+        for m in subset:
+            cover[m] |= held
+        if len(subset) == 2:
+            a, c = subset
+            take = held & ~(used[a] | used[c])
+            if take:
+                used[a] |= take
+                used[c] |= take
+                for k in _indices(take, index):
+                    taken[k] += 1
+            if within and not group & ~(held | own[a] | own[c]):
+                shared.append(subset)
+    lower = [s + t for s, t in zip(singles, taken)]
+    if not within:
+        return lower, 0
+    once = twice = 0  # targets with a column of U the greedy left free, with two
+    for m in range(n):
+        free = cover[m] & ~used[m]
+        twice |= once & free
+        once |= free
+    settled = group & ~twice
+    vertices = set().union(*shared)
+    if settled != group and shared and _factor_critical(vertices, shared):
+        fits = group & ~settled
+        for m in range(n):
+            fits &= cover[m] | own[m] if m in vertices else ~cover[m]
+        for k in _indices(fits, index):
+            lower[k] = singles[k] + (len(vertices) - 1) // 2
+        settled |= fits
+    return lower, settled
+
+
 def _worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
     """Worst availability over each group of distinct (column, row, r)
-    targets, with every pool from one walk: the packing of the group's first
-    pool with the smallest value, the only pool of the group whose family is
-    searched."""
-    pools = iter(_minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit))
+    targets, from one record of minimal helper sets: the packing of the
+    group's first pool with the smallest value, the only pool of the group
+    whose family is searched.
+
+    Targets are visited in order, and one whose greedy count is not below
+    the smallest value so far is passed over. When the group's candidate
+    sets are within the cap, every pool packs exactly, and a target that
+    _settle settles needs no pool; the others are packed.
+    """
+    gen = code._packed_generator
+    record = _minimal_record(code, [t for g in groups for t in g], limit=limit)
     out = []
     for g in groups:
-        group = list(islice(pools, len(g)))
-        values = [_packing_value(p, exact_cap) for p in group]
-        pool = group[values.index(min(values))]
-        value, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap)
-        assert value == min(values), "a pool's value and its packing disagree"
-        out.append(AvailabilityResult(value, exact, sets))
+        flags = [gen.flag(c, i) for c, i, _ in g]
+        within = _candidate_count(code.n, max(r for _, _, r in g)) <= exact_cap
+        lower, settled = _settle(code.n, record, flags, _own_flags(gen, code.n, g), within)
+        pools = _pools(record, [f for f in flags if not f & settled])
+        worst, value = None, float("inf")
+        for f, low in zip(flags, lower):
+            if low < value:
+                v = low if f & settled else _packing_value(pools[f], exact_cap)
+                if v < value:
+                    worst, value = f, v
+        pool = pools[worst] if worst in pools else _pools(record, [worst])[worst]
+        count, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap)
+        assert count == value, "a pool's value and its packing disagree"
+        out.append(AvailabilityResult(count, exact, sets))
     return out
 
 

@@ -3,8 +3,9 @@
 They give the reduced row echelon form and rank of a matrix, membership and
 containment in a subspace, the vectors and points of a subspace, codeword
 membership by solving against the generator, the algebraic check of a
-recovery set's functionals, and the general classification of the subspaces
-disjoint from a pair-family target. They run on the package's packed kernel
+recovery set's functionals, the general classification of the subspaces
+disjoint from a pair-family target, and worst availability with every
+target's pool packed. They run on the package's packed kernel
 (`linalg._rref_rows`, `_residual`), not through its subset walk, weight
 scan or verifiers, so a test can check those against them.
 
@@ -12,9 +13,13 @@ Solving is the exception: `linalg.solve`, the repair decoder and the
 recovery functionals are one routine (`linalg._Combiner`), so the oracles
 for them, `reference_rref_rows` and `reference_solve`, are Gauss-Jordan on
 tuples with one field call per entry, and `is_codeword` solves with them.
+The availability oracle reads its pools off the subset walk, which
+tests/test_subset_walk.py checks against subspace sums, and packs each.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from subspace_lrc.arraycode import ArrayCode
 from subspace_lrc.errors import DimensionMismatch
@@ -32,7 +37,13 @@ from subspace_lrc.linalg import (
     subspace_sum,
     vec_mat,
 )
-from subspace_lrc.locality import RecoverySet
+from subspace_lrc.locality import (
+    AvailabilityResult,
+    RecoverySet,
+    _minimal_recovery_sets,
+    _packing_value,
+    max_disjoint_packing,
+)
 
 
 def rref(m: Mat) -> tuple[Mat, int, tuple[int, ...]]:
@@ -167,3 +178,19 @@ def disjoint_classes(field, grass, target, met) -> dict[tuple, dict[tuple, int]]
         key = tuple(tuple(L.entry(row, M + p) for p in target.pivots) for row in split)
         disjoint_classes.setdefault(tuple(row & low for row in split), {})[key] = idx
     return disjoint_classes
+
+
+def reference_worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -> list:
+    """locality._worst_availability with nothing settled: every target's pool
+    is packed, and the group's first pool with the smallest value gives the
+    family."""
+    pools = iter(_minimal_recovery_sets(code, [t for g in groups for t in g], limit=limit))
+    out = []
+    for g in groups:
+        group = list(islice(pools, len(g)))
+        values = [_packing_value(p, exact_cap) for p in group]
+        pool = group[values.index(min(values))]
+        value, sets, exact = max_disjoint_packing(pool, exact_cap=exact_cap)
+        assert value == min(values), "a pool's value and its packing disagree"
+        out.append(AvailabilityResult(value, exact, sets))
+    return out
