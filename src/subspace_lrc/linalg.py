@@ -13,8 +13,9 @@ vector is one Python int with k digit slots per entry, entry 0 lowest.
 For p = 2 a slot is one bit and adding vectors is one XOR; for odd p a slot
 has a guard bit and an addition is a handful of whole-int operations (see
 _Layout and _Slots, which the weight scan in arraycode shares). Entries are
-range-checked once, when a vector is packed; elimination makes no field
-call beyond one inverse per pivot whose leading entry is not 1.
+range-checked once, when a vector is packed (in one int() call over the
+entries as digits when an entry takes at most 5 bits); elimination makes
+no field call beyond one inverse per pivot whose leading entry is not 1.
 """
 
 from __future__ import annotations
@@ -62,10 +63,23 @@ class _Layout:
         # the element a packed entry stands for; None when they coincide
         self.element = {v: x for x, v in enumerate(spread)} if self.odd and k > 1 else None
         self._terms: dict[int, tuple] = {}
+        # a packed vector read as base-2^sym digits; int() parses up to base
+        # 32, and '!', no digit, stands for an entry outside the field
+        self.digits = None
+        if self.sym <= 5:
+            table = bytearray(b"!" * 256)
+            for x in range(q):
+                table[x] = ord("0123456789abcdefghijklmnopqrstuv"[spread[x]])
+            self.digits = bytes(table)
 
     def pack(self, v, b: int = 1, width: int | None = None) -> int:
         """Entry i*b + j of v at bit i*width + j*sym (width defaults to b*sym)."""
         q, sym, spread = self.q, self.sym, self.spread
+        if width is None and self.digits is not None:
+            try:
+                return int(bytes(v[::-1]).translate(self.digits), 1 << sym)
+            except (TypeError, ValueError):
+                pass  # no entries, or one outside the field: the loop names it
         out = 0
         for idx, x in enumerate(v):
             if x:
@@ -389,13 +403,13 @@ def solve(m: Mat, rhs: tuple[int, ...]):
     """One solution x of m @ x = rhs, or None if inconsistent (free vars -> 0)."""
     if len(rhs) != m.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    return _Combiner(m.field, m.nrows, m.transpose().rows).solve(rhs)
+    return _Combiner(m.field, m.nrows, _packed_rows(m.transpose())).solve(rhs)
 
 
 class _Combiner:
     """Coefficients x with sum_r x_r * vectors[r] = y, for many y and fixed vectors.
 
-    The package's one linear solver. Each length-n vectors[r] is packed with
+    The package's one linear solver. Each packed length-n vectors[r] gets
     the unit vector e_(count-1-r) appended, so the tail lists the vectors in
     reverse, and the rows are reduced once. Reducing [y | 0] by them leaves
     [y - x G | -x reversed] with x G the part of y in the span of the
@@ -411,7 +425,7 @@ class _Combiner:
         L = _layout(field)
         self.low = (1 << (n * L.sym)) - 1
         top = n + self.count - 1
-        packed = [L.pack(v) | 1 << ((top - r) * L.sym) for r, v in enumerate(vectors)]
+        packed = [v | 1 << ((top - r) * L.sym) for r, v in enumerate(vectors)]
         self.rows, self.pivots = _rref_rows(field, n + self.count, packed)
 
     def solve(self, y) -> tuple[int, ...] | None:
@@ -507,30 +521,47 @@ class _Generator:
         return rows
 
 
+class _Quotients:
+    """Rows reduced modulo the sum of a prefix's column spaces.
+
+    The reductions of the prefix asked for last stay on a stack, so the next
+    prefix costs one gen.eliminate per element past their common start."""
+
+    def __init__(self, gen: _Generator, rows):
+        self.gen, self.stack, self.prefix = gen, [rows], ()
+
+    def __call__(self, prefix) -> list[int]:
+        stack, prev = self.stack, self.prefix
+        k = 0
+        while k < len(prev) and k < len(prefix) and prev[k] == prefix[k]:
+            k += 1
+        del stack[k + 1 :]
+        for m in prefix[k:]:
+            stack.append(self.gen.eliminate(stack[-1], m))
+        self.prefix = prefix
+        return stack[-1]
+
+
 def _subset_quotients(gen: _Generator, columns, size: int, leaves=None):
     """Every size-element subset of the ascending columns in lex order, with
     the generator reduced modulo the sum S of the subset's column spaces: a
     basis of the rows y G with y in S^perp, M - dim S of them for G of rank
     M, so a generator column lies in S exactly when every reduced row is zero
-    at it (gen.unheld). The reduced rows of the current subset's prefixes
-    stay on a stack shared with the next subset: one gen.eliminate per deeper
-    element. leaves(rows), when given, maps a prefix's reduced rows to the
-    node guard flags of the last elements worth trying; the others are skipped.
+    at it (gen.unheld). The reduced rows of the subset's prefix come from a
+    _Quotients stack, so each subset costs one gen.eliminate more. leaves(prefix),
+    when given, maps a prefix to the node guard flags of the last elements
+    worth trying; the others are skipped, and a prefix with none is not reduced.
     """
-    stack, prev = [gen.rows], ()
-    allowed = sum(gen.flag(m, None) for m in columns)
+    modulo = _Quotients(gen, gen.rows)
+    allowed = sum(1 << m * gen.width for m in columns) << gen.width - 1  # their node flags
     for prefix in combinations(columns[:-1], size - 1):
-        k = 0
-        while k < len(prev) and prev[k] == prefix[k]:
-            k += 1
-        del stack[k + 1 :]
-        for m in prefix[k:]:
-            stack.append(gen.eliminate(stack[-1], m))
-        prev, rows = prefix, stack[-1]
         above = (prefix[-1] + 1) * gen.width if prefix else 0
         todo = allowed >> above << above
         if leaves is not None:
-            todo &= leaves(rows)
+            todo &= leaves(prefix)
+            if not todo:
+                continue
+        rows = modulo(prefix)
         while todo:
             m = (todo & -todo).bit_length() // gen.width - 1
             todo &= todo - 1

@@ -9,8 +9,10 @@ single target admits.
 
 All searches are exact and deterministic: subsets are tried in size order,
 then lexicographically, and the first valid set wins. While one node j is
-the only pending target, a prefix whose sum S misses b dimensions of U_j
-tries as its last helper only the nodes inside S + U_j.
+the only pending target, the generator is reduced modulo U_j once, then
+modulo each prefix sum S in step with the walk; where U_j and the prefix's
+subspaces are independent, only the nodes inside S + U_j are tried as the
+last helper, and a prefix with none is never reduced on its own.
 
 Availability packs the minimal valid helper sets, which one walk records once
 each with the flags of every target they serve: exactly when the pool is
@@ -38,6 +40,7 @@ from .limits import DEFAULT_PACKING_CAP, guard
 from .linalg import (
     Mat,
     _Combiner,
+    _Quotients,
     _layout,
     _points,
     _residual,
@@ -91,7 +94,8 @@ class RecoverySet:
 def _functionals(code: ArrayCode, columns, column: int, rows) -> tuple[tuple[int, ...], ...]:
     """For each symbol row of column, the x with (helper generator columns) x
     = (the symbol's generator column) and free variables 0, as solve gives."""
-    helpers = [code.column_vector(i, m) for m in columns for i in range(code.b)]
+    pack = _layout(code.field).pack
+    helpers = [pack(code.column_vector(i, m)) for m in columns for i in range(code.b)]
     combiner = _Combiner(code.field, code.M, helpers)
     out = tuple(combiner.solve(code.column_vector(i, column)) for i in rows)
     assert None not in out, "recovery set accepted but no functional exists"
@@ -158,16 +162,24 @@ def _witnesses(code: ArrayCode, targets) -> list[RecoverySet]:
     assert len(waiting) == found.count(None), "targets must be distinct"
     pending = sum(waiting)
     own = _own_flags(gen, code.n, targets)
-    columns = [m for m in range(code.n) if any(t[0] != m for t in targets)]
+    # a column is a helper unless every target sits in it
+    homes = {column for column, _ in targets}
+    columns = [m for m in range(code.n) if len(homes) > 1 or m not in homes]
+    modulo_j = None  # the generator modulo U_j, then modulo each prefix sum
 
-    def leaves(rows):
-        # one node j pending, b dimensions outside the prefix sum S: a leaf m
-        # with U_j in S + U_m has dim(S + U_m) <= dim(S + U_j), so U_m lies in S + U_j
+    def leaves(prefix):
+        # one node j pending, U_j and the summands of the prefix sum S
+        # independent: a leaf m with U_j in S + U_m has dim(S + U_m) <=
+        # dim(S + U_j), so U_m lies in S + U_j
+        nonlocal modulo_j
         k = waiting.get(pending)
-        if k is not None and targets[k][1] is None:
-            rest = gen.eliminate(rows, targets[k][0])
-            if len(rows) - len(rest) == code.b:
-                return gen.guards & ~gen.unheld(rest)
+        if k is None or targets[k][1] is not None:
+            return gen.guards
+        if modulo_j is None:
+            modulo_j = _Quotients(gen, gen.eliminate(gen.rows, targets[k][0]))
+        rest = modulo_j(prefix)
+        if code.M - len(rest) == code.b + sum(code.subspaces[a].dim for a in prefix):
+            return gen.guards & ~gen.unheld(rest)
         return gen.guards
 
     for size in range(1, code.n):
@@ -477,21 +489,21 @@ def _packing_value(pool, exact_cap) -> int:
 
 
 def _improve_packing(cand, chosen):
-    """Swap one chosen set for two disjoint unused ones while possible."""
+    """Swap one chosen set for two disjoint unused ones while possible: the
+    chosen sets in order, each swap's pair the first in cand order."""
     chosen = list(chosen)
-    improved = True
-    while improved:
-        improved = False
-        for drop in list(chosen):
-            rest = set().union(*(s for s in chosen if s is not drop))
-            free = [c for c in cand if c not in chosen and rest.isdisjoint(c)]
+    while True:
+        taken, used = set(chosen), set().union(*chosen)
+        for drop in chosen:
+            rest = used - drop  # the chosen sets are disjoint
+            free = [c for c in cand if c not in taken and rest.isdisjoint(c)]
             pair = next(((a, c) for a, c in combinations(free, 2) if a.isdisjoint(c)), None)
             if pair:
                 chosen.remove(drop)
                 chosen.extend(pair)
-                improved = True
                 break
-    return chosen
+        else:
+            return chosen
 
 
 @dataclass(frozen=True)
@@ -771,20 +783,35 @@ class RepairResult:
 class _RepairPlan:
     """What repairing one column of a code needs beyond the received array.
 
-    decoder writes the surviving symbols as a message times the generator
-    rows restricted to the survivors. witness is the node's smallest recovery
-    set, found after the first request that decodes, so a request the
-    decoder rejects makes no search.
+    generator holds the code's generator rows packed row-major (symbol i of
+    node m at entry i n + m), once per code: the plans of its other columns
+    share it. decoder writes the surviving symbols, row-major, as a message
+    times those rows with the column's entries spliced out. witness is the
+    node's smallest recovery set, found after the first request that
+    decodes, so a request the decoder rejects makes no search.
     """
 
+    generator: list[int]
     decoder: _Combiner
     witness: RecoverySet | None = None
 
 
 def _repair_plan(code: ArrayCode, column: int) -> _RepairPlan:
-    lo, hi = column * code.b, (column + 1) * code.b
-    rows = [r[:lo] + r[hi:] for r in code.generator.rows]
-    return _RepairPlan(_Combiner(code.field, (code.n - 1) * code.b, rows))
+    n, b, L = code.n, code.b, _layout(code.field)
+    shared = next(iter(code._repair_plans.values()), None)
+    if shared is not None:
+        generator = shared.generator
+    else:
+        generator = [L.pack(sum((r[i::b] for i in range(b)), ())) for r in code.generator.rows]
+    # entries column + i n go; the run of entries after the s-th of them
+    # moves down s slots
+    cuts = [-1] + [column + i * n for i in range(b)] + [b * n]
+    keep = [
+        ((1 << hi * L.sym) - (1 << (lo + 1) * L.sym), s * L.sym)
+        for s, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
+    rows = [sum((x & mask) >> shift for mask, shift in keep) for x in generator]
+    return _RepairPlan(generator, _Combiner(code.field, (n - 1) * b, rows))
 
 
 def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
@@ -803,8 +830,13 @@ def repair(code: ArrayCode, array: Mat, column: int) -> RepairResult:
     plan = plans.get(column)
     if plan is None:
         plan = plans[column] = _repair_plan(code, column)
-    survivors = [x for m, col in enumerate(zip(*array.rows)) if m != column for x in col]
-    message = plan.decoder.solve(survivors)
+    try:
+        message = plan.decoder.solve(sum((r[:column] + r[column + 1 :] for r in array.rows), ()))
+    except OutOfRange:
+        # name the first bad entry in column order, node by node
+        q = code.field.q
+        bad = next(x for m, col in enumerate(zip(*array.rows)) if m != column for x in col if not 0 <= x < q)
+        raise OutOfRange(f"entry {bad} outside field of order {q}") from None
     if message is None:
         raise Inconsistent("surviving columns do not agree with any codeword")
     if plan.witness is None:

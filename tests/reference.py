@@ -5,7 +5,8 @@ containment in a subspace, the vectors and points of a subspace, codeword
 membership by solving against the generator, the algebraic check of a
 recovery set's functionals, the general classification of the subspaces
 disjoint from a pair-family target, and worst availability with every
-target's pool packed. They run on the package's packed kernel
+target's pool packed, and the one-out-two-in improvement of an over-cap
+packing as it first was. They run on the package's packed kernel
 (`linalg._rref_rows`, `_residual`), not through its subset walk, weight
 scan or verifiers, so a test can check those against them.
 
@@ -19,7 +20,7 @@ tests/test_subset_walk.py checks against subspace sums, and packs each.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 
 from subspace_lrc.arraycode import ArrayCode
 from subspace_lrc.errors import DimensionMismatch
@@ -194,3 +195,22 @@ def reference_worst_availability(code: ArrayCode, groups, *, exact_cap, limit) -
         assert value == min(values), "a pool's value and its packing disagree"
         out.append(AvailabilityResult(value, exact, sets))
     return out
+
+
+def reference_improve_packing(cand, chosen):
+    """locality._improve_packing as it first was: list membership, and the
+    union of the other chosen sets rebuilt for each dropped one."""
+    chosen = list(chosen)
+    improved = True
+    while improved:
+        improved = False
+        for drop in list(chosen):
+            rest = set().union(*(s for s in chosen if s is not drop))
+            free = [c for c in cand if c not in chosen and rest.isdisjoint(c)]
+            pair = next(((a, c) for a, c in combinations(free, 2) if a.isdisjoint(c)), None)
+            if pair:
+                chosen.remove(drop)
+                chosen.extend(pair)
+                improved = True
+                break
+    return chosen

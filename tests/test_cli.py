@@ -690,6 +690,29 @@ def test_repair_several_arrays_share_one_plan(tmp_path, capsys, monkeypatch):
     assert [d["message"] for d in docs] == [list(m) for m in messages]
 
 
+GOLDEN_REPAIR = Path(__file__).parent / "golden" / "repair"
+
+
+@pytest.mark.parametrize(
+    "construct,message,name",
+    [
+        (["spread", "-M", "12", "-b", "3"], (0,) * 12, "spread-q2-M12-b3-column-401.json"),
+        (["spread", "--field", "gf(3)", "-M", "8", "-b", "2"], (1, 2, 0, 1, 1, 0, 2, 1), "spread-q3-M8-b2-column-401.json"),
+    ],
+    ids=["q2-M12-b3", "q3-M8-b2"],
+)
+def test_repair_column_401_matches_its_golden(tmp_path, capsys, construct, message, name):
+    """The two repairs the CI ladder times, byte for byte against the JSON
+    recorded before the plans were spliced from one packed generator."""
+    bundle = str(tmp_path / "code.bundle")
+    assert cli.main(["construct", *construct, "-o", bundle]) == 0
+    array = tmp_path / "word.txt"
+    array.write_text(format_matrix(encode(read_bundle(bundle), message)))
+    capsys.readouterr()
+    assert cli.main(["repair", bundle, "--array", str(array), "--column", "401", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_REPAIR / name).read_text()
+
+
 def test_repair_several_arrays_error_names_the_array(tmp_path, capsys):
     bundle = spread_bundle(tmp_path)
     good = codeword_file(tmp_path, name="good.txt")

@@ -463,12 +463,37 @@ REFERENCE_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("field", REFERENCE_FIELDS + [field_new(11), field_new(2, 5)], ids=repr)
+def test_pack_reads_digits_as_the_entry_loop_places_them(field):
+    """Up to sym = 5 bits an entry, pack reads the vector as one digit
+    string; with a width the entry loop places entry i at bit i * width, so
+    width sym is the same layout. Both refuse the same entries alike."""
+    L = _layout(field)
+    assert (L.digits is not None) == (L.sym <= 5)
+    rng = random.Random(field.q)
+    for n in (0, 1, 5, 40, 300):
+        v = tuple(rng.randrange(field.q) for _ in range(n))
+        assert L.pack(v) == L.pack(v, 1, L.sym) == L.pack(list(v)) == L.pack(iter(v))
+        assert L.unpack(L.pack(v), n) == v
+    for bad in (field.q, -1, 255, 256, 10**6):
+        v = (1, 0, bad, field.q + 1)
+        for args in ((), (1, L.sym)):
+            with pytest.raises(OutOfRange, match=f"^entry {bad} outside field of order {field.q}$"):
+                L.pack(v, *args)
+
+
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_kernel_matches_reference_on_random_matrices(field):
     rng = random.Random(field.q * 1009 + len(repr(field)))
     for _ in range(40):
         nrows, cols = rng.randrange(0, 7), rng.randrange(1, 9)
         check_matrix_against_reference(field, random_rows(field, nrows, cols, rng), cols, rng)
+
+
+def packed_combiner(field, n, vectors):
+    """_Combiner over tuple vectors, which it takes packed."""
+    pack = _layout(field).pack
+    return _Combiner(field, n, [pack(v) for v in vectors])
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
@@ -481,7 +506,7 @@ def test_combiner_matches_reference_solve(field):
         count, n = rng.randrange(1, 6), rng.randrange(1, 9)
         vectors = random_rows(field, count, n, rng)
         m = Mat(field, tuple(vectors), n)
-        combiner = _Combiner(field, n, vectors)
+        combiner = packed_combiner(field, n, vectors)
         x = tuple(rng.randrange(field.q) for _ in range(count))
         ys = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
         for y in [vec_mat(x, m)] + ys:
@@ -489,14 +514,14 @@ def test_combiner_matches_reference_solve(field):
             assert got == reference_solve(field, m.transpose().rows, count, y)
             assert got is None or vec_mat(got, m) == y
     with pytest.raises(OutOfRange, match=f"^entry {field.q} outside field of order {field.q}$"):
-        _Combiner(field, 2, [(1, 0)]).solve((0, field.q))
+        packed_combiner(field, 2, [(1, 0)]).solve((0, field.q))
 
 
 @pytest.mark.parametrize("y", [(0, 1), (), (1, 0, 0)], ids=["long", "empty", "longer"])
 def test_combiner_refuses_a_y_of_another_length(y):
     """A y longer than n would spill into the coefficient tail and be
     answered; any length other than n is refused."""
-    combiner = _Combiner(F2, 1, [(1,), (0,)])
+    combiner = packed_combiner(F2, 1, [(1,), (0,)])
     with pytest.raises(DimensionMismatch, match=f"^vector length {len(y)}, expected 1$"):
         combiner.solve(y)
     assert combiner.solve((1,)) == (1, 0)
@@ -515,7 +540,7 @@ def test_combiner_refuses_a_y_of_another_length(y):
 def test_combiner_sets_dependent_vectors_to_zero(field, vectors, y, x):
     """A vector in the span of the ones before it gets coefficient 0, as a
     free variable of the reduced [vectors as columns | y] does in solve."""
-    assert _Combiner(field, len(y), vectors).solve(y) == x
+    assert packed_combiner(field, len(y), vectors).solve(y) == x
     assert solve(Mat(field, tuple(vectors), len(y)).transpose(), y) == x
 
 

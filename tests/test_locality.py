@@ -627,6 +627,25 @@ def test_repair_matches_reference_on_one_code_object(code):
     assert _outcome(repair, code, small, 0) == _outcome(reference_repair, code, small, 0)
 
 
+@pytest.mark.parametrize("code", REPAIR_CODES, ids=lambda c: c.provenance)
+def test_repair_plan_decoder_is_the_row_major_restriction(code):
+    """Each column's plan splices its entries out of the code's one packed
+    generator; its decoder is the _Combiner of the generator rows restricted
+    to the surviving symbols, packed from tuples in row-major order."""
+    code = dataclasses.replace(code)  # a code object with no plans yet
+    pack = linalg._layout(code.field).pack
+    for column in range(code.n):
+        plan = locality._repair_plan(code, column)
+        code._repair_plans[column] = plan
+        rows = [
+            pack(tuple(r[m * code.b + i] for i in range(code.b) for m in range(code.n) if m != column))
+            for r in code.generator.rows
+        ]
+        want = linalg._Combiner(code.field, (code.n - 1) * code.b, rows)
+        assert (plan.decoder.rows, plan.decoder.pivots) == (want.rows, want.pivots)
+    assert len({id(plan.generator) for plan in code._repair_plans.values()}) == 1
+
+
 def test_repair_rank_deficient_erasure_raises_engine_no_recovery():
     # b = 1 blocks <e1>, <e2>, <e3>, <e1+e3>: without column 2 the others span
     # only <e1, e3>, so node 2 has no recovery set, yet the survivors can

@@ -23,6 +23,7 @@ from subspace_lrc.locality import (
     locality_profile,
     max_disjoint_packing,
 )
+import reference
 from test_arraycode import acceptance_codes
 
 # the unstopped search finishes well under a second on pools up to this size;
@@ -99,6 +100,35 @@ def test_packing_value_over_cap_and_at_r3_is_the_search_count(monkeypatch):
     monkeypatch.setattr(locality, "_matching_value", no_matching)
     assert _packing_value(pairs, 3) == max_disjoint_packing(pairs, exact_cap=3)[0]
     assert _packing_value(triples, DEFAULT_PACKING_CAP) == 2
+
+
+@pytest.mark.parametrize("cap", (0, 5))
+@pytest.mark.parametrize("code", CODES, ids=lambda c: c.provenance)
+def test_improve_packing_keeps_the_reference_swaps(code, cap, monkeypatch):
+    """Over the cap a pool is packed greedily and improved by one-out-two-in
+    swaps: the same swaps, in the same order, as the reference's list scan.
+    The reference takes about 0.3 s per node pool of all-subspaces q=2 M=5
+    b=2, so that code's pools are sampled."""
+    pools = [p for p in availability_pools(code) if len(set(map(frozenset, p))) > cap]
+    if code.n > 40:
+        pools = pools[:: len(pools) // 8]
+    got = [max_disjoint_packing(p, exact_cap=cap) for p in pools]
+    monkeypatch.setattr(locality, "_improve_packing", reference.reference_improve_packing)
+    assert [max_disjoint_packing(p, exact_cap=cap) for p in pools] == got
+
+
+def test_improve_packing_grows_some_greedy_packing():
+    # the swaps are exercised: on all-subspaces q=2 M=4 b=2 they grow some greedy packing
+    code = construction_all_subspaces(field_new(2), 4, 2)
+    grown = 0
+    for pool in availability_pools(code):
+        cand = sorted({frozenset(s) for s in pool}, key=lambda f: (len(f), sorted(f)))
+        greedy = []
+        for c in cand:
+            if all(c.isdisjoint(g) for g in greedy):
+                greedy.append(c)
+        grown += len(locality._improve_packing(cand, greedy)) > len(greedy)
+    assert grown > 0
 
 
 def test_matching_value_takes_every_singleton():

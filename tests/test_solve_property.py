@@ -17,7 +17,7 @@ pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is dep
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from subspace_lrc.gf import extension_new, field_new  # noqa: E402
-from subspace_lrc.linalg import Mat, _Combiner, solve, vec_mat  # noqa: E402
+from subspace_lrc.linalg import Mat, _Combiner, _layout, solve, vec_mat  # noqa: E402
 
 from reference import reference_solve  # noqa: E402
 
@@ -59,5 +59,6 @@ def test_solve_and_combiner_equal_the_tuple_reference(system):
     field, vectors, y = system
     m = Mat(field, tuple(vectors), len(y)).transpose()
     want = reference_solve(field, m.rows, m.cols, y)
-    assert _Combiner(field, len(y), vectors).solve(y) == want
+    pack = _layout(field).pack
+    assert _Combiner(field, len(y), [pack(v) for v in vectors]).solve(y) == want
     assert solve(m, y) == want

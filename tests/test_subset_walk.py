@@ -223,6 +223,27 @@ def test_single_node_search_eliminates_only_inside_s_plus_u_j(monkeypatch):
     assert len(calls) <= 1000
 
 
+def test_single_node_search_reduces_modulo_the_node_once(monkeypatch):
+    """Spread q=2 M=8 b=2, every column: the node is eliminated once per
+    search, the pruning's reductions follow the walk's prefixes, and the
+    walk reduces its own prefix rows only where some leaf is left; the
+    witnesses are the reference's. Eliminating the node from every prefix's
+    rows took 2,436 eliminations."""
+    code = construction_spread(FIELDS[2], 8, 2)
+    calls = []
+    eliminate = linalg._Generator.eliminate
+
+    def counted(self, rows, j):
+        calls.append(j)
+        return eliminate(self, rows, j)
+
+    monkeypatch.setattr(linalg._Generator, "eliminate", counted)
+    witnesses = [min_node_recovery(code, j).columns for j in range(code.n)]
+    assert len(calls) == 1388
+    monkeypatch.undo()
+    assert witnesses == [reference_witness_sets(code, [(j, None)], code.n - 1)[0] for j in range(code.n)]
+
+
 @pytest.mark.parametrize("code", CODES, ids=ids)
 def test_pools_match_reference(code):
     profile = locality_profile(code)
