@@ -46,11 +46,12 @@ from .linalg import (
     Mat,
     Subspace,
     _Generator,
+    _layout,
+    _matrix_rows,
+    _rref_rows,
     _subset_quotients,
     format_matrix,
     null_space,
-    parse_matrix,
-    row_space,
     subspace_sum,
     vec_mat,
 )
@@ -521,9 +522,11 @@ def parse_bundle(text: str) -> ArrayCode:
 
     The header lines between the first line and "generator" are read by
     key, in any order; an unknown, repeated, missing or malformed header
-    is named in the error.
+    is named in the error. The matrices are read off the bundle's lines in
+    one pass by the matrix reader (linalg._matrix_rows), and each declared
+    subspace is packed and reduced straight from its rows.
     """
-    lines = [ln for ln in (raw.rstrip() for raw in text.splitlines()) if ln.strip()]
+    lines = [ln for ln in map(str.rstrip, text.splitlines()) if ln]
     if not lines or lines[0] != "bundle array-code":
         raise Inconsistent(f"not a code bundle: first line {lines[0] if lines else ''!r}")
     if "generator" not in lines:
@@ -549,29 +552,31 @@ def parse_bundle(text: str) -> ArrayCode:
         raise Inconsistent(f"bundle header 'M' must be at least 1, got {M}")
     provenance = header["provenance"]
 
-    def matrix(pos: int, what: str) -> tuple[Mat, int]:
-        """The matrix whose header is lines[pos], and the line after it."""
+    def matrix(pos: int, what: str):
+        """The rows and column count of the matrix whose header is lines[pos], and the line after it."""
         head = lines[pos].split() if pos < len(lines) else []
         try:
             end = pos + 1 + (int(head[1]) if len(head) == 3 and head[1].isdecimal() else 0)
-            return parse_matrix("\n".join(lines[pos:end]), field), end
+            _, rows, cols = _matrix_rows(lines[pos:end], field)
         except ValueError as exc:
             raise Inconsistent(f"malformed code bundle: {what}: {exc}") from exc
+        return rows, cols, end
 
-    gen, pos = matrix(start + 1, "generator")
+    rows, cols, pos = matrix(start + 1, "generator")
+    gen = Mat(field, rows, cols)
     section = lines[pos].split() if pos < len(lines) else []
     if not section or section[0] != "subspaces":
         raise Inconsistent("bundle missing the subspaces section")
     if len(section) != 2 or not section[1].isdecimal():
         raise Inconsistent(f"malformed code bundle: subspaces line {lines[pos]!r}")
     count = int(section[1])
-    mats = []
+    declared = []
     pos += 1
     for k in range(count):
         if pos >= len(lines):
-            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(mats)}")
-        mat, pos = matrix(pos, f"subspace {k + 1} of {count}")
-        mats.append(mat)
+            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(declared)}")
+        rows, cols, pos = matrix(pos, f"subspace {k + 1} of {count}")
+        declared.append((rows, cols))
 
     if gen.nrows != M or gen.cols != b * n or count != n:
         raise Inconsistent(
@@ -579,17 +584,25 @@ def parse_bundle(text: str) -> ArrayCode:
         )
     if pos < len(lines):
         raise Inconsistent(f"bundle declares {count} subspaces, then holds line {lines[pos]!r}")
+    pack = _layout(field).pack
+    subs = []
+    for rows, cols in declared:
+        basis, pivots = _rref_rows(field, cols, [pack(r) for r in rows])
+        subs.append(Subspace(field, cols, tuple(basis), tuple(pivots)))
     # A thick column laid out as format_bundle writes it (the declared rows,
-    # then zero columns) spans exactly the declared subspace, so each subspace
-    # is reduced once; only a column in another layout is reduced on its own.
-    flat = list(zip(*gen.rows))
+    # then zero columns) spans exactly the declared subspace. A generator
+    # written that way throughout is found by one comparison; otherwise each
+    # thick column is compared, and only a column in another layout is
+    # reduced on its own. A subspace of more than b rows makes the layout
+    # longer than the generator, and one with rows of another length than M
+    # has no layout (None), so neither is taken for its column.
     zero = (0,) * M
-    subs, spans = [], []
-    for j, mat in enumerate(mats):
-        subs.append(row_space(mat))
-        column = tuple(flat[j * b : (j + 1) * b])
-        written = mat.cols == M and column == mat.rows + (zero,) * (b - mat.nrows)
-        spans.append(subs[-1] if written else Subspace.from_span(field, M, column))
+    written = [r + (zero,) * (b - len(r)) if c == M else None for r, c in declared]
+    spans = subs
+    if None in written or gen.rows != tuple(zip(*(v for column in written for v in column))):
+        flat = list(zip(*gen.rows))
+        columns = [tuple(flat[j : j + b]) for j in range(0, b * n, b)]
+        spans = [s if w == c else Subspace.from_span(field, M, c) for s, w, c in zip(subs, written, columns)]
     # the rank is the dimension of the sum of the column spans, as in code_from_subspaces
     spanned = reduce(subspace_sum, spans, Subspace.zero(field, M)).dim
     if spanned != M:

@@ -14,12 +14,15 @@ For p = 2 a slot is one bit and adding vectors is one XOR; for odd p a slot
 has a guard bit and an addition is a handful of whole-int operations (see
 _Layout and _Slots, which the weight scan in arraycode shares). Entries are
 range-checked once, when a vector is packed (in one int() call over the
-entries as digits when an entry takes at most 5 bits); elimination makes
-no field call beyond one inverse per pivot whose leading entry is not 1.
+entries as digits: base 2^sym when an entry takes at most 5 bits, binary
+for the weight scan's layout over a field of at most 256 elements);
+elimination makes no field call beyond one inverse per pivot whose
+leading entry is not 1.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -27,6 +30,7 @@ from itertools import combinations
 from operator import or_
 
 from .errors import AmbientMismatch, DimensionMismatch, OutOfRange
+from .gf import field_from_order
 
 
 class _Layout:
@@ -71,15 +75,28 @@ class _Layout:
             for x in range(q):
                 table[x] = ord("0123456789abcdefghijklmnopqrstuv"[spread[x]])
             self.digits = bytes(table)
+        # the same in binary, sym digits an entry, for a layout with gaps
+        self.bits = None
+        if q <= 256:
+            self.bits = ["!"] * 256
+            for x in range(q):
+                self.bits[x] = format(spread[x], f"0{self.sym}b")
 
     def pack(self, v, b: int = 1, width: int | None = None) -> int:
-        """Entry i*b + j of v at bit i*width + j*sym (width defaults to b*sym)."""
+        """Entry i*b + j of v at bit i*width + j*sym (width defaults to b*sym).
+
+        v is read as one digit string: base 2^sym digits without a width,
+        binary with width - b*sym zeros between groups of b entries."""
         q, sym, spread = self.q, self.sym, self.spread
-        if width is None and self.digits is not None:
-            try:
+        try:
+            if width is None and self.digits is not None:
                 return int(bytes(v[::-1]).translate(self.digits), 1 << sym)
-            except (TypeError, ValueError):
-                pass  # no entries, or one outside the field: the loop names it
+            if width is not None and self.bits is not None and len(v) % b == 0:
+                node = b * sym
+                s = bytes(v[::-1]).decode("latin-1").translate(self.bits)
+                return int(("0" * (width - node)).join([s[i : i + node] for i in range(0, len(s), node)]), 2)
+        except (TypeError, ValueError):
+            pass  # no entries, one outside the field or an iterator: the loop names it
         out = 0
         for idx, x in enumerate(v):
             if x:
@@ -585,39 +602,68 @@ def parse_matrix(text: str, field=None) -> Mat:
     An error in a row names the row (1-based) and, for an entry that is not
     an integer or lies outside the field, the entry.
     """
-    from .gf import field_from_order
-
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    field, rows, cols = _matrix_rows(lines, field)
+    return Mat(field, rows, cols)
+
+
+# an entry: an optional minus sign, then ASCII digits
+_ENTRY = re.compile(r"-?[0-9]+").fullmatch
+# the byte of a digit character to the digit's value
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _matrix_rows(lines, field=None):
+    """The field, rows and column count of a matrix in the text format.
+
+    lines are its nonempty lines, without trailing whitespace: the reader
+    behind parse_matrix and parse_bundle. Every row is read before any entry
+    is range-checked. A row of single digits, one space apart, is decoded
+    whole; any other row is split into tokens.
+    """
     if not lines:
         raise DimensionMismatch("empty matrix text")
     try:
         q, nrows, cols = map(int, lines[0].split())
     except ValueError:
-        raise DimensionMismatch(f"matrix header must be 'q rows cols', got {lines[0]!r}") from None
+        raise DimensionMismatch(f"matrix header must be 'q rows cols', got {lines[0].strip()!r}") from None
     if field is None:
         field = field_from_order(q)
     elif field.q != q:
         raise AmbientMismatch(f"matrix is over gf of order {q}, expected order {field.q}")
     if len(lines) != 1 + nrows:
         raise DimensionMismatch(f"expected {nrows} rows, got {len(lines) - 1}")
-    rows = []
+    rows, in_field = [], True
+    width, gaps, digits = 2 * cols - 1, b" " * (cols - 1), b"0123456789"[:q]
     for i, ln in enumerate(lines[1:], 1):
+        if len(ln) == width and ln.isascii():
+            text = ln.encode()
+            entries = text[::2]
+            if text[1::2] == gaps and entries.isdigit():
+                rows.append(tuple(entries.translate(_DIGIT_VALUES)))
+                in_field = in_field and not entries.translate(None, digits)
+                continue
         parts = ln.split()
         if len(parts) != cols:
             raise DimensionMismatch(f"row {i}: expected {cols} entries, got {len(parts)}")
         try:
+            if not all(map(_ENTRY, parts)):
+                raise ValueError
             rows.append(tuple(map(int, parts)))
         except ValueError:
-            bad = next(x for x in parts if not _is_int(x))
+            bad = next(x for x in parts if not _is_entry(x))
             raise OutOfRange(f"row {i}: entry {bad!r} is not an integer") from None
-    try:
-        return Mat.from_rows(field, rows, cols)
-    except OutOfRange:
+        in_field = in_field and 0 <= min(rows[-1]) and max(rows[-1]) < q
+    if not in_field:
         i, bad = next((i, x) for i, r in enumerate(rows, 1) for x in r if not 0 <= x < q)
-        raise OutOfRange(f"row {i}: entry {bad} outside field of order {q}") from None
+        raise OutOfRange(f"row {i}: entry {bad} outside field of order {q}")
+    return field, tuple(rows), cols
 
 
-def _is_int(token: str) -> bool:
+def _is_entry(token: str) -> bool:
+    """Whether token is an entry that int() reads (it refuses over 4,300 digits)."""
+    if not _ENTRY(token):
+        return False
     try:
         int(token)
     except ValueError:

@@ -16,14 +16,22 @@ for them, `reference_rref_rows` and `reference_solve`, are Gauss-Jordan on
 tuples with one field call per entry, and `is_codeword` solves with them.
 The availability oracle reads its pools off the subset walk, which
 tests/test_subset_walk.py checks against subspace sums, and packs each.
+
+`reference_parse_matrix` and `reference_parse_bundle` are the text readers
+as they were before the bundle was read in one pass: each matrix is joined
+back into text, split again and built as a `Mat`, and an entry is whatever
+int() reads. tests/test_reader_differential.py checks the package's readers
+against them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, islice
 
 from subspace_lrc.arraycode import ArrayCode
-from subspace_lrc.errors import DimensionMismatch
+from subspace_lrc.errors import AmbientMismatch, DimensionMismatch, Inconsistent, OutOfRange
+from subspace_lrc.gf import field_from_order, parse_field
 from subspace_lrc.limits import guard
 from subspace_lrc.linalg import (
     Mat,
@@ -35,6 +43,7 @@ from subspace_lrc.linalg import (
     _points,
     _residual,
     _rref_rows,
+    row_space,
     subspace_sum,
     vec_mat,
 )
@@ -214,3 +223,127 @@ def reference_improve_packing(cand, chosen):
                 improved = True
                 break
     return chosen
+
+
+def reference_parse_matrix(text: str, field=None) -> Mat:
+    """The matrix text format read token by token with int()."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise DimensionMismatch("empty matrix text")
+    try:
+        q, nrows, cols = map(int, lines[0].split())
+    except ValueError:
+        raise DimensionMismatch(f"matrix header must be 'q rows cols', got {lines[0]!r}") from None
+    if field is None:
+        field = field_from_order(q)
+    elif field.q != q:
+        raise AmbientMismatch(f"matrix is over gf of order {q}, expected order {field.q}")
+    if len(lines) != 1 + nrows:
+        raise DimensionMismatch(f"expected {nrows} rows, got {len(lines) - 1}")
+    rows = []
+    for i, ln in enumerate(lines[1:], 1):
+        parts = ln.split()
+        if len(parts) != cols:
+            raise DimensionMismatch(f"row {i}: expected {cols} entries, got {len(parts)}")
+        try:
+            rows.append(tuple(map(int, parts)))
+        except ValueError:
+            bad = next(x for x in parts if not _reads_as_int(x))
+            raise OutOfRange(f"row {i}: entry {bad!r} is not an integer") from None
+    try:
+        return Mat.from_rows(field, rows, cols)
+    except OutOfRange:
+        i, bad = next((i, x) for i, r in enumerate(rows, 1) for x in r if not 0 <= x < q)
+        raise OutOfRange(f"row {i}: entry {bad} outside field of order {q}") from None
+
+
+def _reads_as_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+_BUNDLE_HEADER = ("field", "b", "n", "M", "provenance")
+
+
+def reference_parse_bundle(text: str) -> ArrayCode:
+    """A bundle read matrix by matrix through reference_parse_matrix, each
+    declared subspace built as a Mat and reduced, each thick column compared
+    with its declared rows on its own."""
+    lines = [ln for ln in (raw.rstrip() for raw in text.splitlines()) if ln.strip()]
+    if not lines or lines[0] != "bundle array-code":
+        raise Inconsistent(f"not a code bundle: first line {lines[0] if lines else ''!r}")
+    if "generator" not in lines:
+        raise Inconsistent("bundle missing the generator section")
+    start = lines.index("generator")
+    header: dict[str, str] = {}
+    for ln in lines[1:start]:
+        key, *value = ln.split(None, 1)
+        if key not in _BUNDLE_HEADER or key in header:
+            raise Inconsistent(f"unexpected bundle header line {ln!r}")
+        header[key] = value[0] if value else ""
+    for key in _BUNDLE_HEADER:
+        if key not in header:
+            raise Inconsistent(f"bundle header {key!r} is missing")
+    try:
+        field = parse_field(header["field"])
+    except ValueError as exc:
+        raise Inconsistent(f"bundle header 'field': {exc}") from exc
+
+    def header_int(key):
+        try:
+            return int(header[key])
+        except ValueError:
+            raise Inconsistent(f"bundle header {key!r} is not an integer: {header[key]!r}") from None
+
+    b, n, M = (header_int(key) for key in ("b", "n", "M"))
+    if b < 1:
+        raise Inconsistent(f"bundle header 'b' must be at least 1, got {b}")
+    if M < 1:
+        raise Inconsistent(f"bundle header 'M' must be at least 1, got {M}")
+
+    def matrix(pos, what):
+        head = lines[pos].split() if pos < len(lines) else []
+        try:
+            end = pos + 1 + (int(head[1]) if len(head) == 3 and head[1].isdecimal() else 0)
+            return reference_parse_matrix("\n".join(lines[pos:end]), field), end
+        except ValueError as exc:
+            raise Inconsistent(f"malformed code bundle: {what}: {exc}") from exc
+
+    gen, pos = matrix(start + 1, "generator")
+    section = lines[pos].split() if pos < len(lines) else []
+    if not section or section[0] != "subspaces":
+        raise Inconsistent("bundle missing the subspaces section")
+    if len(section) != 2 or not section[1].isdecimal():
+        raise Inconsistent(f"malformed code bundle: subspaces line {lines[pos]!r}")
+    count = int(section[1])
+    mats = []
+    pos += 1
+    for k in range(count):
+        if pos >= len(lines):
+            raise Inconsistent(f"bundle declares {count} subspaces, holds {len(mats)}")
+        mat, pos = matrix(pos, f"subspace {k + 1} of {count}")
+        mats.append(mat)
+    if gen.nrows != M or gen.cols != b * n or count != n:
+        raise Inconsistent(
+            f"bundle shapes disagree: generator {gen.nrows}x{gen.cols}, declared M={M}, b={b}, n={n}"
+        )
+    if pos < len(lines):
+        raise Inconsistent(f"bundle declares {count} subspaces, then holds line {lines[pos]!r}")
+    flat = list(zip(*gen.rows))
+    zero = (0,) * M
+    subs, spans = [], []
+    for j, mat in enumerate(mats):
+        subs.append(row_space(mat))
+        column = tuple(flat[j * b : (j + 1) * b])
+        written = mat.cols == M and column == mat.rows + (zero,) * (b - mat.nrows)
+        spans.append(subs[-1] if written else Subspace.from_span(field, M, column))
+    spanned = reduce(subspace_sum, spans, Subspace.zero(field, M)).dim
+    if spanned != M:
+        raise Inconsistent(f"generator rank {spanned} differs from declared dimension {M}")
+    for j, (span, s) in enumerate(zip(spans, subs)):
+        if span != s:
+            raise Inconsistent(f"thick column {j + 1} does not span its declared subspace")
+    return ArrayCode(field, b, n, M, gen, tuple(spans), header["provenance"])

@@ -643,7 +643,8 @@ def test_bundle_roundtrip():
 
 def test_parse_bundle_reduces_only_columns_in_another_layout(monkeypatch):
     """A thick column written as format_bundle writes it is not reduced
-    again: one from_span per declared subspace, plus one per other column."""
+    again: one _rref_rows per declared subspace, plus one from_span per
+    column in another layout."""
     import subspace_lrc.arraycode as arraycode
     from subspace_lrc import linalg
 
@@ -653,14 +654,19 @@ def test_parse_bundle_reduces_only_columns_in_another_layout(monkeypatch):
         raise AssertionError("parse_bundle compares the columns with the declared rows")
 
     monkeypatch.setattr(arraycode, "_thick_column_spans", no_spans)
-    calls = []
-    from_span = linalg.Subspace.from_span
+    declared, columns = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return from_span(*args)
+    def counter(calls, original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg.Subspace, "from_span", staticmethod(counted))
+        return counted
+
+    # parse_bundle reduces a declared subspace with its own _rref_rows and a
+    # column with from_span, whose own reduction calls linalg's
+    monkeypatch.setattr(arraycode, "_rref_rows", counter(declared, arraycode._rref_rows))
+    monkeypatch.setattr(linalg.Subspace, "from_span", staticmethod(counter(columns, linalg.Subspace.from_span)))
     for code in codes:
         text = format_bundle(code)
         written = sum(
@@ -671,9 +677,10 @@ def test_parse_bundle_reduces_only_columns_in_another_layout(monkeypatch):
         # a construction writes every column in the declared layout; the dual's
         # kernel basis leaves at least one column in another
         assert (written == code.n) != code.provenance.startswith("dual(")
-        calls.clear()
+        declared.clear()
+        columns.clear()
         assert parse_bundle(text).subspaces == code.subspaces
-        assert len(calls) == 2 * code.n - written
+        assert (len(declared), len(columns)) == (code.n, code.n - written)
 
 
 def test_bundle_corruption_detected():

@@ -2,9 +2,13 @@
 
 The ladder covers every construction, both spread methods (with
 gabidulin-echelon spreads of three and four levels), fields of order 2, 3,
-4 and 5, design strengths t = 1 and 2, and several std-par classes. A
-refactor of the builders must leave every bundle byte-identical. After a
-deliberate change of a construction's output, print the new pins with
+4, 5, 11 and 16, design strengths t = 1 and 2, and several std-par
+classes. Over gf(11) and gf(16) an entry can take two digits, and the
+reader splits a row holding one into tokens instead of decoding it digit
+by digit. A refactor of the builders must leave every bundle
+byte-identical, and `parse_bundle` must read every bundle back to the code
+it was written from. After a deliberate change of a construction's output,
+print the new pins with
 
     PYTHONPATH=src python tests/test_bundle_pins.py
 
@@ -21,6 +25,7 @@ from subspace_lrc.arraycode import (
     construction_spread,
     construction_std,
     format_bundle,
+    parse_bundle,
 )
 from subspace_lrc.gf import field_from_order
 from subspace_lrc.linalg import Subspace
@@ -36,6 +41,8 @@ LADDER = {
     "all-subspaces-q3-M3-b2": lambda: construction_all_subspaces(field_from_order(3), 3, 2),
     "all-subspaces-q4-M3-b1": lambda: construction_all_subspaces(field_from_order(4), 3, 1),
     "all-subspaces-q5-M2-b1": lambda: construction_all_subspaces(field_from_order(5), 2, 1),
+    "all-subspaces-q11-M2-b1": lambda: construction_all_subspaces(field_from_order(11), 2, 1),
+    "all-subspaces-q16-M2-b1": lambda: construction_all_subspaces(field_from_order(16), 2, 1),
     "spread-q2-M6-b2": lambda: construction_spread(field_from_order(2), 6, 2),
     "spread-q2-M8-b2": lambda: construction_spread(field_from_order(2), 8, 2),
     "spread-q2-M9-b3": lambda: construction_spread(field_from_order(2), 9, 3),
@@ -43,6 +50,8 @@ LADDER = {
     "spread-q4-M4-b2": lambda: construction_spread(field_from_order(4), 4, 2),
     "spread-q5-M4-b2": lambda: construction_spread(field_from_order(5), 4, 2),
     "spread-q5-M3-b1": lambda: construction_spread(field_from_order(5), 3, 1),
+    "spread-q11-M4-b2": lambda: construction_spread(field_from_order(11), 4, 2),
+    "spread-q16-M4-b2": lambda: construction_spread(field_from_order(16), 4, 2),
     "spread-q2-M6-b2-desarguesian": lambda: construction_spread(field_from_order(2), 6, 2, "desarguesian"),
     "spread-q2-M8-b4-desarguesian": lambda: construction_spread(field_from_order(2), 8, 4, "desarguesian"),
     "spread-q3-M4-b2-desarguesian": lambda: construction_spread(field_from_order(3), 4, 2, "desarguesian"),
@@ -70,6 +79,8 @@ PINS = {
     "all-subspaces-q3-M3-b2": "f941aab4c4926e861c33c73557f7174cbfb353018a858a214e465976bc026788",
     "all-subspaces-q4-M3-b1": "f259e76ff807d3f5aefe16de0222034f35e1f3ec36d666e38335904594a03cac",
     "all-subspaces-q5-M2-b1": "761b37addbfc326c5dac7d5d65c2a8747e79bfb843b94204f9677466aae76eea",
+    "all-subspaces-q11-M2-b1": "9b28ec66f3628d2f79652dd954f133c9d399f236736c7b5ad89b54b3052725a5",
+    "all-subspaces-q16-M2-b1": "d5f81ed006afea2f88fea64235ebed1c8c5c91d4bd96c53171287e2a2dfd4448",
     "from-blocks-q2-M4-b2": "37163981a7a4d0c6eff9ea1b5a360b84496d1f1adef7d73da52184be3640340d",
     "from-blocks-q3-M3-b1": "af047960d19e32c6cd75be7f3ffae7435188a1ad26a201be3095a9d166a6a3b5",
     "spread-q2-M6-b2": "0ea7f9b5831592df42d948bdc0e85710dd168c65076f86de0b79f6b039b39c7c",
@@ -82,6 +93,8 @@ PINS = {
     "spread-q4-M4-b2": "16bf4292f0f2ae91a7ea7a576c84437e37254c28499456d6c214bfbde3dfc9e2",
     "spread-q4-M4-b2-desarguesian": "6ad09401d728b14059a25d0154f58381e483121123e983a5df24979725b75753",
     "spread-q5-M3-b1": "ff2adb348bc837aa0a4436f07f8267b846fe625252d28f0b62dbb45fafa6d915",
+    "spread-q11-M4-b2": "ed384b9e9e789d4cdd1d3b9afdbf48cbbbdf0a3ca193482efb8d6fc765d6365a",
+    "spread-q16-M4-b2": "1846fc2b9c6b466df907ed84946658bf0fdbee138330de5466c0cf2df91f5a8d",
     "spread-q5-M4-b2": "301b23e9e9cde053496ac96bf8dab0d0e14af95be0f5d330eeae8c1c497f794d",
     "spread-q5-M4-b2-desarguesian": "398a9cfe20db49fa1e93ccb5b3b80ef8a9a339c6f9d7446727ced073f2129ef7",
     "std-full-q2-t1-M6-b3": "c166902b69a58bea1091bc8099cef9b73a86da9442fdce6dd394d576c1b05205",
@@ -105,6 +118,18 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_bundle_pin(name):
     assert digest(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_bundle_reads_back(name):
+    code = LADDER[name]()
+    text = format_bundle(code)
+    back = parse_bundle(text)
+    assert (back.field, back.b, back.n, back.M) == (code.field, code.b, code.n, code.M)
+    assert back.generator == code.generator
+    assert back.subspaces == code.subspaces
+    assert back.provenance == code.provenance
+    assert format_bundle(back) == text
 
 
 if __name__ == "__main__":

@@ -291,6 +291,17 @@ subspaces 1
         ("subspaces 5", "subspaces x", "malformed code bundle: subspaces line 'subspaces x'"),
         ("n 5", "n 6", "bundle shapes disagree: generator 4x10, declared M=4, b=2, n=6"),
         (None, RANK_1_BUNDLE, "generator rank 1 differs from declared dimension 2"),
+        # an entry is -?[0-9]+, though int() reads these
+        (
+            "0 1 0 1 0 1 0 1 0 0",
+            "0 1 0 1_0 0 1 0 1 0 0",
+            "malformed code bundle: generator: row 2: entry '1_0' is not an integer",
+        ),
+        (
+            "0 1 0 1 0 1 0 1 0 0",
+            "0 1 0 +1 0 1 0 1 0 0",
+            "malformed code bundle: generator: row 2: entry '+1' is not an integer",
+        ),
     ],
 )
 def test_bundle_structure_errors_exit_3(tmp_path, capsys, old, new, message):
@@ -898,6 +909,10 @@ def test_from_blocks_file(tmp_path, capsys):
     [
         ("2 3 4\n0 0 1 0\n0 0 0 1\n", "block 2 of 3: expected 3 rows, got 2"),
         ("2 2 4\n0 0 1 0\n0 0 x 1\n", "block 2 of 3: row 2: entry 'x' is not an integer"),
+        # an entry is -?[0-9]+, though int() reads these
+        ("2 2 4\n0 0 1 0\n0 0 1_0 1\n", "block 2 of 3: row 2: entry '1_0' is not an integer"),
+        ("2 2 4\n0 0 1 0\n0 0 +1 1\n", "block 2 of 3: row 2: entry '+1' is not an integer"),
+        ("2 2 4\n0 0 1 0\n0 0 \u0661 1\n", "block 2 of 3: row 2: entry '\u0661' is not an integer"),
         ("2 2 4\n0 7 1 0\n0 0 0 1\n", "block 2 of 3: row 1: entry 7 outside field of order 2"),
     ],
 )

@@ -350,6 +350,11 @@ def test_parse_matrix_errors():
         ("3 3 3\n0 1 2\n-4 0 7\n0 3 0", "row 2: entry -4 outside field of order 3"),
         # every row is parsed before any range is checked
         ("3 2 3\n0 9 2\n1 x 0", "row 2: entry 'x' is not an integer"),
+        # an entry is -?[0-9]+: int() would read each of these as a number
+        ("11 1 3\n1_0 +1 \u0663", "row 1: entry '1_0' is not an integer"),
+        ("3 2 3\n0 1 2\n1 +1 0", "row 2: entry '+1' is not an integer"),
+        ("3 2 3\n0 1 2\n1 \u0663 0", "row 2: entry '\u0663' is not an integer"),
+        ("3 2 3\n0 1 2\n1 --1 0", "row 2: entry '--1' is not an integer"),
     ],
 )
 def test_parse_matrix_names_the_first_bad_entry(text, message):
@@ -466,18 +471,25 @@ REFERENCE_FIELDS = [
 @pytest.mark.parametrize("field", REFERENCE_FIELDS + [field_new(11), field_new(2, 5)], ids=repr)
 def test_pack_reads_digits_as_the_entry_loop_places_them(field):
     """Up to sym = 5 bits an entry, pack reads the vector as one digit
-    string; with a width the entry loop places entry i at bit i * width, so
-    width sym is the same layout. Both refuse the same entries alike."""
+    string; with a width it reads one binary string, entry i*b + j at bit
+    i * width + j * sym, so b = 1 and width sym is the same layout. An
+    iterator goes through the entry loop. All refuse the same entries."""
     L = _layout(field)
     assert (L.digits is not None) == (L.sym <= 5)
+    assert (L.bits is not None) == (field.q <= 256)
     rng = random.Random(field.q)
     for n in (0, 1, 5, 40, 300):
         v = tuple(rng.randrange(field.q) for _ in range(n))
         assert L.pack(v) == L.pack(v, 1, L.sym) == L.pack(list(v)) == L.pack(iter(v))
         assert L.unpack(L.pack(v), n) == v
+        for b, gap in ((2, 1), (3, 1), (5, 4)):
+            if n % b == 0:
+                width = b * L.sym + gap
+                placed = sum(L.pack((x,)) << (i // b * width + i % b * L.sym) for i, x in enumerate(v))
+                assert L.pack(v, b, width) == L.pack(iter(v), b, width) == placed
     for bad in (field.q, -1, 255, 256, 10**6):
         v = (1, 0, bad, field.q + 1)
-        for args in ((), (1, L.sym)):
+        for args in ((), (1, L.sym), (2, 2 * L.sym + 1)):
             with pytest.raises(OutOfRange, match=f"^entry {bad} outside field of order {field.q}$"):
                 L.pack(v, *args)
 
