@@ -584,25 +584,19 @@ def parse_bundle(text: str) -> ArrayCode:
         )
     if pos < len(lines):
         raise Inconsistent(f"bundle declares {count} subspaces, then holds line {lines[pos]!r}")
+    # A thick column laid out as format_bundle writes it (the declared rows,
+    # then zero columns) spans exactly the declared subspace, so each subspace
+    # is reduced once; only a column in another layout is reduced on its own.
     pack = _layout(field).pack
-    subs = []
-    for rows, cols in declared:
+    flat = list(zip(*gen.rows))
+    zero = (0,) * M
+    subs, spans = [], []
+    for j, (rows, cols) in enumerate(declared):
         basis, pivots = _rref_rows(field, cols, [pack(r) for r in rows])
         subs.append(Subspace(field, cols, tuple(basis), tuple(pivots)))
-    # A thick column laid out as format_bundle writes it (the declared rows,
-    # then zero columns) spans exactly the declared subspace. A generator
-    # written that way throughout is found by one comparison; otherwise each
-    # thick column is compared, and only a column in another layout is
-    # reduced on its own. A subspace of more than b rows makes the layout
-    # longer than the generator, and one with rows of another length than M
-    # has no layout (None), so neither is taken for its column.
-    zero = (0,) * M
-    written = [r + (zero,) * (b - len(r)) if c == M else None for r, c in declared]
-    spans = subs
-    if None in written or gen.rows != tuple(zip(*(v for column in written for v in column))):
-        flat = list(zip(*gen.rows))
-        columns = [tuple(flat[j : j + b]) for j in range(0, b * n, b)]
-        spans = [s if w == c else Subspace.from_span(field, M, c) for s, w, c in zip(subs, written, columns)]
+        column = tuple(flat[j * b : (j + 1) * b])
+        written = cols == M and column == rows + (zero,) * (b - len(rows))
+        spans.append(subs[-1] if written else Subspace.from_span(field, M, column))
     # the rank is the dimension of the sum of the column spans, as in code_from_subspaces
     spanned = reduce(subspace_sum, spans, Subspace.zero(field, M)).dim
     if spanned != M:

@@ -22,7 +22,6 @@ leading entry is not 1.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -607,8 +606,6 @@ def parse_matrix(text: str, field=None) -> Mat:
     return Mat(field, rows, cols)
 
 
-# an entry: an optional minus sign, then ASCII digits
-_ENTRY = re.compile(r"-?[0-9]+").fullmatch
 # the byte of a digit character to the digit's value
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -634,12 +631,12 @@ def _matrix_rows(lines, field=None):
     if len(lines) != 1 + nrows:
         raise DimensionMismatch(f"expected {nrows} rows, got {len(lines) - 1}")
     rows, in_field = [], True
-    width, gaps, digits = 2 * cols - 1, b" " * (cols - 1), b"0123456789"[:q]
+    width, digits = 2 * cols - 1, b"0123456789"[:q]
     for i, ln in enumerate(lines[1:], 1):
         if len(ln) == width and ln.isascii():
             text = ln.encode()
             entries = text[::2]
-            if text[1::2] == gaps and entries.isdigit():
+            if text[1::2].count(b" ") == cols - 1 and entries.isdigit():
                 rows.append(tuple(entries.translate(_DIGIT_VALUES)))
                 in_field = in_field and not entries.translate(None, digits)
                 continue
@@ -647,7 +644,7 @@ def _matrix_rows(lines, field=None):
         if len(parts) != cols:
             raise DimensionMismatch(f"row {i}: expected {cols} entries, got {len(parts)}")
         try:
-            if not all(map(_ENTRY, parts)):
+            if not _plain(ln) and not all(map(_plain, parts)):
                 raise ValueError
             rows.append(tuple(map(int, parts)))
         except ValueError:
@@ -660,9 +657,16 @@ def _matrix_rows(lines, field=None):
     return field, tuple(rows), cols
 
 
+def _plain(text: str) -> bool:
+    """Whether text holds none of what int() reads besides -?[0-9]+: a '+',
+    a '_' digit separator or a non-ASCII digit. Each token of a plain line
+    that int() reads is an entry."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def _is_entry(token: str) -> bool:
-    """Whether token is an entry that int() reads (it refuses over 4,300 digits)."""
-    if not _ENTRY(token):
+    """Whether token is an entry, -?[0-9]+, that int() reads (it refuses over 4,300 digits)."""
+    if not _plain(token):
         return False
     try:
         int(token)

@@ -291,6 +291,14 @@ subspaces 1
         ("subspaces 5", "subspaces x", "malformed code bundle: subspaces line 'subspaces x'"),
         ("n 5", "n 6", "bundle shapes disagree: generator 4x10, declared M=4, b=2, n=6"),
         (None, RANK_1_BUNDLE, "generator rank 1 differs from declared dimension 2"),
+        # a header count is checked against the text before anything is sized by it
+        ("2 4 10", "2 4 " + "9" * 20, f"malformed code bundle: generator: row 1: expected {'9' * 20} entries, got 10"),
+        ("2 4 10", "2 4 10000000000", "malformed code bundle: generator: row 1: expected 10000000000 entries, got 10"),
+        (
+            "2 2 4",
+            "2 2 " + "9" * 20,
+            f"malformed code bundle: subspace 1 of 5: row 1: expected {'9' * 20} entries, got 4",
+        ),
         # an entry is -?[0-9]+, though int() reads these
         (
             "0 1 0 1 0 1 0 1 0 0",
@@ -909,6 +917,7 @@ def test_from_blocks_file(tmp_path, capsys):
     [
         ("2 3 4\n0 0 1 0\n0 0 0 1\n", "block 2 of 3: expected 3 rows, got 2"),
         ("2 2 4\n0 0 1 0\n0 0 x 1\n", "block 2 of 3: row 2: entry 'x' is not an integer"),
+        ("2 2 " + "9" * 20 + "\n0 0 1 0\n0 0 0 1\n", f"block 2 of 3: row 1: expected {'9' * 20} entries, got 4"),
         # an entry is -?[0-9]+, though int() reads these
         ("2 2 4\n0 0 1 0\n0 0 1_0 1\n", "block 2 of 3: row 2: entry '1_0' is not an integer"),
         ("2 2 4\n0 0 1 0\n0 0 +1 1\n", "block 2 of 3: row 2: entry '+1' is not an integer"),

@@ -363,6 +363,30 @@ def test_parse_matrix_names_the_first_bad_entry(text, message):
     assert str(exc.value) == message
 
 
+BIG = "9" * 20  # a count no index fits
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a header count is checked against the text before anything is sized by it
+        ("2 1 10000000000\n1 0", "row 1: expected 10000000000 entries, got 2"),
+        (f"2 1 {BIG}\n1 0", f"row 1: expected {BIG} entries, got 2"),
+        (f"2 {BIG} 2\n1 0", f"expected {BIG} rows, got 1"),
+    ],
+)
+def test_parse_matrix_names_a_header_count_beyond_the_text(text, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
+def test_parse_matrix_reads_a_header_count_it_need_not_check():
+    assert parse_matrix(f"2 0 {BIG}").cols == int(BIG)
+    # any whitespace str.split() sees separates entries, as before the entry grammar
+    assert parse_matrix("3 2 3\n0\u00a01 2\n2\t1  0").rows == ((0, 1, 2), (2, 1, 0))
+
+
 def residual(s, v):
     """The packed kernel's residual of v against s, unpacked."""
     L = _layout(s.field)

@@ -4,11 +4,12 @@ and `parse_bundle` and `parse_matrix` must return what the reference returns
 or raise the same exception type with the same message.
 
 The mutations are the ones a file meets: tokens that are multi-digit, not
-integers or outside the field, a tab or a double space between tokens,
-dropped and duplicated lines, and header lines reordered or broken. No
-mutation writes a token that int() reads but the entry grammar -?[0-9]+
-refuses (a sign, a digit separator, a non-ASCII digit): there the readers
-differ on purpose, which tests/test_linalg.py and tests/test_cli.py pin.
+integers or outside the field, counts far beyond the text, a tab, a
+no-break space or a double space between tokens, dropped and duplicated
+lines, and header lines reordered or broken. No mutation writes a token
+that int() reads but the entry grammar -?[0-9]+ refuses (a sign, a digit
+separator, a non-ASCII digit): there the readers differ on purpose, which
+tests/test_linalg.py and tests/test_cli.py pin.
 
 Test-only dependency: skipped where hypothesis is missing.
 """
@@ -57,8 +58,12 @@ BUNDLES = [
     )
 ]
 
-TOKENS = ["0", "1", "00", "01", "10", "12", "99", "x", "-1", "-0", "2", "3", "4", "11", "16", "1.0", ""]
-HEADER_BREAKS = ["b", "b x", "n -1", "M 0", "field gf(6)", "field", "width 2", "provenance", "b 2", "generator 2"]
+# the last two, in a matrix header, are counts far beyond the text, one too
+# large for any index
+TOKENS = ["0", "1", "00", "01", "10", "12", "99", "x", "-1", "-0", "2", "3", "4", "11", "16", "1.0", "",
+          "10000000000", "9" * 20]
+HEADER_BREAKS = ["b", "b x", "n -1", "M 0", "field gf(6)", "field", "width 2", "provenance", "b 2", "generator 2",
+                 "M " + "9" * 20, "n 10000000000"]
 BODY_KINDS = ["token", "token", "separator", "drop", "duplicate"]
 HEADER_KINDS = ["reorder", "header"]
 
@@ -80,7 +85,7 @@ def mutated_lines(draw, lines, body, kinds):
                 lines[at] = " ".join(parts)
             elif len(parts) > 1:
                 gap = draw(st.integers(0, len(parts) - 2))
-                sep = draw(st.sampled_from(["\t", "  ", " \t", ""]))
+                sep = draw(st.sampled_from(["\t", "  ", " \t", "\u00a0", ""]))
                 lines[at] = " ".join(parts[: gap + 1]) + sep + " ".join(parts[gap + 1 :])
         elif kind == "drop" and lines:
             del lines[draw(st.integers(0, len(lines) - 1))]
